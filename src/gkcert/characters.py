@@ -149,21 +149,27 @@ def verify_character_table(table: list[Character]) -> None:
 
 
 def character_table(G: FiniteGroup) -> list[Character]:
-    """Complete irreducible character table, exact values, deterministic order."""
+    """Complete irreducible character table, exact values, deterministic order.
+
+    The table is computed on the first request and kept on G itself, so it
+    lives exactly as long as the group object and every row's ``group`` is G.
+    """
     if G.order > SCALE_BOUND:
         raise ScaleExceeded(f"|G| = {G.order} exceeds the supported bound {SCALE_BOUND}")
-    kind = G.spec[0]
-    if kind == "abelian":
-        table = _abelian_table(G)
-    elif kind == "dihedral":
-        table = _dihedral_table(G)
-    elif kind == "quaternion8":
-        table = _q8_table(G)
-    else:
-        table = _dixon_table(G)
-        verify_character_table(table)
-    table.sort(key=Character.sort_key)
-    return table
+    if G._characters is None:
+        kind = G.spec[0]
+        if kind == "abelian":
+            table = _abelian_table(G)
+        elif kind == "dihedral":
+            table = _dihedral_table(G)
+        elif kind == "quaternion8":
+            table = _q8_table(G)
+        else:
+            table = _dixon_table(G)
+            verify_character_table(table)
+        table.sort(key=Character.sort_key)
+        object.__setattr__(G, "_characters", tuple(table))
+    return list(G._characters)
 
 
 def _abelian_table(G: FiniteGroup) -> list[Character]:

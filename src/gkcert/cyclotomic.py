@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 
+from .errors import InternalCheckError
 from .intpoly import IntPoly, divmod_q
 from .numutil import euler_phi, factorint
 
@@ -34,7 +35,8 @@ def cyclotomic_poly(m: int) -> IntPoly:
         if d < m:
             den = den * cyclotomic_poly(d)
     q, r = divmod_q(num, den)
-    assert r.is_zero
+    if not r.is_zero:
+        raise InternalCheckError(f"Phi_{m} does not divide X^{m} - 1")
     return q
 
 

@@ -87,8 +87,6 @@ class CompositumProvenance:
     cm_kind: str  # "imaginary-quadratic" | "cyclotomic" | "quaternion8" | "dihedral4"
     cm_label: str
     real_discs: tuple[int, ...]
-    cm_group: FiniteGroup = field(compare=False)
-    cm_tau: int = 0
     cm_assertion: str = ""
 
 
@@ -126,10 +124,6 @@ class ExtensionDescriptor:
 
     def totally_split(self, rec: PrimeRecord) -> bool:
         return len(rec.decomposition) == 1
-
-    def split_in_k_over_kplus(self, rec: PrimeRecord) -> bool:
-        """Primes of K+ above v split in K iff tau is not in G_w (tau central)."""
-        return self.tau not in rec.decomposition
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -475,8 +469,7 @@ def build_compositum_over_Q(components, p: int, assertions=()) -> ExtensionDescr
 
     # pairwise linear disjointness via coprime discriminant support
     labelled = [(q.label, q.support) for q in real_quads]
-    cm_label = cm.label if not isinstance(cm, QuadraticComponent) else cm.label
-    labelled.append((cm_label, cm.support))
+    labelled.append((cm.label, cm.support))
     used_assertions = []
     for i in range(len(labelled)):
         for j in range(i):
@@ -542,7 +535,7 @@ def build_compositum_over_Q(components, p: int, assertions=()) -> ExtensionDescr
         notes.append(f"asserted:{cm_assert}")
     if base.irreducibility.startswith("asserted"):
         notes.append(f"asserted:base polynomial irreducible ({base.irreducibility})")
-    label = "K=" + "*".join([cm_label] + [q.label for q in real_quads]) + f"/R,p={p}"
+    label = "K=" + "*".join([cm.label] + [q.label for q in real_quads]) + f"/R,p={p}"
     return ExtensionDescriptor(
         base=base,
         group=G,
@@ -553,10 +546,8 @@ def build_compositum_over_Q(components, p: int, assertions=()) -> ExtensionDescr
         label=label,
         construction=CompositumProvenance(
             cm_kind=kind,
-            cm_label=cm_label,
+            cm_label=cm.label,
             real_discs=real_discs,
-            cm_group=G,
-            cm_tau=tau,
             cm_assertion=cm_assert,
         ),
     )
@@ -586,20 +577,7 @@ def ingest_extension(document: dict) -> ExtensionDescriptor:
     gspec = document["group"]
     if not isinstance(gspec, dict) or "kind" not in gspec:
         raise SchemaViolation("group must be an object with a 'kind'")
-    kind = gspec["kind"]
-    try:
-        if kind == "abelian":
-            group = abelian_group(gspec["data"])
-        elif kind == "dihedral":
-            group = dihedral_group(int(gspec["data"]))
-        elif kind == "quaternion8":
-            group = quaternion_group()
-        elif kind == "table":
-            group = build_group(("table", gspec["data"]))
-        else:
-            raise SchemaViolation(f"unknown group kind {kind!r}")
-    except KeyError as exc:
-        raise SchemaViolation(f"group spec missing {exc}") from exc
+    group = build_group(tuple(gspec[key] for key in ("kind", "data") if key in gspec))
 
     try:
         base = make_field(from_vector(base_vec))
@@ -643,18 +621,15 @@ def ingest_extension(document: dict) -> ExtensionDescriptor:
                 provenance="ingested",
             )
         )
-    try:
-        return ExtensionDescriptor(
-            base=base,
-            group=group,
-            tau=tau,
-            p=int(document["p"]),
-            primes=tuple(records),
-            assertions=tuple(str(a) for a in document.get("assertions", [])),
-            label=str(document.get("label", "")),
-        )
-    except InvariantViolation:
-        raise
+    return ExtensionDescriptor(
+        base=base,
+        group=group,
+        tau=tau,
+        p=int(document["p"]),
+        primes=tuple(records),
+        assertions=tuple(str(a) for a in document.get("assertions", [])),
+        label=str(document.get("label", "")),
+    )
 
 
 def to_document(ext: ExtensionDescriptor) -> dict:

@@ -12,15 +12,19 @@ built-in families; ``table[a][b]`` is the product a*b.  Builders:
   (associativity included; |G| <= 64 keeps the cubic check cheap).
 
 Conjugacy classes are computed eagerly and ordered by smallest member, so
-the identity class is always class 0.
+the identity class is always class 0.  ``dihedral_group(n)`` and
+``quaternion_group()`` build each group once per process and return that
+shared instance; a group's character table is computed once and kept on the
+group object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import lcm
 
-from .errors import InvalidTable, NotASubgroup, TauNotCentralInvolution
+from .errors import InvalidTable, NotASubgroup, SchemaViolation, TauNotCentralInvolution
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,8 @@ class FiniteGroup:
     class_of: tuple[int, ...]
     spec: tuple  # ("abelian", invariants) | ("dihedral", n) | ("quaternion8",) | ("table",)
     _orders: tuple[int, ...] = field(repr=False, default=())
+    # irreducible characters, filled on first request by characters.character_table
+    _characters: tuple | None = field(repr=False, compare=False, init=False, default=None)
 
     # -- basic operations --
 
@@ -150,9 +156,6 @@ class FiniteGroup:
             self.commutator(a, b) in n for a in range(self.order) for b in range(a)
         )
 
-    def conjugacy_class_of_element(self, g: int) -> tuple[int, ...]:
-        return self.classes[self.class_of[g]]
-
 
 def _validate_and_build(table, spec) -> FiniteGroup:
     n = len(table)
@@ -254,6 +257,7 @@ def abelian_group(invariants) -> FiniteGroup:
     return _validate_and_build(table, ("abelian", tuple(invs)))
 
 
+@cache
 def dihedral_group(n: int) -> FiniteGroup:
     """D_n of order 2n: rotations a^i at 0..n-1, reflections b a^(i-n) at n..2n-1."""
     if n < 2:
@@ -270,9 +274,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     return _validate_and_build(table, ("dihedral", n))
 
 
-_Q8_MUL = None
-
-
+@cache
 def quaternion_group() -> FiniteGroup:
     """Q8 with elements 1, -1, i, -i, j, -j, k, -k at indices 0..7."""
     # encode +-e as (unit index 0..3, sign); units 1, i, j, k
@@ -309,17 +311,20 @@ def group_from_table(rows) -> FiniteGroup:
 
 def build_group(spec) -> FiniteGroup:
     """Dispatch on a group spec: ("abelian", [d1..dk]) | ("dihedral", n) |
-    ("quaternion8",) | ("table", rows)."""
+    ("quaternion8",) | ("table", rows).  An unknown kind or a missing data
+    entry raises SchemaViolation."""
     kind = spec[0]
+    if kind == "quaternion8":
+        return quaternion_group()
+    if kind not in ("abelian", "dihedral", "table"):
+        raise SchemaViolation(f"unknown group kind {kind!r}")
+    if len(spec) < 2:
+        raise SchemaViolation("group spec missing 'data'")
     if kind == "abelian":
         return abelian_group(spec[1])
     if kind == "dihedral":
-        return dihedral_group(spec[1])
-    if kind == "quaternion8":
-        return quaternion_group()
-    if kind == "table":
-        return group_from_table(spec[1])
-    raise InvalidTable(f"unknown group spec kind {kind!r}")
+        return dihedral_group(int(spec[1]))
+    return group_from_table(spec[1])
 
 
 def subgroup_embedding(G: FiniteGroup, elements) -> tuple[FiniteGroup, tuple[int, ...]]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .errors import NotMonic, NotSquarefree
+from .errors import InternalCheckError, NotMonic, NotSquarefree
 
 
 class IntPoly:
@@ -146,12 +146,6 @@ def from_vector(vector) -> IntPoly:
     return IntPoly(list(vector) + [1])
 
 
-def to_vector(f: IntPoly) -> list[int]:
-    if not f.is_monic:
-        raise NotMonic(f"{f} is not monic")
-    return list(f.coeffs[:-1])
-
-
 # -- rational helpers (private): polynomials as Fraction lists -----------------
 
 def _frac(f: IntPoly) -> list[Fraction]:
@@ -205,7 +199,8 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     if g.degree == 0:
         return f
     q, r = divmod_q(f, g)
-    assert r.is_zero
+    if not r.is_zero:
+        raise InternalCheckError("gcd(f, f') does not divide f")
     return q.primitive_part()
 
 
@@ -292,7 +287,8 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     cs = list(r.coeffs)
     while len(cs) - 1 >= b.degree and cs:
         q, rem = divmod(cs[-1], lb)
-        assert rem == 0
+        if rem:
+            raise InternalCheckError("pseudo-remainder step is not exact")
         shift = len(cs) - 1 - b.degree
         for i, c in enumerate(b.coeffs):
             cs[shift + i] -= q * c
@@ -328,8 +324,8 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         A = B
         denom = g_ * h**delta
         B = IntPoly([c // denom for c in R.coeffs])
-        if not R.is_zero:
-            assert all(c % denom == 0 for c in R.coeffs)
+        if any(c % denom for c in R.coeffs):
+            raise InternalCheckError("subresultant step is not exact")
         g_ = A.lc
         h = (g_**delta * h ** (1 - delta)) if delta <= 1 else (g_**delta // h ** (delta - 1))
         if B.is_zero:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import modpoly
-from .errors import IrreducibilityUndecided, NotMonic, Reducible, UnsafePrime
+from .errors import InternalCheckError, IrreducibilityUndecided, NotMonic, Reducible, UnsafePrime
 from .intpoly import IntPoly, count_real_roots, poly_discriminant
 from .modpoly import factor_mod_p
 from .numutil import is_prime, require_prime
@@ -76,10 +76,6 @@ class NumberField:
     @property
     def is_totally_real(self) -> bool:
         return self.r2 == 0
-
-    @property
-    def is_totally_imaginary(self) -> bool:
-        return self.r1 == 0
 
     def __str__(self):
         return f"Q[X]/({self.defining_poly})"
@@ -208,7 +204,8 @@ def _dedekind_safe(F: NumberField, p: int) -> bool:
     g_lift = IntPoly(g_bar)
     h_lift = IntPoly(h_bar)
     t = g_lift * h_lift - f
-    assert all(c % p == 0 for c in t.coeffs)
+    if any(c % p for c in t.coeffs):
+        raise InternalCheckError(f"g*h - f is not divisible by {p}")
     t_bar = modpoly.reduce_intpoly(IntPoly([c // p for c in t.coeffs]), p)
     d = modpoly.gcd_p(modpoly.gcd_p(t_bar, g_bar, p), h_bar, p)
     return modpoly.deg(d) == 0
@@ -226,7 +223,8 @@ def splitting_type(F: NumberField, p: int) -> SplittingType:
     fac = factor_mod_p(F.defining_poly, p)
     entries = tuple((m, modpoly.deg(g)) for g, m in fac.factors)
     st = SplittingType(p=p, entries=entries, certified=True)
-    assert st.degree_sum == F.degree
+    if st.degree_sum != F.degree:
+        raise InternalCheckError(f"splitting degrees at {p} do not sum to [F:Q]")
     return st
 
 

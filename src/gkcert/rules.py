@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import Character, character_table, odd_characters
+from .characters import SCALE_BOUND, Character, character_table, odd_characters
 from .certificates import (
     Certificate,
     Conclusion,
@@ -127,6 +127,46 @@ class CertifyOutcome:
         return seen
 
 
+def _klingen_rule(ext: ExtensionDescriptor):
+    """(rule key, hypotheses, payload, failure note) of the Klingen step, or
+    None when it does not apply.  Over R = Q the bound is checked on
+    G = Gal(K/Q); for a built compositum M * R, G = Gal(K/R) is Gal(M/Q) of
+    the CM piece M."""
+    con = ext.construction
+    if ext.base.degree == 1:
+        galois_hyp = verified("K is an imaginary Galois extension of Q", "R = Q, tau central")
+        if con is not None and con.cm_assertion:
+            galois_hyp = asserted("K is an imaginary Galois extension of Q", con.cm_assertion)
+        return (
+            "klingen-character-bound",
+            [galois_hyp, verified("chi(1) + chi(tau) <= 2 for every irreducible chi")],
+            {"group_order": ext.group.order},
+            "some irreducible chi has chi(1)+chi(tau) > 2",
+        )
+    if con is None:
+        return None
+    if con.cm_assertion:
+        galois_hyp = asserted("M is an imaginary Galois extension of Q", con.cm_assertion)
+    else:
+        galois_hyp = verified("M is an imaginary Galois extension of Q", con.cm_label)
+    return (
+        "klingen-abelian-compositum",
+        [
+            galois_hyp,
+            verified(
+                "chi(1) + chi(tau) <= 2 for every irreducible chi of Gal(M/Q)",
+                f"CM piece {con.cm_label}",
+            ),
+            verified(
+                "R is a compositum of real quadratic fields (abelian over Q)",
+                f"discriminants {list(con.real_discs)}",
+            ),
+        ],
+        {"group_order": ext.group.order, "cm_piece": con.cm_label},
+        "the CM piece fails the character bound",
+    )
+
+
 def _rem_4_9_detail(ext: ExtensionDescriptor) -> str:
     """Sufficient conditions for 'unsplit in K': odd split count, or split
     count coprime to the full 2-part with cyclic 2-Sylow.  Reported as
@@ -168,63 +208,23 @@ def certify(
     summary = classify_primes(ext)
     G = ext.group
 
+    # rules that read the character table are skipped above this order
+    tabulated = G.order <= SCALE_BOUND
+
     # ---- Leopoldt certificates (Klingen's criterion) ----
     leopoldt_cert = None
-    if ext.base.degree == 1:
-        if klingen_criterion(G, ext.tau):
-            galois_hyp = verified(
-                "K is an imaginary Galois extension of Q", "R = Q, tau central"
-            )
-            if ext.construction is not None and ext.construction.cm_assertion:
-                galois_hyp = asserted(
-                    "K is an imaginary Galois extension of Q", ext.construction.cm_assertion
-                )
+    klingen = _klingen_rule(ext)
+    if klingen is not None:
+        rule, hyps, payload, failure = klingen
+        if not tabulated:
+            out.diagnostics.append(f"{rule}: |G| exceeds the character-table bound")
+        elif klingen_criterion(G, ext.tau):
             leopoldt_cert = make_certificate(
-                Conclusion.LEOPOLDT,
-                subject,
-                "klingen-character-bound",
-                [
-                    galois_hyp,
-                    verified("chi(1) + chi(tau) <= 2 for every irreducible chi"),
-                ],
-                {"group_order": G.order},
-                digest,
+                Conclusion.LEOPOLDT, subject, rule, hyps, payload, digest
             )
+            out.certificates.append(leopoldt_cert)
         else:
-            out.diagnostics.append(
-                "klingen-character-bound: some irreducible chi has chi(1)+chi(tau) > 2"
-            )
-    elif ext.construction is not None:
-        con = ext.construction
-        if klingen_criterion(con.cm_group, con.cm_tau):
-            hyps = [
-                verified(
-                    "chi(1) + chi(tau) <= 2 for every irreducible chi of Gal(M/Q)",
-                    f"CM piece {con.cm_label}",
-                ),
-                verified(
-                    "R is a compositum of real quadratic fields (abelian over Q)",
-                    f"discriminants {list(con.real_discs)}",
-                ),
-            ]
-            if con.cm_assertion:
-                hyps.insert(0, asserted("M is an imaginary Galois extension of Q", con.cm_assertion))
-            else:
-                hyps.insert(0, verified("M is an imaginary Galois extension of Q", con.cm_label))
-            leopoldt_cert = make_certificate(
-                Conclusion.LEOPOLDT,
-                subject,
-                "klingen-abelian-compositum",
-                hyps,
-                {"group_order": G.order, "cm_piece": con.cm_label},
-                digest,
-            )
-        else:
-            out.diagnostics.append(
-                "klingen-abelian-compositum: the CM piece fails the character bound"
-            )
-    if leopoldt_cert is not None:
-        out.certificates.append(leopoldt_cert)
+            out.diagnostics.append(f"{rule}: {failure}")
 
     # ---- GKC-(K) rules ----
     gkc_minus: list[Certificate] = []
@@ -381,7 +381,7 @@ def certify(
         others_inert = all(
             ext.tau_in(rec) for rec in ext.primes if rec.label not in summary.split_qp_labels
         )
-        if split_ok and others_inert and G.order <= 64:
+        if split_ok and others_inert and tabulated:
             odd = odd_characters(character_table(G), ext.tau)
             degree_sum = sum(ch.degree for ch in odd)
             if degree_sum != n // 2 + 1:
@@ -434,7 +434,7 @@ def certify(
             out.diagnostics.append(
                 "gkc-gvc-equivalence: tower disjointness neither guaranteed (p | |G|) nor asserted"
             )
-        elif G.order > 64:
+        elif not tabulated:
             out.diagnostics.append("gkc-gvc-equivalence: |G| exceeds the character-table bound")
         else:
             if gkc_source is not None:

@@ -172,3 +172,33 @@ def test_contragredient():
     z = character_table(abelian_group([5]))
     chi = next(ch for ch in z if ch.values[1] == CycNumber.zeta(5))
     assert chi.contragredient().values[1] == CycNumber.zeta(5, 4)
+
+
+def test_builtin_groups_built_once():
+    assert quaternion_group() is quaternion_group()
+    assert dihedral_group(6) is dihedral_group(6)
+    assert character_table(quaternion_group())[0].group is quaternion_group()
+
+
+def test_character_table_computed_once_per_group(monkeypatch):
+    import gkcert.characters as characters
+
+    runs = []
+    dixon = characters._dixon_table
+
+    def counted(G):
+        runs.append(G)
+        return dixon(G)
+
+    monkeypatch.setattr(characters, "_dixon_table", counted)
+    G = group_from_table(dihedral_group(4).table)
+    first = character_table(G)
+    second = character_table(G)
+    assert len(runs) == 1
+    assert second == first and all(a is b for a, b in zip(first, second))
+    assert all(ch.group is G for ch in second)
+    # an equal group built separately gets its own table, bound to itself
+    H = group_from_table(dihedral_group(4).table)
+    assert H == G and H is not G
+    assert all(ch.group is H for ch in character_table(H))
+    assert len(runs) == 2

@@ -220,3 +220,36 @@ def test_polynomial_db_loading(tmp_path):
     )
     result = run(cfg)
     assert [row["prime"] for row in result.rows] == [29, 41]
+
+
+def test_run_certify_skips_klingen_above_scale_bound(tmp_path):
+    # |G| = 66 > 64: the rules that need a character table are skipped with a
+    # diagnostic, and the remaining rules still certify the descriptor
+    gaussian = os.path.join(os.path.dirname(__file__), "..", "src", "gkcert", "data",
+                            "descriptors", "gaussian_p13.json")
+    c66 = tmp_path / "c66.json"
+    c66.write_text(json.dumps({
+        "base_poly": [0],
+        "p": 5,
+        "group": {"kind": "abelian", "data": [66]},
+        "tau": 33,
+        "primes": [{"e_base": 1, "f_base": 1, "decomposition_subgroup": [0]}],
+    }))
+    cfg = config_from_dict(
+        {
+            "pipelines": ["certify"],
+            "out_dir": str(tmp_path / "out"),
+            "certify": {"descriptors": [os.path.abspath(gaussian), str(c66)]},
+        }
+    )
+    result = run(cfg)
+    assert result.ok
+    with open(tmp_path / "out" / "report.json") as fh:
+        rows = json.load(fh)["rows"]
+    assert [row["group_order"] for row in rows] == [2, 66]
+    assert {"split-rank-bound", "abelian-split-rank-zero"} <= set(rows[1]["rules"])
+    assert "klingen-character-bound" not in rows[1]["rules"]
+    assert any(
+        d.startswith(f"{c66}: klingen-character-bound:") and "bound" in d
+        for d in result.diagnostics
+    )

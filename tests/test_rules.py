@@ -217,3 +217,31 @@ def test_no_applicable_rule_diagnostics():
     out = certify(ext)
     assert not [c for c in out if c.conclusion is Conclusion.GKC_MINUS]
     assert out.diagnostics
+
+
+def test_certify_raw_table_runs_dixon_once(monkeypatch):
+    import gkcert.characters as characters
+    from gkcert.extensions import ingest_extension
+
+    runs = []
+    dixon = characters._dixon_table
+
+    def counted(G):
+        runs.append(G)
+        return dixon(G)
+
+    monkeypatch.setattr(characters, "_dixon_table", counted)
+    ext = ingest_extension(
+        {
+            "base_poly": [0],
+            "p": 5,
+            "group": {"kind": "table", "data": [list(r) for r in dihedral_group(4).table]},
+            "tau": 2,
+            "primes": [{"e_base": 1, "f_base": 1, "decomposition_subgroup": [0, 2]}],
+        }
+    )
+    out = certify(ext)
+    # Klingen's bound and the GVC propagation both read the table
+    assert out.by_rule("klingen-character-bound")
+    assert out.by_rule("gkc-gvc-equivalence")
+    assert runs == [ext.group]

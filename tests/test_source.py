@@ -1,0 +1,19 @@
+import ast
+import glob
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "gkcert")
+
+
+def test_no_assert_statements_in_library():
+    # internal checks must raise InternalCheckError, which survives python -O
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
