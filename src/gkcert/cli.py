@@ -1,16 +1,13 @@
 """Command-line interface.
 
-Subcommands map one-to-one onto harness pipelines:
+One subcommand per pipeline, exactly the keys of ``harness.PIPELINES``:
 
-    gkcert scan        --config cfg.json [--prime-bound N]
-    gkcert search-b    --config cfg.json [--prime-bound N]
-    gkcert certify     --config cfg.json
-    gkcert check-table [--config cfg.json]
-    gkcert report      --config cfg.json
+    gkcert <pipeline> [--config cfg.json] [--prime-bound N] [--out DIR] [--format csv|json]
 
-Common flags override the config file.  Exit code 0 means no invariant
-violation occurred; violations (bad descriptors, exhausted search pools,
-unknown pipelines) exit 1.
+The flags override the config file and pass the same ``RunConfig``
+validation, so a bad flag, like a bad file, exits 1 with an ``error:`` line.
+Exit code 0 means no invariant violation occurred; violations (bad
+descriptors, exhausted search pools) also exit 1.
 """
 
 from __future__ import annotations
@@ -18,11 +15,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 from .errors import GkcertError
-from .harness import config_from_dict, load_config, run
-
-PIPELINES = ("scan", "search-b", "certify", "check-table", "report")
+from .harness import PIPELINES, config_from_dict, load_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", help="JSON run configuration", default=None)
         p.add_argument("--prime-bound", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), action="append", default=None)
     return parser
@@ -51,22 +46,20 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    overrides = {"pipelines": (args.command,)}
+    if args.prime_bound is not None:
+        # one bound for every pipeline: the search falls back to prime_bound
+        overrides.update(prime_bound=args.prime_bound, search_prime_bound=None)
+    if args.out is not None:
+        overrides["out_dir"] = args.out
+    if args.format:
+        overrides["formats"] = tuple(dict.fromkeys(args.format))
     try:
         config = load_config(args.config) if args.config else config_from_dict({})
+        config = replace(config, **overrides)
     except (OSError, GkcertError, ValueError) as exc:
-        print(f"error: cannot load config: {exc}", file=sys.stderr)
+        print(f"error: bad config: {exc}", file=sys.stderr)
         return 1
-    config.pipelines = (args.command,)
-    if args.prime_bound is not None:
-        config.prime_bound = args.prime_bound
-        if args.command == "search-b":
-            config.search_prime_bound = args.prime_bound
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.format:
-        config.formats = tuple(dict.fromkeys(args.format))
     try:
         result = run(config)
     except GkcertError as exc:

@@ -31,8 +31,11 @@ from math import gcd
 from .errors import (
     AmbiguousDecomposition,
     InvariantViolation,
+    IrreducibilityUndecided,
     NotLinearlyDisjoint,
+    NotMonic,
     RamifiedPrime,
+    Reducible,
     SchemaViolation,
 )
 from .groups import (
@@ -455,17 +458,9 @@ def build_compositum_over_Q(components, p: int, assertions=()) -> ExtensionDescr
     cm = cm_pieces[0]
 
     # ramification of p in each component
-    for quad in real_quads:
-        if quad.disc % p == 0:
-            raise RamifiedPrime(f"{p} ramifies in {quad.label}")
-    if isinstance(cm, QuadraticComponent):
-        if cm.disc % p == 0:
-            raise RamifiedPrime(f"{p} ramifies in {cm.label}")
-    elif isinstance(cm, CyclotomicComponent):
-        if cm.m % p == 0:
-            raise RamifiedPrime(f"{p} ramifies in {cm.label}")
-    elif p in cm.ramified:
-        raise RamifiedPrime(f"{p} ramifies in {cm.label}")
+    for comp in real_quads + [cm]:
+        if p in comp.support:
+            raise RamifiedPrime(f"{p} ramifies in {comp.label}")
 
     # pairwise linear disjointness via coprime discriminant support
     labelled = [(q.label, q.support) for q in real_quads]
@@ -581,7 +576,7 @@ def ingest_extension(document: dict) -> ExtensionDescriptor:
 
     try:
         base = make_field(from_vector(base_vec))
-    except Exception as exc:
+    except (NotMonic, Reducible, IrreducibilityUndecided) as exc:
         raise InvariantViolation("base field", str(exc)) from exc
 
     tau = document["tau"]

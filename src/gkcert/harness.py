@@ -1,11 +1,11 @@
 """Batch orchestration: prime scans, the large-vanishing-order search, table
 consistency checks, certificate evaluation, and report emission.
 
-Pipelines are driven by a JSON RunConfig and are deterministic: identical
-config (and seed) produces byte-identical CSV/JSON reports, and the
-certificate store is content-addressed so reruns never duplicate entries.
-Scanning results are merged in ascending prime order regardless of how the
-per-prime work is scheduled.
+Pipelines are the keys of ``PIPELINES``; ``run`` executes those that a
+validated RunConfig names, in order.  Runs are deterministic: an identical
+config produces byte-identical CSV/JSON reports, and the certificate store is
+content-addressed so reruns never duplicate entries.  Each report carries
+``config_digest``, a hash of the config that ran (``RunConfig.digest``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import io
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
     AmbiguousDecomposition,
@@ -305,10 +305,9 @@ def check_example_table(rows) -> list[RowVerdict]:
 # -- run configuration ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     pipelines: tuple[str, ...] = ()
-    seed: int = 0
     prime_bound: int = 1000
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
@@ -320,15 +319,14 @@ class RunConfig:
     descriptors: tuple[str, ...] = ()
     towers: tuple[str, ...] = ()
     assumptions: tuple[str, ...] = ()
-    # search
+    # search_b
     target_r: int = 2
     pool: tuple[int, ...] = (5, 13, 17, 21, 29)
     cm_piece: str = "q8"
     search_prime_bound: int | None = None
     max_hits: int | None = 1
-    # check-table
+    # check_table
     table_rows_path: str | None = None
-    raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.prime_bound < 3:
@@ -338,23 +336,25 @@ class RunConfig:
                 raise SchemaViolation(f"unknown report format {fmt!r}")
 
     def digest(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode()
+        """Hash of every field but ``out_dir``, which moves the reports
+        without changing what they contain."""
+        fields = {k: v for k, v in asdict(self).items() if k != "out_dir"}
+        blob = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return config_from_dict(doc)
+        return config_from_dict(json.load(fh))
 
 
 def config_from_dict(doc: dict) -> RunConfig:
+    """RunConfig from a config document; unknown keys are ignored."""
     if not isinstance(doc, dict):
         raise SchemaViolation("config must be an object")
     search = doc.get("search_b", {})
     return RunConfig(
         pipelines=tuple(doc.get("pipelines", ())),
-        seed=int(doc.get("seed", 0)),
         prime_bound=int(doc.get("prime_bound", 1000)),
         out_dir=str(doc.get("out_dir", "out")),
         formats=tuple(doc.get("formats", ("csv", "json"))),
@@ -370,7 +370,6 @@ def config_from_dict(doc: dict) -> RunConfig:
         search_prime_bound=search.get("prime_bound"),
         max_hits=search.get("max_hits", 1),
         table_rows_path=doc.get("check_table", {}).get("rows"),
-        raw=doc,
     )
 
 
@@ -417,15 +416,142 @@ def _csv_cell(value):
 
 @dataclass
 class RunResult:
-    rows: list[dict]
-    certificates: list
-    violations: list[str]
-    outputs: list[str]
-    diagnostics: list[str]
+    rows: list[dict] = field(default_factory=list)
+    certificates: list = field(default_factory=list)
+    violations: list[str] = field(default_factory=list)
+    outputs: list[str] = field(default_factory=list)
+    diagnostics: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+# -- pipeline steps: each appends to the run's result; ``run`` puts the step's
+# name in front of the rows and violations that it added.
+
+
+def _scan(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
+    fields = []
+    if config.polynomial_db:
+        fields.extend(_load_polynomial_db(config.polynomial_db))
+    fields.extend(from_vector(v) for v in config.field_vectors)
+    made = []
+    for f in fields:
+        try:
+            made.append(make_field(f))
+        except GkcertError as exc:
+            result.diagnostics.append(f"scan: skipping {f}: {exc}")
+    primes = scan_split_primes(made, config.prime_bound)
+    for p in primes:
+        result.rows.append(
+            {
+                "prime": p,
+                "fields": [list(F.defining_poly.coeffs[:-1]) for F in made],
+                "totally_split": True,
+            }
+        )
+    if not primes:
+        result.diagnostics.append("scan: no totally split prime within the bound")
+
+
+def _search_b(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
+    try:
+        hits = search_theoremB(
+            pool=config.pool,
+            target_r=config.target_r,
+            prime_bound=config.search_prime_bound or config.prime_bound,
+            cm_piece=config.cm_piece,
+            max_hits=config.max_hits,
+            assumptions=config.assumptions,
+        )
+    except PoolExhausted as exc:
+        result.violations.append(str(exc))
+        return
+    for hit in hits:
+        result.certificates.extend(hit.outcome.certificates)
+        result.rows.append(
+            {
+                "prime": hit.p,
+                "base_discriminants": list(hit.discs),
+                "descriptor": hit.descriptor.label,
+                "achieved_r_S": hit.achieved_r,
+                "rules": hit.outcome.rules_cited(),
+                "certificates": [c.digest() for c in hit.outcome.certificates],
+            }
+        )
+
+
+def _certify(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
+    towers = [load_tower(tp) for tp in config.towers]
+    for path in config.descriptors:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                ext = ingest_extension(json.load(fh))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, InvariantViolation, SchemaViolation) as exc:
+            result.violations.append(f"{path}: {exc}")
+            continue
+        tower = next((t for t in towers if t.p == ext.p), None)
+        if ext.p == 2:
+            result.violations.append(f"{path}: p = 2 is never admitted")
+            continue
+        outcome = certify(ext, assumptions=config.assumptions, tower=tower)
+        result.certificates.extend(outcome.certificates)
+        result.diagnostics.extend(f"{ext.label or path}: {d}" for d in outcome.diagnostics)
+        result.rows.append(
+            {
+                "descriptor": ext.label or path,
+                "p": ext.p,
+                "group_order": ext.group.order,
+                "conclusions": [c.conclusion.value for c in outcome.certificates],
+                "rules": outcome.rules_cited(),
+                "conditional": [c.conditional for c in outcome.certificates],
+                "certificates": [c.digest() for c in outcome.certificates],
+            }
+        )
+
+
+def _check_table(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
+    if config.table_rows_path:
+        with open(config.table_rows_path, "r", encoding="utf-8") as fh:
+            raw_rows = json.load(fh)
+    else:
+        raw_rows = [dict(r) for r in EXAMPLE_ROWS]
+    for verdict in check_example_table(raw_rows):
+        result.rows.append(
+            {
+                "prime": verdict.row["p"],
+                "poly": verdict.row["poly"],
+                "modulus": verdict.row["modulus"],
+                "degree_k": verdict.row["degree_k"],
+                "r_bound": verdict.row["r_bound"],
+                "ok": verdict.ok,
+                "facts": [list(f) for f in verdict.facts],
+            }
+        )
+
+
+def _report(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
+    for cert in store:
+        result.rows.append(
+            {
+                "conclusion": cert.conclusion.value,
+                "subject": cert.subject,
+                "rule": cert.rule,
+                "conditional": cert.conditional,
+                "digest": cert.digest(),
+            }
+        )
+
+
+# The pipelines, by name: the CLI has one subcommand per key.
+PIPELINES = {
+    "scan": _scan,
+    "search-b": _search_b,
+    "certify": _certify,
+    "check-table": _check_table,
+    "report": _report,
+}
 
 
 def run(config: RunConfig) -> RunResult:
@@ -433,151 +559,36 @@ def run(config: RunConfig) -> RunResult:
 
     The certificate store is append-only and content-addressed, so rerunning
     an identical config is a no-op for the store and reproduces the reports
-    byte for byte.  InvariantViolations are collected, not raised; the CLI
-    maps them to a nonzero exit code.
+    byte for byte.  Every step sees the store as it was loaded; the new
+    certificates are appended after the last step.  InvariantViolations are
+    collected, not raised; the CLI maps them to a nonzero exit code.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     store = CertificateStore(config.store_path or os.path.join(config.out_dir, "certificates.jsonl"))
-    rows: list[dict] = []
-    certs = []
-    violations: list[str] = []
-    diagnostics: list[str] = []
+    result = RunResult()
 
-    for pipeline in config.pipelines:
-        if pipeline == "scan":
-            fields = []
-            if config.polynomial_db:
-                fields.extend(_load_polynomial_db(config.polynomial_db))
-            fields.extend(from_vector(v) for v in config.field_vectors)
-            made = []
-            for f in fields:
-                try:
-                    made.append(make_field(f))
-                except GkcertError as exc:
-                    diagnostics.append(f"scan: skipping {f}: {exc}")
-            primes = scan_split_primes(made, config.prime_bound)
-            for p in primes:
-                rows.append(
-                    {
-                        "pipeline": "scan",
-                        "prime": p,
-                        "fields": [list(F.defining_poly.coeffs[:-1]) for F in made],
-                        "totally_split": True,
-                    }
-                )
-            if not primes:
-                diagnostics.append("scan: no totally split prime within the bound")
-        elif pipeline == "search-b":
-            try:
-                hits = search_theoremB(
-                    pool=config.pool,
-                    target_r=config.target_r,
-                    prime_bound=config.search_prime_bound or config.prime_bound,
-                    cm_piece=config.cm_piece,
-                    max_hits=config.max_hits,
-                    assumptions=config.assumptions,
-                )
-            except PoolExhausted as exc:
-                violations.append(f"search-b: {exc}")
-                hits = []
-            for hit in hits:
-                certs.extend(hit.outcome.certificates)
-                rows.append(
-                    {
-                        "pipeline": "search-b",
-                        "prime": hit.p,
-                        "base_discriminants": list(hit.discs),
-                        "descriptor": hit.descriptor.label,
-                        "achieved_r_S": hit.achieved_r,
-                        "rules": hit.outcome.rules_cited(),
-                        "certificates": [c.digest() for c in hit.outcome.certificates],
-                    }
-                )
-        elif pipeline == "certify":
-            for path in config.descriptors:
-                try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        ext = ingest_extension(json.load(fh))
-                except (InvariantViolation, SchemaViolation) as exc:
-                    violations.append(f"certify: {path}: {exc}")
-                    continue
-                towers = [load_tower(tp) for tp in config.towers]
-                tower = next((t for t in towers if t.p == ext.p), None)
-                if ext.p == 2:
-                    violations.append(f"certify: {path}: p = 2 is never admitted")
-                    continue
-                outcome = certify(ext, assumptions=config.assumptions, tower=tower)
-                certs.extend(outcome.certificates)
-                diagnostics.extend(f"{ext.label or path}: {d}" for d in outcome.diagnostics)
-                rows.append(
-                    {
-                        "pipeline": "certify",
-                        "descriptor": ext.label or path,
-                        "p": ext.p,
-                        "group_order": ext.group.order,
-                        "conclusions": [c.conclusion.value for c in outcome.certificates],
-                        "rules": outcome.rules_cited(),
-                        "conditional": [c.conditional for c in outcome.certificates],
-                        "certificates": [c.digest() for c in outcome.certificates],
-                    }
-                )
-        elif pipeline == "check-table":
-            if config.table_rows_path:
-                with open(config.table_rows_path, "r", encoding="utf-8") as fh:
-                    raw_rows = json.load(fh)
-            else:
-                raw_rows = [dict(r) for r in EXAMPLE_ROWS]
-            for verdict in check_example_table(raw_rows):
-                rows.append(
-                    {
-                        "pipeline": "check-table",
-                        "prime": verdict.row["p"],
-                        "poly": verdict.row["poly"],
-                        "modulus": verdict.row["modulus"],
-                        "degree_k": verdict.row["degree_k"],
-                        "r_bound": verdict.row["r_bound"],
-                        "ok": verdict.ok,
-                        "facts": [list(f) for f in verdict.facts],
-                    }
-                )
-        elif pipeline == "report":
-            for cert in store:
-                rows.append(
-                    {
-                        "pipeline": "report",
-                        "conclusion": cert.conclusion.value,
-                        "subject": cert.subject,
-                        "rule": cert.rule,
-                        "conditional": cert.conditional,
-                        "digest": cert.digest(),
-                    }
-                )
-        else:
-            violations.append(f"unknown pipeline {pipeline!r}")
+    for name in config.pipelines:
+        step = PIPELINES.get(name)
+        if step is None:
+            result.violations.append(f"unknown pipeline {name!r}")
+            continue
+        rows, violations = len(result.rows), len(result.violations)
+        step(config, store, result)
+        result.rows[rows:] = [{"pipeline": name, **row} for row in result.rows[rows:]]
+        result.violations[violations:] = [f"{name}: {v}" for v in result.violations[violations:]]
 
-    store.add_all(certs)
+    store.add_all(result.certificates)
 
-    outputs = []
-    payload = {
-        "config_digest": config.digest(),
-        "seed": config.seed,
-        "rows": rows,
-    }
+    payload = {"config_digest": config.digest(), "rows": result.rows}
     if "json" in config.formats:
         path = os.path.join(config.out_dir, "report.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        outputs.append(path)
+        result.outputs.append(path)
     if "csv" in config.formats:
         path = os.path.join(config.out_dir, "report.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_rows_to_csv(rows))
-        outputs.append(path)
-    return RunResult(
-        rows=rows,
-        certificates=certs,
-        violations=violations,
-        outputs=outputs,
-        diagnostics=diagnostics,
-    )
+            fh.write(_rows_to_csv(result.rows))
+        result.outputs.append(path)
+    return result

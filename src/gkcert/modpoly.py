@@ -157,9 +157,8 @@ class ModPFactorization:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
 
-def _seed_for(f: IntPoly, p: int, seed: int | None) -> int:
-    base = ARTIFACT_SEED if seed is None else seed
-    blob = f"{base}|{p}|{','.join(map(str, f.coeffs))}".encode()
+def _seed_for(f: IntPoly, p: int) -> int:
+    blob = f"{ARTIFACT_SEED}|{p}|{','.join(map(str, f.coeffs))}".encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
@@ -234,11 +233,11 @@ def _equal_degree(f, d, p, rng):
             return left + right
 
 
-def factor_mod_p(f: IntPoly, p: int, seed: int | None = None) -> ModPFactorization:
+def factor_mod_p(f: IntPoly, p: int) -> ModPFactorization:
     """Full factorization of f mod p.
 
     Raises NotPrime for composite p and ZeroPolynomial when f vanishes mod p.
-    The equal-degree stage is randomized but seeded from (seed, p, f), so the
+    The equal-degree stage is randomized but seeded from (p, f), so the
     output is deterministic; factors come back sorted by degree then by
     coefficient tuple.
     """
@@ -251,7 +250,7 @@ def factor_mod_p(f: IntPoly, p: int, seed: int | None = None) -> ModPFactorizati
     fbar = monic(fbar, p)
     if deg(fbar) == 0:
         return ModPFactorization(p=p, unit=unit, factors=())
-    rng = random.Random(_seed_for(f, p, seed))
+    rng = random.Random(_seed_for(f, p))
     found: list[tuple[tuple[int, ...], int]] = []
     for g, mult in _squarefree_decomposition(fbar, p):
         for part, d in _distinct_degree(g, p):

@@ -188,12 +188,12 @@ def cyclotomic_field(m: int) -> NumberField:
     )
 
 
-def _dedekind_safe(F: NumberField, p: int) -> bool:
-    """True iff p does not divide [O_F : Z[theta]] (Dedekind's criterion)."""
+def _dedekind_safe(F: NumberField, p: int, fac: modpoly.ModPFactorization) -> bool:
+    """True iff p does not divide [O_F : Z[theta]] (Dedekind's criterion);
+    fac is the factorization of F's defining polynomial mod p."""
     if F.poly_disc % (p * p) != 0:
         return True
     f = F.defining_poly
-    fac = factor_mod_p(f, p)
     g_bar = (1,)
     h_bar = (1,)
     for g, m in fac.factors:
@@ -218,9 +218,9 @@ def splitting_type(F: NumberField, p: int) -> SplittingType:
     data must come from ingestion.
     """
     require_prime(p)
-    if not _dedekind_safe(F, p):
-        raise UnsafePrime(f"{p} divides the index [O_F : Z[theta]] for {F}")
     fac = factor_mod_p(F.defining_poly, p)
+    if not _dedekind_safe(F, p, fac):
+        raise UnsafePrime(f"{p} divides the index [O_F : Z[theta]] for {F}")
     entries = tuple((m, modpoly.deg(g)) for g, m in fac.factors)
     st = SplittingType(p=p, entries=entries, certified=True)
     if st.degree_sum != F.degree:

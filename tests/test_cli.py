@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from gkcert.cli import main
 
 
@@ -66,10 +68,52 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gkcert.cli", "check-table", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "5 report rows" in proc.stdout
+
+
+def _scan_digest(tmp_path, doc, *flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    report = json.load(open(out / "report.json"))
+    return report["config_digest"], len(report["rows"])
+
+
+def test_prime_bound_flag_changes_the_digest(tmp_path):
+    doc = {"scan": {"field_vectors": [[1, 0]]}}
+    small = _scan_digest(tmp_path, doc, "--prime-bound", "50")
+    large = _scan_digest(tmp_path, doc, "--prime-bound", "500")
+    assert small[1] < large[1]
+    assert small[0] != large[0]
+
+
+def test_prime_bound_flag_and_key_give_one_digest(tmp_path):
+    doc = {"scan": {"field_vectors": [[1, 0]]}}
+    by_flag = _scan_digest(tmp_path, doc, "--prime-bound", "50")
+    by_key = _scan_digest(tmp_path, {**doc, "prime_bound": 50})
+    assert by_flag == by_key
+
+
+def test_bad_prime_bound_flag_is_an_error_line(tmp_path, capsys):
+    rc = run_cli(["scan", "--prime-bound", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "prime bound" in err
+    assert "Traceback" not in err
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["check-table", "--seed", "1"])
+    assert "--seed" in capsys.readouterr().err

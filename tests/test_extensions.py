@@ -5,6 +5,7 @@ import pytest
 
 from gkcert.errors import (
     AmbiguousDecomposition,
+    InternalCheckError,
     InvariantViolation,
     NotLinearlyDisjoint,
     RamifiedPrime,
@@ -69,6 +70,8 @@ def test_builder_ramified():
         build_compositum_over_Q([QuadraticComponent(-4)], 2)
     with pytest.raises(RamifiedPrime):
         build_compositum_over_Q([CyclotomicComponent(5)], 5)
+    with pytest.raises(RamifiedPrime, match="3 ramifies in q8-witt-cm"):
+        build_compositum_over_Q([Q8_PIECE, QuadraticComponent(5)], 3)
 
 
 def test_builder_inert_prime():
@@ -228,12 +231,30 @@ def test_ingest_round_trip_and_violations():
         ingest_extension(bad)
     assert "subgroup" in str(err.value)
 
+    bad = json.loads(json.dumps(doc))
+    bad["base_poly"] = [-1, 0]  # X^2 - 1 is reducible
+    with pytest.raises(InvariantViolation) as err:
+        ingest_extension(bad)
+    assert err.value.invariant == "base field"
+
     with pytest.raises(SchemaViolation):
         ingest_extension({"schema": "nope"})
     bad = json.loads(json.dumps(doc))
     bad["base_poly"] = [0.5]
     with pytest.raises(SchemaViolation):
         ingest_extension(bad)
+
+
+def test_ingest_does_not_relabel_internal_errors(monkeypatch):
+    import gkcert.extensions
+
+    def broken(f):
+        raise InternalCheckError("bug")
+
+    monkeypatch.setattr(gkcert.extensions, "make_field", broken)
+    doc = to_document(build_compositum_over_Q([QuadraticComponent(-4)], 5))
+    with pytest.raises(InternalCheckError):
+        ingest_extension(doc)
 
 
 def test_ingested_d4_descriptor():

@@ -180,9 +180,46 @@ def test_run_reports_missing_file(tmp_path):
             "certify": {"descriptors": [str(tmp_path / "nope.json")]},
         }
     )
-    with pytest.raises(OSError) as err:
-        run(cfg)
-    assert "nope.json" in str(err.value)
+    result = run(cfg)
+    assert not result.ok
+    assert [v.split(": ")[:2] for v in result.violations] == [
+        ["certify", str(tmp_path / "nope.json")]
+    ]
+    assert result.outputs  # the report is still written
+
+
+def test_run_certify_unreadable_descriptor_is_a_violation(tmp_path):
+    # unreadable files are reported; the other descriptor is still certified
+    gaussian = os.path.join(os.path.dirname(__file__), "..", "src", "gkcert", "data",
+                            "descriptors", "gaussian_p13.json")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"base_poly": [0')
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    cfg = config_from_dict(
+        {
+            "pipelines": ["certify"],
+            "out_dir": str(tmp_path / "out"),
+            "certify": {"descriptors": [str(truncated), os.path.abspath(gaussian), str(binary)]},
+        }
+    )
+    result = run(cfg)
+    assert not result.ok
+    assert [v.split(": ")[:2] for v in result.violations] == [
+        ["certify", str(truncated)], ["certify", str(binary)]
+    ]
+    with open(tmp_path / "out" / "report.json") as fh:
+        rows = json.load(fh)["rows"]
+    assert [row["group_order"] for row in rows] == [2]
+
+
+def test_config_digest_names_the_effective_config():
+    base = {"pipelines": ["scan"], "scan": {"field_vectors": [[1, 0]]}}
+    digest = config_from_dict(base).digest()
+    # the raw seed key is ignored, and the output directory is not hashed
+    assert config_from_dict({**base, "seed": 7}).digest() == digest
+    assert config_from_dict({**base, "out_dir": "elsewhere"}).digest() == digest
+    assert config_from_dict({**base, "prime_bound": 50}).digest() != digest
 
 
 def test_run_search_pipeline(tmp_path):

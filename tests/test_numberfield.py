@@ -103,3 +103,21 @@ def test_splitting_type_invariants():
     st = SplittingType(p=5, entries=((1, 2), (1, 1)), certified=False)
     assert st.entries == ((1, 1), (1, 2))  # sorted
     assert st.degree_sum == 3 and not st.is_totally_split
+
+
+def test_splitting_type_factors_each_pair_once(monkeypatch):
+    # p^2 | disc(X^3 - 2) = -108 at p = 3, so the Dedekind test runs too
+    import gkcert.numberfield
+
+    F = make_field(IntPoly([-2, 0, 0, 1]))
+    calls = []
+    factor = gkcert.numberfield.factor_mod_p
+
+    def counting(f, p):
+        calls.append((f, p))
+        return factor(f, p)
+
+    monkeypatch.setattr(gkcert.numberfield, "factor_mod_p", counting)
+    st = splitting_type(F, 3)
+    assert len(calls) == 1
+    assert st.entries == ((3, 1),) and st.certified
