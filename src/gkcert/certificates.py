@@ -17,6 +17,8 @@ import json
 import os
 from dataclasses import dataclass
 
+from .errors import SchemaViolation
+
 
 class Status(enum.Enum):
     VERIFIED = "verified"
@@ -128,7 +130,14 @@ def make_certificate(conclusion, subject, rule, hypotheses, payload, inputs_dige
 
 
 class CertificateStore:
-    """Append-only, content-addressed JSON-lines store."""
+    """Append-only, content-addressed JSON-lines store.
+
+    Loading rejects, with the path and line, any line that is not a
+    certificate or whose stored digest is not its own (an edited entry).  An
+    unparsable final line with no newline is a write cut short: its bytes go
+    to ``<path>.torn``, the store keeps the complete lines, and
+    ``diagnostics`` says so.
+    """
 
     def __init__(self, path):
         self.path = str(path)
@@ -136,13 +145,47 @@ class CertificateStore:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._by_digest: dict[str, Certificate] = {}
+        self.diagnostics: list[str] = []
         if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        cert = Certificate.from_json(json.loads(line))
-                        self._by_digest[cert.digest()] = cert
+            self._load()
+
+    def _load(self) -> None:
+        kept, line, torn = 0, b"", False  # bytes through the last line kept
+        with open(self.path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        obj = json.loads(line)
+                    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                        if line.endswith(b"\n"):
+                            raise SchemaViolation(f"{self.path}:{lineno}: not JSON: {exc}") from exc
+                        torn = True  # the final line of a write cut short
+                        break
+                    self._load_entry(obj, f"{self.path}:{lineno}")
+                kept += len(line)
+        if torn:
+            with open(self.path + ".torn", "ab") as fh:
+                fh.write(line + b"\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            with open(self.path, "r+b") as fh:
+                fh.truncate(kept)
+            self.diagnostics.append(
+                f"{self.path}: moved a torn final line ({len(line)} bytes) to {self.path}.torn"
+            )
+        elif line and not line.endswith(b"\n"):  # a whole entry whose newline was cut off
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")
+
+    def _load_entry(self, obj, where: str) -> None:
+        try:
+            cert = Certificate.from_json(obj)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaViolation(f"{where}: not a certificate: {exc!r}") from exc
+        d, stored = cert.digest(), obj.get("digest")
+        if stored != d:
+            raise SchemaViolation(f"{where}: stored digest {stored!r} is not {d}; edited entry")
+        self._by_digest[d] = cert
 
     def __len__(self):
         return len(self._by_digest)

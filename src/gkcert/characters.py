@@ -43,17 +43,12 @@ class ClassFunction:
 @dataclass(frozen=True)
 class Character(ClassFunction):
     degree: int = 1
-    # exponent of zeta_e per class for monomial-valued (degree-1) rows; fast path
-    monomials: tuple[int, ...] | None = None
 
     def contragredient(self) -> "Character":
         return Character(
             group=self.group,
             values=tuple(v.conjugate() for v in self.values),
             degree=self.degree,
-            monomials=None
-            if self.monomials is None
-            else tuple((-k) % self.group.exponent() for k in self.monomials),
         )
 
     def kernel(self) -> frozenset[int]:
@@ -89,13 +84,6 @@ def _inner_product_int(a: Character, b: Character) -> Fraction:
     character rows: <chi, psi> is a rational integer)."""
     G = a.group
     e = G.exponent()
-    if a.monomials is not None and b.monomials is not None:
-        counts: dict[int, int] = {}
-        for cls, ka, kb in zip(G.classes, a.monomials, b.monomials):
-            k = (ka - kb) % e
-            counts[k] = counts.get(k, 0) + len(cls)
-        total = CycNumber.from_exponents(e, counts)
-        return total.as_fraction() / G.order
     va = [x.embed(e) for x in a.values]
     vb_conj = [x.embed(e).conjugate() for x in b.values]
     if any(x.den != 1 for x in va) or any(x.den != 1 for x in vb_conj):
@@ -188,13 +176,12 @@ def _abelian_table(G: FiniteGroup) -> list[Character]:
     table = []
     for a in range(n):
         av = decode(a)
-        exps = []
+        # classes are singletons in element order
+        values = []
         for gv in elements:
             k = sum(ai * gi * (e // d) for ai, gi, d in zip(av, gv, invs)) % e
-            exps.append(k)
-        # classes are singletons in element order
-        values = tuple(CycNumber.from_exponents(e, {k: 1}) for k in exps)
-        table.append(Character(group=G, values=values, degree=1, monomials=tuple(exps)))
+            values.append(CycNumber.from_exponents(e, {k: 1}))
+        table.append(Character(group=G, values=tuple(values), degree=1))
     return table
 
 
@@ -204,14 +191,13 @@ def _dihedral_table(G: FiniteGroup) -> list[Character]:
     step = e // n
 
     def lin(sign_a: int, sign_b: int) -> Character:
-        vals, exps = [], []
+        vals = []
         for cls in G.classes:
             g = cls[0]
             i, refl = (g, 0) if g < n else (g - n, 1)
             v = (sign_a**i) * (sign_b**refl)
             vals.append(CycNumber.from_exponents(e, {0: v}))
-            exps.append(0 if v == 1 else e // 2)
-        return Character(group=G, values=tuple(vals), degree=1, monomials=tuple(exps))
+        return Character(group=G, values=tuple(vals), degree=1)
 
     table = [lin(1, 1), lin(1, -1)]
     if n % 2 == 0:
@@ -239,8 +225,7 @@ def _q8_table(G: FiniteGroup) -> list[Character]:
     for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         per_class = [1, 1, s, t, s * t]
         vals = tuple(CycNumber.from_exponents(e, {0: v}) for v in per_class)
-        exps = tuple(0 if v == 1 else 2 for v in per_class)
-        table.append(Character(group=G, values=vals, degree=1, monomials=exps))
+        table.append(Character(group=G, values=vals, degree=1))
     two = [2, -2, 0, 0, 0]
     vals = tuple(CycNumber.from_exponents(e, {0: v}) for v in two)
     table.append(Character(group=G, values=vals, degree=2))

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from .errors import InternalCheckError
 from .intpoly import IntPoly, divmod_q
-from .numutil import euler_phi, factorint
+from .numutil import divisors, euler_phi
 
 
 @lru_cache(maxsize=None)
@@ -31,20 +31,13 @@ def cyclotomic_poly(m: int) -> IntPoly:
         return IntPoly([-1, 1])
     num = IntPoly([-1] + [0] * (m - 1) + [1])  # X^m - 1
     den = IntPoly([1])
-    for d in _divisors(m):
+    for d in divisors(m):
         if d < m:
             den = den * cyclotomic_poly(d)
     q, r = divmod_q(num, den)
     if not r.is_zero:
         raise InternalCheckError(f"Phi_{m} does not divide X^{m} - 1")
     return q
-
-
-def _divisors(m: int) -> list[int]:
-    divs = [1]
-    for p, e in factorint(m).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 @lru_cache(maxsize=None)

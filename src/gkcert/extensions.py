@@ -46,7 +46,7 @@ from .groups import (
     quaternion_group,
 )
 from .intpoly import IntPoly, from_vector
-from .numberfield import NumberField, make_field, make_field_with_assertion
+from .numberfield import NumberField, make_field
 from .numutil import (
     factorint,
     is_fundamental_discriminant,
@@ -428,9 +428,7 @@ def multiquadratic_field(discs: tuple[int, ...]) -> NumberField:
     for disc in discs:
         d = disc if disc % 4 == 1 else disc // 4
         P = _twist_by_sqrt(P, d)
-    return make_field_with_assertion(
-        P, f"multiquadratic compositum of discriminants {list(discs)}"
-    )
+    return make_field(P, f"asserted: multiquadratic compositum of discriminants {list(discs)}")
 
 
 def build_compositum_over_Q(components, p: int, assertions=()) -> ExtensionDescriptor:

@@ -40,7 +40,7 @@ from .extensions import (
     ingest_extension,
 )
 from .intpoly import IntPoly, from_vector
-from .numberfield import NumberField, make_field, splitting_type
+from .numberfield import NumberField, is_totally_split, make_field, splitting_type
 from .numutil import is_prime, kronecker, primes_upto
 from .rules import CertifyOutcome, certify
 from .towers import load_tower
@@ -71,22 +71,18 @@ def scan_split_primes(fields, bound: int) -> list[int]:
     for p in primes_upto(bound):
         if p == 2:
             continue
-        good = True
         for F in fields:
             try:
-                st = splitting_type(F, p)
+                if not is_totally_split(F, p):
+                    break
             except UnsafePrime:
                 logger.warning(
                     "scan: skipping p = %d; Dedekind-unsafe for %s (splitting not certified)",
                     p,
                     F,
                 )
-                good = False
                 break
-            if not (st.is_totally_split and len(st.entries) == F.degree):
-                good = False
-                break
-        if good:
+        else:
             out.append(p)
     return out
 
@@ -384,9 +380,9 @@ def _load_polynomial_db(path) -> list[IntPoly]:
             try:
                 vec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaViolation(f"{path}:{lineno}: not a JSON vector: {exc}") from exc
+                raise SchemaViolation(f"line {lineno}: not a JSON vector: {exc}") from exc
             if not isinstance(vec, list) or not all(isinstance(c, int) for c in vec):
-                raise SchemaViolation(f"{path}:{lineno}: expected a list of integers")
+                raise SchemaViolation(f"line {lineno}: expected a list of integers")
             polys.append(from_vector(vec))
     return polys
 
@@ -434,7 +430,11 @@ class RunResult:
 def _scan(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
     fields = []
     if config.polynomial_db:
-        fields.extend(_load_polynomial_db(config.polynomial_db))
+        try:
+            fields.extend(_load_polynomial_db(config.polynomial_db))
+        except (OSError, UnicodeDecodeError, SchemaViolation) as exc:
+            result.violations.append(f"{config.polynomial_db}: {exc}")
+            return
     fields.extend(from_vector(v) for v in config.field_vectors)
     made = []
     for f in fields:
@@ -513,8 +513,12 @@ def _certify(config: RunConfig, store: CertificateStore, result: RunResult) -> N
 
 def _check_table(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
     if config.table_rows_path:
-        with open(config.table_rows_path, "r", encoding="utf-8") as fh:
-            raw_rows = json.load(fh)
+        try:
+            with open(config.table_rows_path, "r", encoding="utf-8") as fh:
+                raw_rows = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            result.violations.append(f"{config.table_rows_path}: {exc}")
+            return
     else:
         raw_rows = [dict(r) for r in EXAMPLE_ROWS]
     for verdict in check_example_table(raw_rows):
@@ -565,7 +569,7 @@ def run(config: RunConfig) -> RunResult:
     """
     os.makedirs(config.out_dir, exist_ok=True)
     store = CertificateStore(config.store_path or os.path.join(config.out_dir, "certificates.jsonl"))
-    result = RunResult()
+    result = RunResult(diagnostics=[f"store: {d}" for d in store.diagnostics])
 
     for name in config.pipelines:
         step = PIPELINES.get(name)

@@ -238,12 +238,18 @@ def _variations(signs) -> int:
 
 
 def sturm_sequence(f: IntPoly) -> list[list[Fraction]]:
+    """Sturm sequence of a squarefree f.  Its last term is gcd(f, f') up to
+    a unit, so the same Euclid run raises NotSquarefree on a repeated factor."""
+    if f.is_zero:
+        raise NotSquarefree("zero polynomial")
     chain = [_frac(f), _frac(f.derivative())]
     while chain[-1]:
         r = [-c for c in _frem(chain[-2], chain[-1])]
         if not r:
             break
         chain.append(r)
+    if len(chain[-1]) > 1:
+        raise NotSquarefree(f"{f} has a repeated factor")
     return chain
 
 
@@ -253,13 +259,9 @@ def count_real_roots(f: IntPoly) -> int:
     Raises NotSquarefree when gcd(f, f') is nonconstant; callers must deflate
     first (squarefree_part) if they want root counts of arbitrary input.
     """
-    if f.is_zero:
-        raise NotSquarefree("zero polynomial")
+    chain = sturm_sequence(f)
     if f.degree == 0:
         return 0
-    if not is_squarefree_poly(f):
-        raise NotSquarefree(f"{f} has a repeated factor")
-    chain = sturm_sequence(f)
     at_plus = [_sign(c[-1]) for c in chain]
     at_minus = [_sign(c[-1]) * (1 if (len(c) - 1) % 2 == 0 else -1) for c in chain]
     return _variations(at_minus) - _variations(at_plus)
@@ -267,8 +269,6 @@ def count_real_roots(f: IntPoly) -> int:
 
 def count_real_roots_in(f: IntPoly, a: Fraction, b: Fraction) -> int:
     """Real roots of squarefree f in the half-open interval (a, b]."""
-    if not is_squarefree_poly(f):
-        raise NotSquarefree(f"{f} has a repeated factor")
     chain = sturm_sequence(f)
 
     def ev(t):

@@ -12,7 +12,8 @@ Irreducibility over Q is *certified*, never assumed: a prime p coprime to
 disc(f) with f irreducible mod p, or a cross-prime factorization-pattern
 argument (no proper degree is a subset sum of every observed pattern).
 When neither certificate exists the constructor refuses with
-IrreducibilityUndecided rather than risk an unsound field.
+IrreducibilityUndecided rather than risk an unsound field, unless the
+caller passes a proof it holds by construction, which the field records.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import modpoly
-from .errors import InternalCheckError, IrreducibilityUndecided, NotMonic, Reducible, UnsafePrime
+from .cyclotomic import cyclotomic_poly
+from .errors import InternalCheckError, IrreducibilityUndecided, Reducible, UnsafePrime
 from .intpoly import IntPoly, count_real_roots, poly_discriminant
 from .modpoly import factor_mod_p
-from .numutil import is_prime, require_prime
+from .numutil import divisors, is_prime, require_prime
 
 _CERT_PRIME_COUNT = 25
 
@@ -67,7 +69,7 @@ class NumberField:
     r1: int
     r2: int
     poly_disc: int
-    irreducibility: str = "certified"  # or "asserted" (construction-provided)
+    irreducibility: str  # "certified", or the proof make_field was given
 
     @property
     def signature(self) -> tuple[int, int]:
@@ -97,8 +99,7 @@ def _certify_irreducible(f: IntPoly, disc: int) -> None:
     a0 = f.coeffs[0]
     if a0 == 0:
         raise Reducible(f"{f} has root 0")
-    divs = [d for d in range(1, abs(a0) + 1) if a0 % d == 0]
-    for d in divs:
+    for d in divisors(a0):
         for r in (d, -d):
             if f(r) == 0:
                 raise Reducible(f"{f} has root {r}")
@@ -123,69 +124,34 @@ def _certify_irreducible(f: IntPoly, disc: int) -> None:
     )
 
 
-def make_field(f: IntPoly) -> NumberField:
+def make_field(f: IntPoly, proof: str = "") -> NumberField:
     """Validated number field from a monic integral polynomial.
+
+    Irreducibility is certified unless the caller built f with a proof in
+    hand (families with no mod-p certificate, such as multiquadratic
+    composita); ``proof`` is then stored verbatim as ``irreducibility``.
 
     Raises NotMonic, Reducible, or IrreducibilityUndecided.
     """
-    if f.is_zero or not f.is_monic:
-        raise NotMonic(f"{f} is not monic")
-    if f.degree < 1:
-        raise NotMonic("constant polynomial")
-    disc = poly_discriminant(f)
+    disc = poly_discriminant(f)  # raises NotMonic unless f is monic and nonconstant
     if disc == 0:
         raise Reducible(f"{f} has a repeated factor (disc = 0)")
-    _certify_irreducible(f, disc)
-    r1 = count_real_roots(f)  # irreducible => squarefree
+    if not proof:
+        _certify_irreducible(f, disc)
+    r1 = count_real_roots(f)  # disc != 0 => squarefree
     return NumberField(
         defining_poly=f,
         degree=f.degree,
         r1=r1,
         r2=(f.degree - r1) // 2,
         poly_disc=disc,
-    )
-
-
-def make_field_with_assertion(f: IntPoly, note: str) -> NumberField:
-    """Field whose irreducibility is supplied by construction, not certified.
-
-    Only for callers that build f with a proof in hand (e.g. multiquadratic
-    composita, whose Galois group admits no mod-p certificate).  Signature
-    and discriminant are still computed exactly; ``note`` should say why
-    irreducibility holds.
-    """
-    if f.is_zero or not f.is_monic:
-        raise NotMonic(f"{f} is not monic")
-    disc = poly_discriminant(f)
-    if disc == 0:
-        raise Reducible(f"{f} has a repeated factor (disc = 0)")
-    r1 = count_real_roots(f)
-    return NumberField(
-        defining_poly=f,
-        degree=f.degree,
-        r1=r1,
-        r2=(f.degree - r1) // 2,
-        poly_disc=disc,
-        irreducibility=f"asserted: {note}",
+        irreducibility=proof or "certified",
     )
 
 
 def cyclotomic_field(m: int) -> NumberField:
-    """Q(zeta_m).  Irreducibility of the cyclotomic polynomial is classical,
-    so no mod-p certificate is attempted (for most m none exists: the Galois
-    group (Z/m)^* is rarely cyclic)."""
-    from .cyclotomic import cyclotomic_poly
-
-    f = cyclotomic_poly(m)
-    r1 = f.degree if m <= 2 else 0
-    return NumberField(
-        defining_poly=f,
-        degree=f.degree,
-        r1=r1,
-        r2=(f.degree - r1) // 2,
-        poly_disc=poly_discriminant(f),
-        irreducibility="certified: cyclotomic polynomial",
-    )
+    """Q(zeta_m); irreducibility of the cyclotomic polynomial is classical."""
+    return make_field(cyclotomic_poly(m), "certified: cyclotomic polynomial")
 
 
 def _dedekind_safe(F: NumberField, p: int, fac: modpoly.ModPFactorization) -> bool:
@@ -229,5 +195,5 @@ def splitting_type(F: NumberField, p: int) -> SplittingType:
 
 
 def is_totally_split(F: NumberField, p: int) -> bool:
-    st = splitting_type(F, p)
-    return st.is_totally_split and len(st.entries) == F.degree
+    # splitting_type checks that e * f sums to [F:Q]
+    return splitting_type(F, p).is_totally_split

@@ -81,6 +81,14 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
+def divisors(n: int) -> list[int]:
+    """Ascending positive divisors of |n| != 0, built from its factorization."""
+    divs = [1]
+    for p, e in factorint(n).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
 def is_squarefree(n: int) -> bool:
     n = abs(n)
     if n == 0:

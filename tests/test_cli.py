@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gkcert.certificates import CertificateStore, Conclusion, asserted, make_certificate
 from gkcert.cli import main
 
 
@@ -117,3 +118,23 @@ def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit):
         run_cli(["check-table", "--seed", "1"])
     assert "--seed" in capsys.readouterr().err
+
+
+def test_edited_store_entry_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "certificates.jsonl"
+    CertificateStore(path).add_all(
+        make_certificate(
+            Conclusion.GKC_MINUS, f"K{i}", "klingen-abelian-compositum",
+            [asserted("Leopoldt's conjecture holds")], {"r_S": i}, f"inputs-{i}",
+        )
+        for i in range(2)
+    )
+    first, second = path.read_text().splitlines()
+    no_digest = json.loads(first)
+    del no_digest["digest"]
+    edited = second.replace('"status":"asserted"', '"status":"verified"')
+    for lines, lineno in (([first, edited], 2), ([json.dumps(no_digest), second], 1)):
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(["report", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{lineno}: ") and "Traceback" not in err

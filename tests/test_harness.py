@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from gkcert.certificates import CertificateStore
+from gkcert.certificates import CertificateStore, Conclusion, asserted, make_certificate, verified
 from gkcert.errors import MalformedRow, PoolExhausted
 from gkcert.harness import (
     EXAMPLE_ROWS,
@@ -290,3 +290,63 @@ def test_run_certify_skips_klingen_above_scale_bound(tmp_path):
         d.startswith(f"{c66}: klingen-character-bound:") and "bound" in d
         for d in result.diagnostics
     )
+
+
+def test_run_scan_unreadable_polynomial_db_is_a_violation(tmp_path):
+    missing = tmp_path / "missing.txt"
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"[1, 0]\n\xff\xfe\n")
+    for db in (missing, binary):
+        out = tmp_path / db.stem
+        cfg = config_from_dict(
+            {"pipelines": ["scan"], "out_dir": str(out), "scan": {"polynomial_db": str(db)}}
+        )
+        result = run(cfg)
+        assert [v.split(": ")[:2] for v in result.violations] == [["scan", str(db)]]
+        assert result.rows == [] and (out / "report.json").exists()
+
+
+def test_run_check_table_unreadable_rows_is_a_violation(tmp_path):
+    missing = tmp_path / "missing.json"
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('[{"p": 2, "poly": [-12')
+    for rows in (missing, truncated):
+        out = tmp_path / rows.stem
+        cfg = config_from_dict(
+            {"pipelines": ["check-table"], "out_dir": str(out), "check_table": {"rows": str(rows)}}
+        )
+        result = run(cfg)
+        assert [v.split(": ")[:2] for v in result.violations] == [["check-table", str(rows)]]
+        assert result.rows == [] and (out / "report.json").exists()
+
+
+def test_run_recovers_from_torn_store_write(tmp_path):
+    path = tmp_path / "certificates.jsonl"
+    first, second, third = (
+        make_certificate(
+            Conclusion.GKC_MINUS, f"K{i}", "klingen-abelian-compositum",
+            [verified("p is totally split in K/Q"), asserted("Leopoldt's conjecture holds")],
+            {"r_S": i}, f"inputs-{i}",
+        )
+        for i in range(3)
+    )
+    store = CertificateStore(path)
+    store.add_all([first, second])
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-40])  # the write of the second entry was cut short
+    torn = whole[whole.index(b"\n") + 1 : -40]
+    result = run(config_from_dict({"pipelines": ["report"], "out_dir": str(tmp_path)}))
+    assert result.ok and [row["subject"] for row in result.rows] == ["K0"]
+    assert [d for d in result.diagnostics if d.startswith("store: ")] == [
+        f"store: {path}: moved a torn final line ({len(torn)} bytes) to {path}.torn"
+    ]
+    assert (tmp_path / "certificates.jsonl.torn").read_bytes() == torn + b"\n"
+    CertificateStore(path).add(second)
+    assert path.read_bytes() == whole
+    assert list(CertificateStore(path)) == [first, second]
+    # a write cut just before its newline keeps the entry and ends the line
+    path.write_bytes(whole[:-1])
+    store = CertificateStore(path)
+    assert list(store) == [first, second] and store.diagnostics == []
+    store.add(third)
+    assert list(CertificateStore(path)) == [first, second, third]

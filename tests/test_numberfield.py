@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from gkcert.errors import IrreducibilityUndecided, NotPrime, Reducible, UnsafePrime
-from gkcert.intpoly import IntPoly, from_vector
+from gkcert.errors import IrreducibilityUndecided, NotPrime, NotSquarefree, Reducible, UnsafePrime
+from gkcert.intpoly import IntPoly, count_real_roots, from_vector, poly_discriminant
 from gkcert.numberfield import (
     SplittingType,
     cyclotomic_field,
@@ -36,6 +38,13 @@ def test_undecided_for_biquadratic():
     # and degree 2 survives every pattern, so certification must refuse.
     with pytest.raises(IrreducibilityUndecided):
         make_field(IntPoly([1, 0, 0, 0, 1]))
+    # the degree-16 multiquadratic (5, 13, 17, 29): a_0 = 2^16 * 179^2 has 51
+    # divisors, so the rational-root test is quick and the patterns decide
+    with pytest.raises(IrreducibilityUndecided):
+        make_field(from_vector([
+            2099838976, 0, -182622224384, 0, 57222750208, 0, -6306349056, 0,
+            315356928, 0, -7683072, 0, 92512, 0, -512, 0,
+        ]))
     # the cyclotomic constructor covers that family soundly
     assert cyclotomic_field(8).degree == 4
 
@@ -121,3 +130,51 @@ def test_splitting_type_factors_each_pair_once(monkeypatch):
     st = splitting_type(F, 3)
     assert len(calls) == 1
     assert st.entries == ((3, 1),) and st.certified
+
+
+def test_field_layer_against_sympy():
+    # sympy is the oracle for rational roots, squarefreeness, real-root counts
+    # and discriminants of seeded random monic polynomials
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20240605)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        cases.append(from_vector([rng.randint(-9, 9) for _ in range(n)]))
+    for _ in range(20):  # (X - r) * g: an integer root to find
+        g = from_vector([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
+        cases.append(IntPoly([-rng.randint(-12, 12), 1]) * g)
+    for _ in range(20):  # |a_0| > 10^6
+        n = rng.randint(2, 8)
+        a0 = rng.choice([-1, 1]) * rng.randint(10**6 + 1, 10**9)
+        cases.append(from_vector([a0] + [rng.randint(-50, 50) for _ in range(n - 1)]))
+    for _ in range(10):  # repeated factors
+        g = from_vector([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
+        cases.append(g * g * from_vector([rng.randint(1, 5), 0]))
+    undecided = 0
+    for f in cases:
+        P = sympy.Poly(list(reversed(f.coeffs)), x)
+        integer_root = bool(sympy.roots(P, filter="Z"))
+        squarefree = sympy.sqf_part(P).degree() == P.degree()
+        if squarefree:
+            assert count_real_roots(f) == P.count_roots(), f
+        else:
+            with pytest.raises(NotSquarefree):
+                count_real_roots(f)
+        if integer_root:
+            with pytest.raises(Reducible):
+                make_field(f)
+            continue
+        try:
+            F = make_field(f)
+        except IrreducibilityUndecided:
+            undecided += 1
+            continue
+        except Reducible:
+            assert not P.is_irreducible, f
+            continue
+        assert P.is_irreducible, f
+        assert F.r1 == P.count_roots(), f
+        assert F.poly_disc == poly_discriminant(f) == sympy.discriminant(P), f
+    assert undecided < len(cases) // 4
