@@ -51,11 +51,6 @@ class Character(ClassFunction):
             degree=self.degree,
         )
 
-    def kernel(self) -> frozenset[int]:
-        g = self.group
-        deg = CycNumber.from_rational(self.degree)
-        return frozenset(x for x in range(g.order) if self.value_at(x) == deg)
-
     def sort_key(self):
         e = self.group.exponent()
         return (self.degree, tuple(v.sort_key(e) for v in self.values))

@@ -66,7 +66,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for line in result.diagnostics:
-        logging.getLogger("gkcert").info("%s", line)
+        # a store repair changed a file on disk, so it shows without -v
+        level = logging.WARNING if line.startswith("store: ") else logging.INFO
+        logging.getLogger("gkcert").log(level, "%s", line)
     for line in result.violations:
         print(f"violation: {line}", file=sys.stderr)
     for path in result.outputs:

@@ -248,7 +248,3 @@ class CycNumber:
         """Deterministic total-order key (used for stable table ordering)."""
         x = self.embed(big_m) if big_m else self
         return (x.den,) + x.num
-
-
-ZERO = CycNumber(1, [0])
-ONE = CycNumber(1, [1])

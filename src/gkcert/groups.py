@@ -78,12 +78,6 @@ class FiniteGroup:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
 
-    def center(self) -> frozenset[int]:
-        t = self.table
-        return frozenset(
-            g for g in range(self.order) if all(t[g][x] == t[x][g] for x in range(self.order))
-        )
-
     def is_central_involution(self, t: int) -> bool:
         if not 0 <= t < self.order:
             return False

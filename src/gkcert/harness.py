@@ -24,7 +24,9 @@ from .errors import (
     InvariantViolation,
     IrreducibilityUndecided,
     MalformedRow,
+    NonPPower,
     NotLinearlyDisjoint,
+    NotPrime,
     PoolExhausted,
     RamifiedPrime,
     Reducible,
@@ -199,7 +201,7 @@ def _parse_row(row) -> dict:
     if isinstance(row, (list, tuple)) and len(row) == 5:
         row = {
             "p": row[0],
-            "poly": list(row[1]),
+            "poly": list(row[1]) if isinstance(row[1], (list, tuple)) else row[1],
             "modulus": str(row[2]),
             "degree_k": row[3],
             "r_bound": row[4],
@@ -211,6 +213,9 @@ def _parse_row(row) -> dict:
             raise MalformedRow(f"row missing {key!r}")
     if not isinstance(row["poly"], list) or not all(isinstance(c, int) for c in row["poly"]):
         raise MalformedRow("polynomial vector must be a list of integers")
+    for key in ("p", "degree_k", "r_bound"):
+        if not isinstance(row[key], int):
+            raise MalformedRow(f"{key} must be an integer, not {row[key]!r}")
     if not is_prime(row["p"]):
         raise MalformedRow(f"{row['p']} is not prime")
     if row["degree_k"] % 2 != 0:
@@ -483,7 +488,14 @@ def _search_b(config: RunConfig, store: CertificateStore, result: RunResult) -> 
 
 
 def _certify(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
-    towers = [load_tower(tp) for tp in config.towers]
+    towers = []
+    for path in config.towers:
+        try:
+            towers.append(load_tower(path))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, SchemaViolation, NonPPower, NotPrime) as exc:
+            result.violations.append(f"{path}: {exc}")
+    if len(towers) < len(config.towers):
+        return
     for path in config.descriptors:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -512,16 +524,25 @@ def _certify(config: RunConfig, store: CertificateStore, result: RunResult) -> N
 
 
 def _check_table(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
-    if config.table_rows_path:
+    path = config.table_rows_path
+    if path:
         try:
-            with open(config.table_rows_path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 raw_rows = json.load(fh)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            result.violations.append(f"{config.table_rows_path}: {exc}")
+            result.violations.append(f"{path}: {exc}")
+            return
+        if not isinstance(raw_rows, list):
+            result.violations.append(f"{path}: rows must be a list, not {type(raw_rows).__name__}")
             return
     else:
         raw_rows = [dict(r) for r in EXAMPLE_ROWS]
-    for verdict in check_example_table(raw_rows):
+    for i, raw in enumerate(raw_rows):
+        try:
+            (verdict,) = check_example_table([raw])
+        except MalformedRow as exc:
+            result.violations.append(f"{path}: rows[{i}]: {exc}")
+            continue
         result.rows.append(
             {
                 "prime": verdict.row["p"],

@@ -4,12 +4,12 @@ A polynomial a_0 + a_1 X + ... + a_n X^n is the coefficient tuple
 (a_0, ..., a_n), constant term first, with no trailing zeros; the zero
 polynomial is the empty tuple and has degree -1.
 
-Beyond ring arithmetic this module provides the three exact-algebra
+Beyond ring arithmetic this module provides the two exact-algebra
 operations the rest of the package leans on:
 
-* ``count_real_roots`` -- Sturm sequence over Q (fractions.Fraction),
-* ``poly_discriminant`` -- subresultant PRS, integer arithmetic throughout,
-* squarefreeness via gcd(f, f').
+* ``count_real_roots`` -- Sturm sequence over Q (fractions.Fraction), whose
+  last term is gcd(f, f'), so the same run rejects a repeated factor,
+* ``poly_discriminant`` -- subresultant PRS, integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -130,13 +130,6 @@ class IntPoly:
     def content(self) -> int:
         return reduce(gcd, (abs(c) for c in self.coeffs), 0)
 
-    def primitive_part(self) -> "IntPoly":
-        c = self.content()
-        if c <= 1:
-            return self
-        sign = 1 if self.lc > 0 else -1
-        return IntPoly([sign * x // c for x in self.coeffs])
-
 
 X = IntPoly([0, 1])
 
@@ -170,38 +163,6 @@ def _frem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         if not a:
             break
     return a
-
-
-def gcd_over_q(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Monic gcd of f and g in Q[X], returned as a primitive integer polynomial."""
-    a, b = _frac(f), _frac(g)
-    if not a:
-        a, b = b, a
-    while b:
-        a, b = b, _frem(a, b)
-    if not a:
-        return IntPoly(())
-    den = reduce(lambda x, y: x * y.denominator // gcd(x, y.denominator), a, 1)
-    return IntPoly([int(c * den) for c in a]).primitive_part()
-
-
-def is_squarefree_poly(f: IntPoly) -> bool:
-    if f.degree <= 1:
-        return not f.is_zero
-    return gcd_over_q(f, f.derivative()).degree == 0
-
-
-def squarefree_part(f: IntPoly) -> IntPoly:
-    """f divided by gcd(f, f'), primitive; the radical of f over Q."""
-    if f.degree <= 1:
-        return f
-    g = gcd_over_q(f, f.derivative())
-    if g.degree == 0:
-        return f
-    q, r = divmod_q(f, g)
-    if not r.is_zero:
-        raise InternalCheckError("gcd(f, f') does not divide f")
-    return q.primitive_part()
 
 
 def divmod_q(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -256,8 +217,7 @@ def sturm_sequence(f: IntPoly) -> list[list[Fraction]]:
 def count_real_roots(f: IntPoly) -> int:
     """Number of real roots of a squarefree f, by Sturm sign variations.
 
-    Raises NotSquarefree when gcd(f, f') is nonconstant; callers must deflate
-    first (squarefree_part) if they want root counts of arbitrary input.
+    Raises NotSquarefree when gcd(f, f') is nonconstant.
     """
     chain = sturm_sequence(f)
     if f.degree == 0:
@@ -265,16 +225,6 @@ def count_real_roots(f: IntPoly) -> int:
     at_plus = [_sign(c[-1]) for c in chain]
     at_minus = [_sign(c[-1]) * (1 if (len(c) - 1) % 2 == 0 else -1) for c in chain]
     return _variations(at_minus) - _variations(at_plus)
-
-
-def count_real_roots_in(f: IntPoly, a: Fraction, b: Fraction) -> int:
-    """Real roots of squarefree f in the half-open interval (a, b]."""
-    chain = sturm_sequence(f)
-
-    def ev(t):
-        return [_sign(sum(c * t**i for i, c in enumerate(p))) for p in chain]
-
-    return _variations(ev(Fraction(a))) - _variations(ev(Fraction(b)))
 
 
 # -- resultant and discriminant (subresultant PRS) ------------------------------

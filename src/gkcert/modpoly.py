@@ -2,26 +2,20 @@
 
 Polynomials over F_p are plain tuples of ints in [0, p), constant term
 first, trailing zeros stripped (the zero polynomial is ()).  On top of the
-ring operations this module implements the full factorization pipeline --
-squarefree decomposition, distinct-degree splitting and equal-degree
-(Cantor-Zassenhaus) splitting -- with all randomness drawn from a generator
-seeded deterministically from the input, so factorizations are reproducible
-across runs and platforms.
+ring operations this module factors f mod p as far as Dedekind's theorem
+needs: squarefree decomposition, then distinct-degree splitting, which
+yields the degree and multiplicity of every irreducible factor without
+separating factors of equal degree.  Both stages are deterministic; nothing
+here is random.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass
 
 from .errors import NotPrime, ZeroPolynomial
 from .intpoly import IntPoly
 from .numutil import is_prime
-
-# Artifact-wide base seed for equal-degree splitting; mixed per input below.
-ARTIFACT_SEED = 0x6B63672D
-
 
 
 def _trim(a: list[int]) -> tuple[int, ...]:
@@ -36,15 +30,6 @@ def reduce_intpoly(f: IntPoly, p: int) -> tuple[int, ...]:
 
 def deg(a) -> int:
     return len(a) - 1
-
-
-def add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
 
 
 def sub(a, b, p):
@@ -126,40 +111,36 @@ X_P = (0, 1)
 
 @dataclass(frozen=True)
 class ModPFactorization:
-    """Factorization of f mod p into monic irreducibles with multiplicity.
+    """Distinct-degree factorization of f mod p.
 
-    ``unit`` is the leading coefficient of f mod p, so that
-    unit * prod(factor^mult) == f mod p exactly.  Factors are sorted by
-    (degree, coefficient tuple) for deterministic output.
+    ``parts`` holds triples (g, d, m): g is monic and squarefree, every
+    irreducible factor of g has degree d and multiplicity m in f mod p, and
+    the g are pairwise coprime.  ``unit`` is the leading coefficient of
+    f mod p, so that unit * prod(g^m) == f mod p exactly.
     """
 
     p: int
     unit: int
-    factors: tuple[tuple[tuple[int, ...], int], ...]
+    parts: tuple[tuple[tuple[int, ...], int, int], ...]
 
     def degrees(self) -> list[tuple[int, int]]:
-        """Sorted (residue degree, multiplicity) pairs."""
-        return sorted((deg(g), m) for g, m in self.factors)
+        """Sorted (residue degree, multiplicity) pairs, one per irreducible factor."""
+        return sorted((d, m) for g, d, m in self.parts for _ in range(deg(g) // d))
 
     def product(self) -> tuple[int, ...]:
         out = (self.unit % self.p,)
-        for g, m in self.factors:
+        for g, _, m in self.parts:
             for _ in range(m):
                 out = mul(out, g, self.p)
         return out
 
     @property
     def is_squarefree(self) -> bool:
-        return all(m == 1 for _, m in self.factors)
+        return all(m == 1 for _, _, m in self.parts)
 
     @property
     def is_irreducible(self) -> bool:
-        return len(self.factors) == 1 and self.factors[0][1] == 1
-
-
-def _seed_for(f: IntPoly, p: int) -> int:
-    blob = f"{ARTIFACT_SEED}|{p}|{','.join(map(str, f.coeffs))}".encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+        return [m for _, m in self.degrees()] == [1]
 
 
 def _squarefree_decomposition(f, p):
@@ -204,60 +185,24 @@ def _distinct_degree(f, p):
     return out
 
 
-def _equal_degree(f, d, p, rng):
-    """Split squarefree monic f, all of whose irreducible factors have degree d."""
-    n = deg(f)
-    if n == d:
-        return [f]
-    while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
-        if deg(a) < 1:
-            continue
-        if p == 2:
-            # trace map over F_{2^d}
-            t, acc = a, a
-            for _ in range(d - 1):
-                acc = rem(mul(acc, acc, p), f, p)
-                t = add(t, acc, p)
-            g = gcd_p(t, f, p)
-        else:
-            g = gcd_p(a, f, p)
-            if 0 < deg(g) < n:
-                pass
-            else:
-                b = pow_mod(a, (p**d - 1) // 2, f, p)
-                g = gcd_p(sub(b, (1,), p), f, p)
-        if 0 < deg(g) < n:
-            left = _equal_degree(g, d, p, rng)
-            right = _equal_degree(divmod_p(f, g, p)[0], d, p, rng)
-            return left + right
-
-
 def factor_mod_p(f: IntPoly, p: int) -> ModPFactorization:
-    """Full factorization of f mod p.
+    """Squarefree and distinct-degree factorization of f mod p.
 
     Raises NotPrime for composite p and ZeroPolynomial when f vanishes mod p.
-    The equal-degree stage is randomized but seeded from (p, f), so the
-    output is deterministic; factors come back sorted by degree then by
-    coefficient tuple.
+    Parts come in the order the stages produce them: by squarefree
+    component, then by ascending degree d.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     fbar = reduce_intpoly(f, p)
     if not fbar:
         raise ZeroPolynomial(f"polynomial vanishes mod {p}")
-    unit = fbar[-1]
-    fbar = monic(fbar, p)
-    if deg(fbar) == 0:
-        return ModPFactorization(p=p, unit=unit, factors=())
-    rng = random.Random(_seed_for(f, p))
-    found: list[tuple[tuple[int, ...], int]] = []
-    for g, mult in _squarefree_decomposition(fbar, p):
-        for part, d in _distinct_degree(g, p):
-            for irr in _equal_degree(part, d, p, rng):
-                found.append((irr, mult))
-    found.sort(key=lambda t: (deg(t[0]), t[0]))
-    return ModPFactorization(p=p, unit=unit, factors=tuple(found))
+    parts = tuple(
+        (part, d, m)
+        for g, m in _squarefree_decomposition(monic(fbar, p), p)
+        for part, d in _distinct_degree(g, p)
+    )
+    return ModPFactorization(p=p, unit=fbar[-1], parts=parts)
 
 
 def is_irreducible_mod_p(a, p: int) -> bool:

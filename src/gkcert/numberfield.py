@@ -112,7 +112,7 @@ def _certify_irreducible(f: IntPoly, disc: int) -> None:
             fac = factor_mod_p(f, p)
             if fac.is_irreducible:
                 return
-            pattern = [modpoly.deg(g) for g, _ in fac.factors]
+            pattern = [d for d, _ in fac.degrees()]
             proper = {s for s in _subset_sums(pattern) if 0 < s < n}
             candidate_degrees = proper if candidate_degrees is None else candidate_degrees & proper
             if not candidate_degrees:
@@ -162,7 +162,7 @@ def _dedekind_safe(F: NumberField, p: int, fac: modpoly.ModPFactorization) -> bo
     f = F.defining_poly
     g_bar = (1,)
     h_bar = (1,)
-    for g, m in fac.factors:
+    for g, _, m in fac.parts:
         g_bar = modpoly.mul(g_bar, g, p)
         for _ in range(m - 1):
             h_bar = modpoly.mul(h_bar, g, p)
@@ -187,7 +187,7 @@ def splitting_type(F: NumberField, p: int) -> SplittingType:
     fac = factor_mod_p(F.defining_poly, p)
     if not _dedekind_safe(F, p, fac):
         raise UnsafePrime(f"{p} divides the index [O_F : Z[theta]] for {F}")
-    entries = tuple((m, modpoly.deg(g)) for g, m in fac.factors)
+    entries = tuple((m, d) for d, m in fac.degrees())
     st = SplittingType(p=p, entries=entries, certified=True)
     if st.degree_sum != F.degree:
         raise InternalCheckError(f"splitting degrees at {p} do not sum to [F:Q]")

@@ -138,3 +138,26 @@ def test_edited_store_entry_is_an_error_line(tmp_path, capsys):
         assert run_cli(["report", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:{lineno}: ") and "Traceback" not in err
+
+
+def test_store_repair_is_shown_without_verbose(tmp_path):
+    path = tmp_path / "certificates.jsonl"
+    CertificateStore(path).add(
+        make_certificate(
+            Conclusion.GKC_MINUS, "K0", "klingen-abelian-compositum",
+            [asserted("Leopoldt's conjecture holds")], {"r_S": 0}, "inputs-0",
+        )
+    )
+    path.write_bytes(path.read_bytes()[:-40])  # a write cut short
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkcert.cli", "report", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert f"store: {path}: moved a torn final line" in proc.stderr
+    assert f"{path}.torn" in proc.stderr

@@ -213,6 +213,86 @@ def test_run_certify_unreadable_descriptor_is_a_violation(tmp_path):
     assert [row["group_order"] for row in rows] == [2]
 
 
+TOWER_DEMO = os.path.join(os.path.dirname(__file__), "..", "src", "gkcert", "data",
+                          "descriptors", "tower_demo.json")
+
+
+def _tower_doc(**changes):
+    with open(TOWER_DEMO) as fh:
+        doc = json.load(fh)
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(None, id="missing"),
+        pytest.param('{"label": "t", "p": 11', id="truncated"),
+        pytest.param(b"\xff\xfe{", id="not-utf8"),
+        pytest.param({k: v for k, v in _tower_doc().items() if k != "layers"}, id="no-layers"),
+        pytest.param(
+            _tower_doc(layers=[dict(_tower_doc()["layers"][0], order_a_prime=12)]), id="not-a-p-power"
+        ),
+        pytest.param(_tower_doc(p=12), id="composite-p"),
+    ],
+)
+def test_run_certify_bad_tower_file_is_a_violation(tmp_path, content):
+    gaussian = os.path.join(os.path.dirname(__file__), "..", "src", "gkcert", "data",
+                            "descriptors", "gaussian_p13.json")
+    tower = tmp_path / "tower.json"
+    if isinstance(content, bytes):
+        tower.write_bytes(content)
+    elif isinstance(content, str):
+        tower.write_text(content)
+    elif content is not None:
+        tower.write_text(json.dumps(content))
+    cfg = config_from_dict(
+        {
+            "pipelines": ["certify"],
+            "out_dir": str(tmp_path / "out"),
+            "certify": {"descriptors": [os.path.abspath(gaussian)],
+                        "towers": [os.path.abspath(TOWER_DEMO), str(tower)]},
+        }
+    )
+    result = run(cfg)
+    assert [v.split(": ")[:2] for v in result.violations] == [["certify", str(tower)]]
+    assert result.rows == [] and result.certificates == []
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+GOOD_ROW = {"p": 2, "poly": [-12, -26, 0], "modulus": "p_79", "degree_k": 18, "r_bound": 3}
+
+
+@pytest.mark.parametrize(
+    "rows, bad_index",
+    [
+        pytest.param([GOOD_ROW, dict(GOOD_ROW, p=4)], 1, id="composite-p"),
+        pytest.param([{k: v for k, v in GOOD_ROW.items() if k != "poly"}, GOOD_ROW], 0, id="no-poly"),
+        pytest.param([GOOD_ROW, dict(GOOD_ROW, p="x")], 1, id="string-p"),
+        pytest.param([dict(GOOD_ROW, degree_k="4"), GOOD_ROW], 0, id="string-degree"),
+        pytest.param([GOOD_ROW, dict(GOOD_ROW, r_bound=1.5)], 1, id="float-r-bound"),
+        pytest.param([GOOD_ROW, [2, 5, "p_79", 18, 3]], 1, id="list-row-int-poly"),
+        pytest.param(5, None, id="top-level-int"),
+        pytest.param({"rows": [GOOD_ROW]}, None, id="top-level-object"),
+    ],
+)
+def test_run_check_table_malformed_row_is_a_violation(tmp_path, rows, bad_index):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(rows))
+    cfg = config_from_dict(
+        {"pipelines": ["check-table"], "out_dir": str(tmp_path / "out"), "check_table": {"rows": str(path)}}
+    )
+    result = run(cfg)
+    where = [f"rows[{bad_index}]"] if bad_index is not None else []
+    assert [v.split(": ")[: 2 + len(where)] for v in result.violations] == [
+        ["check-table", str(path), *where]
+    ]
+    # the well-formed rows are still checked and reported
+    assert [row["ok"] for row in result.rows] == ([True] if bad_index is not None else [])
+    assert (tmp_path / "out" / "report.json").exists()
+
+
 def test_config_digest_names_the_effective_config():
     base = {"pipelines": ["scan"], "scan": {"field_vectors": [[1, 0]]}}
     digest = config_from_dict(base).digest()

@@ -7,13 +7,9 @@ from gkcert.errors import NotMonic, NotSquarefree
 from gkcert.intpoly import (
     IntPoly,
     count_real_roots,
-    count_real_roots_in,
     from_vector,
-    gcd_over_q,
-    is_squarefree_poly,
     poly_discriminant,
     resultant,
-    squarefree_part,
 )
 
 X2_PLUS_1 = IntPoly([1, 0, 1])
@@ -185,23 +181,9 @@ def test_root_count_matches_bisection_oracle():
     while checked < 100:
         degree = rng.choice([3, 4])
         f = IntPoly([rng.randrange(-8, 9) for _ in range(degree)] + [1])
-        if not is_squarefree_poly(f):
+        if poly_discriminant(f) == 0:  # monic f: squarefree iff disc != 0
             continue
         assert count_real_roots(f) == bisection_root_count(f), f
         # real roots + complex pairs fill the degree
         assert (f.degree - count_real_roots(f)) % 2 == 0
         checked += 1
-
-
-def test_count_in_interval():
-    f = IntPoly([0, -1, 0, 1])  # roots -1, 0, 1
-    assert count_real_roots_in(f, Fraction(-2), Fraction(2)) == 3
-    assert count_real_roots_in(f, Fraction(0), Fraction(2)) == 1
-    assert count_real_roots_in(f, Fraction(-1), Fraction(1)) == 2  # (a, b] keeps 0 and 1
-
-
-def test_gcd_and_squarefree_part():
-    f = IntPoly([1, 1]) * IntPoly([1, 1]) * IntPoly([-3, 1])
-    g = gcd_over_q(f, f.derivative())
-    assert g.coeffs == (1, 1)
-    assert squarefree_part(f) == IntPoly([1, 1]) * IntPoly([-3, 1])
