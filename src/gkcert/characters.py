@@ -73,58 +73,70 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> CycNumber:
     return acc / G.order
 
 
-def _inner_product_int(a: Character, b: Character) -> Fraction:
-    """Fast inner product for integral (den == 1) rows; returns the rational
-    value and raises if the result is irrational (it never is for genuine
-    character rows: <chi, psi> is a rational integer)."""
-    G = a.group
-    e = G.exponent()
-    va = [x.embed(e) for x in a.values]
-    vb_conj = [x.embed(e).conjugate() for x in b.values]
-    if any(x.den != 1 for x in va) or any(x.den != 1 for x in vb_conj):
-        return inner_product(a, b).as_fraction() / 1
-    phi = len(va[0].num) if va else 1
-    acc = [0] * (2 * phi)
-    for cls, x, y in zip(G.classes, va, vb_conj):
-        w = len(cls)
-        xn, yn = x.num, y.num
-        for i, xi in enumerate(xn):
-            if xi:
-                wxi = w * xi
-                for j, yj in enumerate(yn):
-                    if yj:
-                        acc[i + j] += wxi * yj
-    total = CycNumber.from_exponents(e, {k: c for k, c in enumerate(acc) if c})
-    return total.as_fraction() / G.order
+def _integral_coordinates(table: list[Character], e: int):
+    """Per row and class, the nonzero (index, coefficient) pairs of the value
+    and of its complex conjugate in the power basis of Z[zeta_e].
+
+    That basis is integral, so a value with den != 1 is not an algebraic
+    integer and cannot be a character value: InternalCheckError."""
+    values, conjugates = [], []
+    for chi in table:
+        row, row_conj = [], []
+        for v in chi.values:
+            x = v.embed(e)
+            if x.den != 1:
+                raise InternalCheckError(f"character value {v!r} is not an algebraic integer")
+            row.append([(k, c) for k, c in enumerate(x.num) if c])
+            row_conj.append([(k, c) for k, c in enumerate(x.conjugate().num) if c])
+        values.append(row)
+        conjugates.append(row_conj)
+    return values, conjugates
+
+
+def _weighted_sum(e: int, terms) -> CycNumber:
+    """sum of w * x * y over (w, x, y) in ``terms``, with x and y given as
+    sparse integer coordinates in Q(zeta_e): one shared convolution, then one
+    reduction to the power basis."""
+    acc: dict[int, int] = {}
+    for w, x, y in terms:
+        for i, xi in x:
+            wxi = w * xi
+            for j, yj in y:
+                acc[i + j] = acc.get(i + j, 0) + wxi * yj
+    return CycNumber.from_exponents(e, acc)
 
 
 def verify_character_table(table: list[Character]) -> None:
-    """Exact first and second orthogonality plus the degree-sum identity;
-    raises InternalCheckError on any failure."""
+    """Exact first and second orthogonality plus the degree-sum identity, in
+    integer arithmetic on Z[zeta_e] coordinates; raises InternalCheckError on
+    any failure."""
     if not table:
         raise InternalCheckError("empty character table")
     G = table[0].group
-    n, r = G.order, len(G.classes)
+    n, r, e = G.order, len(G.classes), G.exponent()
     if len(table) != r:
         raise InternalCheckError(f"{len(table)} rows for {r} classes")
     if sum(ch.degree**2 for ch in table) != n:
         raise InternalCheckError("sum of squared degrees != |G|")
-    for i, chi in enumerate(table):
+    for chi in table:
+        if len(chi.values) != r:
+            raise InternalCheckError(f"{len(chi.values)} values for {r} classes")
         if not (chi.values[0].is_integer and chi.values[0].as_int() == chi.degree):
             raise InternalCheckError("value at identity != degree")
-        for j in range(i + 1):
-            got = _inner_product_int(chi, table[j])
-            if got != (1 if i == j else 0):
-                raise InternalCheckError(f"row orthogonality fails at ({i},{j}): {got}")
-    # column orthogonality follows from row orthonormality, but check it anyway
+    values, conjugates = _integral_coordinates(table, e)
     sizes = [len(c) for c in G.classes]
+    # |G| <chi_i, chi_j> = sum_C |C| chi_i(C) conj(chi_j(C)) = |G| delta_ij
     for i in range(r):
         for j in range(i + 1):
-            acc = CycNumber.from_rational(0)
-            for ch in table:
-                acc = acc + ch.values[i] * ch.values[j].conjugate()
-            want = Fraction(n, sizes[i]) if i == j else Fraction(0)
-            if not (acc.is_rational and acc.as_fraction() == want):
+            total = _weighted_sum(e, zip(sizes, values[i], conjugates[j]))
+            if total != (n if i == j else 0):
+                raise InternalCheckError(f"row orthogonality fails at ({i},{j}): {total!r}")
+    # column orthogonality follows from row orthonormality, but check it anyway:
+    # sum_chi chi(C_i) conj(chi(C_j)) = |C_G(g_i)| delta_ij
+    for i in range(r):
+        for j in range(i + 1):
+            total = _weighted_sum(e, ((1, v[i], c[j]) for v, c in zip(values, conjugates)))
+            if total != (n // sizes[i] if i == j else 0):
                 raise InternalCheckError(f"column orthogonality fails at ({i},{j})")
 
 
@@ -238,14 +250,17 @@ def _dixon_prime(e: int, n: int) -> int:
     return q
 
 
-def _class_matrix(G: FiniteGroup, i: int, reps) -> list[list[int]]:
-    r = len(G.classes)
-    A = [[0] * r for _ in range(r)]
-    for k, rep_k in enumerate(reps):
+def _class_matrix(G: FiniteGroup, i: int, reps) -> list[list[tuple[int, int]]]:
+    """Class matrix A of class i, as per-column lists of its nonzero entries:
+    column k holds (j, A[j][k]) for A[j][k] = #{x in C_i : x^-1 g_k in C_j}."""
+    columns = []
+    for rep_k in reps:
+        counts: dict[int, int] = {}
         for x in G.classes[i]:
             j = G.class_of[G.op(G.inv(x), rep_k)]
-            A[j][k] += 1
-    return A
+            counts[j] = counts.get(j, 0) + 1
+        columns.append(list(counts.items()))
+    return columns
 
 
 def _rref(rows, q):
@@ -322,13 +337,18 @@ def _poly_roots_mod(poly, q):
     return roots
 
 
-def _split_space(basis, pivots, M, q):
-    """Split an invariant subspace (RREF row basis) by eigenvalues of M."""
+def _split_space(basis, pivots, columns, q):
+    """Split an invariant subspace (RREF row basis) by eigenvalues of the
+    class matrix given by its nonzero ``columns`` (as from _class_matrix)."""
     d = len(basis)
     images = []
     for w in basis:
-        img = [sum(Mj[k] * w[k] for k in range(len(w))) % q for Mj in M]
-        images.append(img)
+        img = [0] * len(w)
+        for wk, column in zip(w, columns):
+            if wk:
+                for j, a in column:
+                    img[j] += a * wk
+        images.append([x % q for x in img])
     # coordinates of each image in the basis (read off at pivot columns)
     C = []
     for img in images:
@@ -338,7 +358,7 @@ def _split_space(basis, pivots, M, q):
             if c:
                 for t, x in enumerate(row):
                     recon[t] = (recon[t] + c * x) % q
-        if recon != [x % q for x in img]:
+        if recon != img:
             raise InternalCheckError("class matrix does not preserve the subspace")
         C.append(coords)
     CT = [[C[t][s] for t in range(d)] for s in range(d)]
@@ -383,13 +403,13 @@ def _dixon_table(G: FiniteGroup) -> list[Character]:
     for i in range(1, r):
         if all(len(b) == 1 for b, _ in spaces):
             break
-        M = _class_matrix(G, i, reps)
+        columns = _class_matrix(G, i, reps)
         nxt = []
         for basis, piv in spaces:
             if len(basis) == 1:
                 nxt.append((basis, piv))
             else:
-                nxt.extend(_split_space(basis, piv, M, q))
+                nxt.extend(_split_space(basis, piv, columns, q))
         spaces = nxt
     if not all(len(b) == 1 for b, _ in spaces) or len(spaces) != r:
         raise InternalCheckError("class matrices failed to split the center")

@@ -108,33 +108,44 @@ class FiniteGroup:
         return s
 
     def subgroup_generated_by(self, gens) -> frozenset[int]:
+        # in a finite group g^-1 is a power of g, so closing under right
+        # multiplication by the generators alone gives the subgroup
         s = {self.identity}
         frontier = list(s)
-        gens = [g for g in gens]
+        gens = list(gens)
         while frontier:
-            x = frontier.pop()
+            row = self.table[frontier.pop()]
             for g in gens:
-                for y in (self.table[x][g], self.table[x][self.inverse[g]]):
-                    if y not in s:
-                        s.add(y)
-                        frontier.append(y)
+                y = row[g]
+                if y not in s:
+                    s.add(y)
+                    frontier.append(y)
         return frozenset(s)
 
-    def all_subgroups(self) -> list[frozenset[int]]:
-        """Every subgroup, found by closing known subgroups under extra
-        generators; intended for the small (|G| <= 64) groups in scope."""
-        found = {frozenset([self.identity])}
-        frontier = [frozenset([self.identity])]
+    def all_subgroups(self, inside=None) -> list[frozenset[int]]:
+        """Every subgroup of ``inside`` (of G when None), sorted by (size,
+        sorted elements); ``inside`` must be a subgroup (NotASubgroup).
+
+        Each new subgroup is closed from the generator tuple of the subgroup
+        it grew from plus one element of ``inside``; intended for the small
+        (|G| <= 64) groups in scope."""
+        pool = range(self.order) if inside is None else sorted(self.require_subgroup(inside))
+        trivial = frozenset([self.identity])
+        gens = {trivial: ()}
+        frontier = [trivial]
         while frontier:
             h = frontier.pop()
-            for g in range(self.order):
-                if g in h:
+            tried = set(h)  # <h, g> depends only on the coset g h
+            for g in pool:
+                if g in tried:
                     continue
-                bigger = self.subgroup_generated_by(list(h) + [g])
-                if bigger not in found:
-                    found.add(bigger)
+                tried.update(self.table[g][x] for x in h)
+                grown = gens[h] + (g,)
+                bigger = self.subgroup_generated_by(grown)
+                if bigger not in gens:
+                    gens[bigger] = grown
                     frontier.append(bigger)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        return sorted(gens, key=lambda s: (len(s), sorted(s)))
 
     def normal_core(self, elements) -> frozenset[int]:
         """Intersection of all conjugates of the subgroup."""

@@ -482,12 +482,8 @@ def _undecomposed_subfield(ext: ExtensionDescriptor):
     cores = [G.normal_core(rec.decomposition) for rec in ext.primes]
     if not cores:
         return None
-    meet = set.intersection(*(set(c) for c in cores))
-    candidates = [
-        h
-        for h in G.all_subgroups()
-        if len(h) > 1 and ext.tau not in h and h <= meet
-    ]
+    meet = frozenset.intersection(*cores)
+    candidates = [h for h in G.all_subgroups(inside=meet) if len(h) > 1 and ext.tau not in h]
     if not candidates:
         return None
     best = max(candidates, key=lambda h: (len(h), sorted(h)))

@@ -185,7 +185,25 @@ def gkc_minus_stabilization(tower: TowerData) -> StabilizationResult:
 # -- file format ----------------------------------------------------------------
 
 
+_LAYER_FIELDS = (
+    "n",
+    "order_a_prime",
+    "order_a_prime_plus",
+    "ram_ratio",
+    "norm_index_plus",
+    "norm_index_full",
+)
+
+
+def _integer(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaViolation(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def tower_from_document(document: dict) -> TowerData:
+    """Parse a tower document; any malformed field raises SchemaViolation
+    naming its path, such as ``layers[0].n``."""
     if not isinstance(document, dict):
         raise SchemaViolation("tower document must be an object")
     if document.get("schema", TOWER_SCHEMA_ID) != TOWER_SCHEMA_ID:
@@ -193,26 +211,29 @@ def tower_from_document(document: dict) -> TowerData:
     for key in ("label", "p", "r", "layers"):
         if key not in document:
             raise SchemaViolation(f"missing field {key!r}")
+    if not isinstance(document["layers"], list):
+        raise SchemaViolation(f"layers: expected a list, got {document['layers']!r}")
     layers = []
     for i, entry in enumerate(document["layers"]):
-        try:
-            layers.append(
-                TowerLayer(
-                    n=int(entry["n"]),
-                    order_a_prime=int(entry["order_a_prime"]),
-                    order_a_prime_plus=int(entry["order_a_prime_plus"]),
-                    ram_ratio=int(entry["ram_ratio"]),
-                    norm_index_plus=int(entry["norm_index_plus"]),
-                    norm_index_full=int(entry["norm_index_full"]),
-                    minus_order=entry.get("minus_order"),
-                )
+        path = f"layers[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaViolation(f"{path}: expected an object, got {entry!r}")
+        for key in _LAYER_FIELDS:
+            if key not in entry:
+                raise SchemaViolation(f"{path} missing {key!r}")
+        minus_order = entry.get("minus_order")
+        if minus_order is not None:
+            _integer(minus_order, f"{path}.minus_order")
+        layers.append(
+            TowerLayer(
+                **{key: _integer(entry[key], f"{path}.{key}") for key in _LAYER_FIELDS},
+                minus_order=minus_order,
             )
-        except KeyError as exc:
-            raise SchemaViolation(f"layers[{i}] missing {exc}") from exc
+        )
     return TowerData(
         label=str(document["label"]),
-        p=int(document["p"]),
-        r=int(document["r"]),
+        p=_integer(document["p"], "p"),
+        r=_integer(document["r"], "r"),
         layers=tuple(layers),
         provenance=str(document.get("provenance", "")),
     )

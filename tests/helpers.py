@@ -113,6 +113,25 @@ def raw_groups():
     )
 
 
+def direct_product(A, B):
+    """A x B as a raw table; element a * |B| + b is the pair (a, b)."""
+    n = B.order
+    return group_from_table(
+        [[A.op(x // n, y // n) * n + B.op(x % n, y % n) for y in range(A.order * n)]
+         for x in range(A.order * n)]
+    )
+
+
+@lru_cache(maxsize=None)
+def order64_raw_groups():
+    """(Z/2)^6 and Q8 x (Z/2)^3 as raw tables: the largest lattices and
+    Burnside-Dixon tables in scope."""
+    return (
+        group_from_table(abelian_group([2] * 6).table),
+        direct_product(quaternion_group(), abelian_group([2, 2, 2])),
+    )
+
+
 @lru_cache(maxsize=None)
 def supported_groups(bound: int = 24):
     """Every supported group of order <= bound: all abelian isomorphism

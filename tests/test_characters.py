@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from gkcert.characters import (
     Parity,
+    _integral_coordinates,
+    _weighted_sum,
     character_table,
     fixed_dim,
     idempotent,
@@ -15,7 +21,12 @@ from gkcert.characters import (
     verify_character_table,
 )
 from gkcert.cyclotomic import CycNumber
-from gkcert.errors import NotASubgroup, ScaleExceeded, TauNotCentralInvolution
+from gkcert.errors import (
+    InternalCheckError,
+    NotASubgroup,
+    ScaleExceeded,
+    TauNotCentralInvolution,
+)
 from gkcert.groups import (
     abelian_group,
     dihedral_group,
@@ -23,7 +34,13 @@ from gkcert.groups import (
     quaternion_group,
     subgroup_embedding,
 )
-from helpers import dicyclic12_group, permutation_group, sl23_group, supported_groups
+from helpers import (
+    dicyclic12_group,
+    order64_raw_groups,
+    permutation_group,
+    sl23_group,
+    supported_groups,
+)
 
 
 def test_c2_table():
@@ -202,3 +219,128 @@ def test_character_table_computed_once_per_group(monkeypatch):
     assert H == G and H is not G
     assert all(ch.group is H for ch in character_table(H))
     assert len(runs) == 2
+
+
+def sampled_pairs(r, rng, limit=40):
+    pairs = [(i, j) for i in range(r) for j in range(i + 1)]
+    return pairs if len(pairs) <= limit else rng.sample(pairs, limit)
+
+
+def test_integer_orthogonality_sums_match_cycnumber_oracle():
+    # the CycNumber oracle costs about a millisecond per pair, so large
+    # tables check a seeded sample of their pairs
+    rng = random.Random(64)
+    for G in supported_groups(24) + order64_raw_groups():
+        table = character_table(G)
+        e, n, r = G.exponent(), G.order, len(G.classes)
+        sizes = [len(c) for c in G.classes]
+        values, conjugates = _integral_coordinates(table, e)
+        for i, j in sampled_pairs(r, rng):
+            row_sum = _weighted_sum(e, zip(sizes, values[i], conjugates[j]))
+            assert row_sum == inner_product(table[i], table[j]) * n
+        for i, j in sampled_pairs(r, rng):
+            column_sum = _weighted_sum(e, ((1, v[i], c[j]) for v, c in zip(values, conjugates)))
+            plain = CycNumber.from_rational(0)
+            for ch in table:
+                plain = plain + ch.values[i] * ch.values[j].conjugate()
+            assert column_sum == plain
+
+
+def test_integer_row_sums_match_on_products_of_characters():
+    # products of irreducibles have nontrivial multiplicities <chi psi, phi>
+    for G in (sl23_group(), dicyclic12_group()):
+        table = character_table(G)
+        e, n = G.exponent(), G.order
+        sizes = [len(c) for c in G.classes]
+        products = [
+            replace(a, values=tuple(x * y for x, y in zip(a.values, b.values)), degree=a.degree * b.degree)
+            for a in table
+            for b in table
+        ]
+        values, _ = _integral_coordinates(products, e)
+        _, conjugates = _integral_coordinates(table, e)
+        for prod, vals in zip(products, values):
+            for chi, conj in zip(table, conjugates):
+                assert _weighted_sum(e, zip(sizes, vals, conj)) == inner_product(prod, chi) * n
+
+
+def _with_value(rows, i, k, value):
+    values = list(rows[i].values)
+    values[k] = value
+    return rows[:i] + [replace(rows[i], values=tuple(values))] + rows[i + 1:]
+
+
+def corrupted_tables(table):
+    """(name, table) pairs, each breaking a genuine table in one way."""
+    rows = list(table)
+    last = len(rows) - 1
+    yield "value-changed", _with_value(rows, last, 1, rows[last].values[1] + 1)
+    i, a, b = next(
+        (i, a, b)
+        for i, ch in enumerate(rows)
+        for a in range(1, len(ch.values))
+        for b in range(1, a)
+        if ch.values[a] != ch.values[b]
+    )
+    va, vb = rows[i].values[a], rows[i].values[b]
+    yield "values-swapped", _with_value(_with_value(rows, i, a, vb), i, b, va)
+    i, k = next(
+        (i, k)
+        for i, ch in enumerate(rows)
+        for k in range(1, len(ch.values))
+        if (ch.values[k] / 2).den == 2
+    )
+    yield "value-halved", _with_value(rows, i, k, rows[i].values[k] / 2)
+    yield "row-dropped", rows[:last]
+
+
+REJECTION = {
+    "value-changed": "row orthogonality",
+    "values-swapped": "row orthogonality",
+    "value-halved": "not an algebraic integer",
+    "row-dropped": "rows for",
+}
+
+CORRUPTION_GROUPS = (
+    lambda: group_from_table(dihedral_group(4).table),
+    sl23_group,
+    dicyclic12_group,
+    lambda: order64_raw_groups()[1],
+)
+
+
+def test_corrupted_tables_are_rejected():
+    for build in CORRUPTION_GROUPS:
+        table = character_table(build())
+        verify_character_table(table)
+        names = []
+        for name, bad in corrupted_tables(table):
+            with pytest.raises(InternalCheckError, match=REJECTION[name]):
+                verify_character_table(bad)
+            names.append(name)
+        assert names == list(REJECTION)
+
+
+def test_corrupted_tables_are_rejected_under_optimize():
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = (
+        "from gkcert.characters import character_table, verify_character_table\n"
+        "from gkcert.errors import InternalCheckError\n"
+        "from test_characters import CORRUPTION_GROUPS, corrupted_tables\n"
+        "for build in CORRUPTION_GROUPS:\n"
+        "    for name, bad in corrupted_tables(character_table(build())):\n"
+        "        try:\n"
+        "            verify_character_table(bad)\n"
+        "        except InternalCheckError:\n"
+        "            print('rejected', name)\n"
+        "        else:\n"
+        "            print('accepted', name)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(here, "..", "src"), here])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 * len(CORRUPTION_GROUPS)
+    assert all(line.startswith("rejected ") for line in lines), proc.stdout

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gkcert.errors import InvalidTable, NotASubgroup, TauNotCentralInvolution
@@ -9,7 +11,13 @@ from gkcert.groups import (
     quaternion_group,
     subgroup_embedding,
 )
-from helpers import dicyclic12_group, permutation_group, sl23_group
+from helpers import (
+    dicyclic12_group,
+    order64_raw_groups,
+    permutation_group,
+    sl23_group,
+    supported_groups,
+)
 
 
 def brute_force_classes(G):
@@ -100,3 +108,45 @@ def test_power_and_conjugation():
     d6 = dihedral_group(6)
     assert d6.power(1, 6) == 0 and d6.power(1, -1) == 5
     assert d6.conjugate(1, 6) == 5  # b a b^-1 = a^-1
+
+
+def lattice_by_full_closure(G):
+    """Reference lattice, sharing no code with FiniteGroup: close every known
+    subgroup plus one more element under products until nothing new appears."""
+    def closure(elements):
+        s = set(elements)
+        while True:
+            grown = s | {G.table[a][b] for a in s for b in s}
+            if grown == s:
+                return frozenset(s)
+            s = grown
+
+    found = {frozenset([G.identity])}
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for g in range(G.order):
+            bigger = closure(h | {g})
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def test_all_subgroups_matches_full_closure():
+    for G in supported_groups(24):
+        assert G.all_subgroups() == lattice_by_full_closure(G)
+
+
+def test_all_subgroups_inside_matches_filtered_lattice():
+    for G in supported_groups(24) + order64_raw_groups():
+        full = G.all_subgroups()
+        cores = {G.normal_core(h) for h in full}
+        insides = cores | {a & b for a, b in itertools.combinations(cores, 2)}
+        for H in insides:
+            assert G.all_subgroups(inside=H) == [h for h in full if h <= H]
+        if G.order > 1:
+            with pytest.raises(NotASubgroup):
+                G.all_subgroups(inside=[x for x in range(G.order) if x != G.identity])
+        with pytest.raises(NotASubgroup):
+            G.all_subgroups(inside=[G.identity, G.order])

@@ -261,6 +261,25 @@ def test_run_certify_bad_tower_file_is_a_violation(tmp_path, content):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_run_certify_tower_with_non_integer_layer_is_a_violation(tmp_path):
+    gaussian = os.path.join(os.path.dirname(__file__), "..", "src", "gkcert", "data",
+                            "descriptors", "gaussian_p13.json")
+    layers = _tower_doc()["layers"]
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps(_tower_doc(layers=[dict(layers[0], n="x")] + layers[1:])))
+    cfg = config_from_dict(
+        {
+            "pipelines": ["certify"],
+            "out_dir": str(tmp_path / "out"),
+            "certify": {"descriptors": [os.path.abspath(gaussian)], "towers": [str(tower)]},
+        }
+    )
+    result = run(cfg)
+    assert result.violations == [f"certify: {tower}: layers[0].n: expected an integer, got 'x'"]
+    with open(tmp_path / "out" / "report.json") as fh:
+        assert json.load(fh)["rows"] == []
+
+
 GOOD_ROW = {"p": 2, "poly": [-12, -26, 0], "modulus": "p_79", "degree_k": 18, "r_bound": 3}
 
 

@@ -1,3 +1,6 @@
+import glob
+import json
+import os
 import random
 from dataclasses import replace
 
@@ -11,6 +14,7 @@ from gkcert.extensions import (
     Q8_PIECE,
     QuadraticComponent,
     build_compositum_over_Q,
+    ingest_extension,
 )
 from gkcert.groups import abelian_group, dihedral_group, quaternion_group
 from gkcert.intpoly import IntPoly
@@ -19,11 +23,12 @@ from gkcert.numutil import kronecker
 from gkcert.rules import (
     ASSUME_GKC_MINUS,
     ASSUME_TOWER_DISJOINT,
+    _undecomposed_subfield,
     certify,
     klingen_criterion,
     rank_bound,
 )
-from gkcert.towers import TowerData, TowerLayer
+from gkcert.towers import TOWER_SCHEMA_ID, TowerData, TowerLayer
 from helpers import groups_with_central_involution, random_descriptor
 from test_extensions import q8_split_primes
 
@@ -245,3 +250,37 @@ def test_certify_raw_table_runs_dixon_once(monkeypatch):
     assert out.by_rule("klingen-character-bound")
     assert out.by_rule("gkc-gvc-equivalence")
     assert runs == [ext.group]
+
+
+DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "gkcert", "data", "descriptors")
+
+
+def undecomposed_by_full_lattice(ext):
+    """The N of _undecomposed_subfield, chosen from the whole subgroup
+    lattice filtered by h <= meet."""
+    G = ext.group
+    cores = [G.normal_core(rec.decomposition) for rec in ext.primes]
+    if not cores:
+        return None
+    meet = set.intersection(*(set(c) for c in cores))
+    candidates = [h for h in G.all_subgroups() if len(h) > 1 and ext.tau not in h and h <= meet]
+    return max(candidates, key=lambda h: (len(h), sorted(h))) if candidates else None
+
+
+def test_undecomposed_subfield_matches_full_lattice_filter():
+    exts = []
+    for path in sorted(glob.glob(os.path.join(DESCRIPTOR_DIR, "*.json"))):
+        with open(path) as fh:
+            document = json.load(fh)
+        if document.get("schema") != TOWER_SCHEMA_ID:
+            exts.append(ingest_extension(document))
+    assert len(exts) == 3
+    rng = random.Random(4242)
+    exts += [random_descriptor(rng) for _ in range(300)]
+    found = 0
+    for ext in exts:
+        got = _undecomposed_subfield(ext)
+        want = undecomposed_by_full_lattice(ext)
+        assert (got[0] if got else None) == want
+        found += want is not None
+    assert found > 20

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,3 +128,33 @@ def test_document_round_trip(tmp_path):
     doc = tower_to_document(tower)
     assert tower_from_document(json.loads(json.dumps(doc))) == tower
     assert tower_to_document(tower_from_document(doc)) == doc
+
+
+def _demo_document(**changes):
+    doc = tower_to_document(make_tower(11, 1, [(0, 11, 1, 1, 1, 1), (1, 121, 1, 11, 1, 11)]))
+    doc.update(changes)
+    return doc
+
+
+def _layer(i, **changes):
+    return dict(_demo_document()["layers"][i], **changes)
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        pytest.param(_demo_document(layers=[_layer(0, n="x"), _layer(1)]), "layers[0].n", id="string-n"),
+        pytest.param(_demo_document(layers=[_layer(0), _layer(1, ram_ratio=11.0)]), "layers[1].ram_ratio",
+                     id="float-ram-ratio"),
+        pytest.param(_demo_document(layers=[_layer(0), _layer(1, minus_order="11")]), "layers[1].minus_order",
+                     id="string-minus-order"),
+        pytest.param(_demo_document(layers=[_layer(0), _layer(1, n=True)]), "layers[1].n", id="bool-n"),
+        pytest.param(_demo_document(layers={"0": _layer(0)}), "layers", id="layers-not-a-list"),
+        pytest.param(_demo_document(layers=[_layer(0), 5]), "layers[1]", id="layer-not-an-object"),
+        pytest.param(_demo_document(p="11"), "p", id="string-p"),
+        pytest.param(_demo_document(r=None), "r", id="null-r"),
+    ],
+)
+def test_document_schema_violation_names_the_path(doc, path):
+    with pytest.raises(SchemaViolation, match=rf"^{re.escape(path)}: expected an? "):
+        tower_from_document(doc)
