@@ -200,13 +200,14 @@ class CertificateStore:
 
     def add(self, cert: Certificate) -> bool:
         """Append if new; returns True when the store grew."""
-        d = cert.digest()
-        if d in self._by_digest:
-            return False
-        self._by_digest[d] = cert
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":")) + "\n")
-        return True
+        return self.add_all([cert]) == 1
 
     def add_all(self, certs) -> int:
-        return sum(1 for c in certs if self.add(c))
+        """Append each certificate not yet stored, opening the file once; returns how many."""
+        new = {d: cert for cert in certs if (d := cert.digest()) not in self._by_digest}
+        if new:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                for d, cert in new.items():
+                    fh.write(json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":")) + "\n")
+                    self._by_digest[d] = cert
+        return len(new)

@@ -18,7 +18,8 @@ import sys
 from dataclasses import replace
 
 from .errors import GkcertError
-from .harness import PIPELINES, config_from_dict, load_config, run
+from .harness import PIPELINES, config_from_dict, run
+from .schema import read_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,9 +56,9 @@ def main(argv=None) -> int:
     if args.format:
         overrides["formats"] = tuple(dict.fromkeys(args.format))
     try:
-        config = load_config(args.config) if args.config else config_from_dict({})
+        config = config_from_dict(read_json(args.config) if args.config else {})
         config = replace(config, **overrides)
-    except (OSError, GkcertError, ValueError) as exc:
+    except (OSError, GkcertError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 1
     try:

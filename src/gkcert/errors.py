@@ -142,8 +142,8 @@ class PoolExhausted(GkcertError):
     pass
 
 
-class MalformedRow(GkcertError):
-    pass
+class MalformedRow(SchemaViolation):
+    """A check-table row of the wrong shape or with impossible values."""
 
 
 class InternalCheckError(GkcertError):

@@ -30,6 +30,7 @@ from math import gcd
 
 from .errors import (
     AmbiguousDecomposition,
+    InvalidTable,
     InvariantViolation,
     IrreducibilityUndecided,
     NotLinearlyDisjoint,
@@ -56,6 +57,7 @@ from .numutil import (
     require_prime,
     sqrt_mod_p,
 )
+from .schema import Node
 
 Q_FIELD = make_field(IntPoly([0, 1]))  # Q presented by the polynomial X
 
@@ -551,52 +553,30 @@ def build_compositum_over_Q(components, p: int, assertions=()) -> ExtensionDescr
 SCHEMA_ID = "gkcert/extension-descriptor/v1"
 
 
-def ingest_extension(document: dict) -> ExtensionDescriptor:
+def ingest_extension(document) -> ExtensionDescriptor:
     """Validate and load an extension-descriptor document (see docs/formats.md).
 
-    Raises SchemaViolation for shape errors and InvariantViolation (with the
-    failed invariant named) for semantic ones.
+    Raises SchemaViolation, naming the JSON path, for shape errors and
+    InvariantViolation (with the failed invariant named) for semantic ones.
     """
-    if not isinstance(document, dict):
-        raise SchemaViolation("document must be an object")
-    for key in ("base_poly", "p", "group", "tau", "primes"):
-        if key not in document:
-            raise SchemaViolation(f"missing field {key!r}")
-    if document.get("schema", SCHEMA_ID) != SCHEMA_ID:
-        raise SchemaViolation(f"unknown schema {document.get('schema')!r}")
-    base_vec = document["base_poly"]
-    if not isinstance(base_vec, list) or not all(isinstance(c, int) for c in base_vec):
-        raise SchemaViolation("base_poly must be a list of integers")
-    gspec = document["group"]
-    if not isinstance(gspec, dict) or "kind" not in gspec:
-        raise SchemaViolation("group must be an object with a 'kind'")
-    group = build_group(tuple(gspec[key] for key in ("kind", "data") if key in gspec))
-
+    doc = Node(document)
+    if doc.get("schema", SCHEMA_ID).string() != SCHEMA_ID:
+        raise SchemaViolation(f"schema: unknown schema {doc['schema'].value!r}")
     try:
-        base = make_field(from_vector(base_vec))
+        group = build_group(doc["group"])
+    except InvalidTable as exc:
+        raise InvariantViolation("group", str(exc)) from exc
+    try:
+        base = make_field(from_vector(doc["base_poly"].integers()))
     except (NotMonic, Reducible, IrreducibilityUndecided) as exc:
         raise InvariantViolation("base field", str(exc)) from exc
 
-    tau = document["tau"]
-    if not isinstance(tau, int):
-        raise SchemaViolation("tau must be an element index")
-
-    primes_doc = document["primes"]
-    if not isinstance(primes_doc, list) or not primes_doc:
-        raise SchemaViolation("primes must be a nonempty list")
     records = []
-    for i, entry in enumerate(primes_doc):
-        if not isinstance(entry, dict):
-            raise SchemaViolation(f"primes[{i}] must be an object")
-        for key in ("e_base", "f_base", "decomposition_subgroup"):
-            if key not in entry:
-                raise SchemaViolation(f"primes[{i}] missing {key!r}")
-        sub = frozenset(entry["decomposition_subgroup"])
-        if any(k in entry for k in ("e", "f", "g")):
+    for i, entry in enumerate(doc["primes"].items()):
+        sub = frozenset(entry["decomposition_subgroup"].integers())
+        if any(k in entry.object() for k in ("e", "f", "g")):
             # optional K-level cross-check data: all three or none
-            if not all(k in entry for k in ("e", "f", "g")):
-                raise SchemaViolation(f"primes[{i}]: e, f, g must be given together")
-            e, f, g = entry["e"], entry["f"], entry["g"]
+            e, f, g = (entry[k].integer() for k in ("e", "f", "g"))
             if e * f * g != group.order:
                 raise InvariantViolation(
                     "local-global degree", f"primes[{i}]: e*f*g = {e*f*g} != |G| = {group.order}"
@@ -607,9 +587,9 @@ def ingest_extension(document: dict) -> ExtensionDescriptor:
                 )
         records.append(
             PrimeRecord(
-                label=str(entry.get("label", f"v{i+1}")),
-                e_base=int(entry["e_base"]),
-                f_base=int(entry["f_base"]),
+                label=entry.get("label", f"v{i+1}").string(),
+                e_base=entry["e_base"].integer(),
+                f_base=entry["f_base"].integer(),
                 decomposition=sub,
                 provenance="ingested",
             )
@@ -617,11 +597,11 @@ def ingest_extension(document: dict) -> ExtensionDescriptor:
     return ExtensionDescriptor(
         base=base,
         group=group,
-        tau=tau,
-        p=int(document["p"]),
+        tau=doc["tau"].integer(),
+        p=doc["p"].integer(),
         primes=tuple(records),
-        assertions=tuple(str(a) for a in document.get("assertions", [])),
-        label=str(document.get("label", "")),
+        assertions=tuple(doc.get("assertions", []).strings()),
+        label=doc.get("label", "").string(),
     )
 
 

@@ -25,6 +25,7 @@ from functools import cache
 from math import lcm
 
 from .errors import InvalidTable, NotASubgroup, SchemaViolation, TauNotCentralInvolution
+from .schema import Node
 
 
 @dataclass(frozen=True)
@@ -314,22 +315,20 @@ def group_from_table(rows) -> FiniteGroup:
     return _validate_and_build(rows, ("table",))
 
 
-def build_group(spec) -> FiniteGroup:
-    """Dispatch on a group spec: ("abelian", [d1..dk]) | ("dihedral", n) |
-    ("quaternion8",) | ("table", rows).  An unknown kind or a missing data
-    entry raises SchemaViolation."""
-    kind = spec[0]
+def build_group(spec: Node) -> FiniteGroup:
+    """The group a descriptor's group spec names: {"kind": k, "data": d} with k one
+    of "abelian" (d = [d1..dk]), "dihedral" (d = n), "quaternion8" (no d) or "table"
+    (d = rows).  An unknown kind or a missing or mistyped d raises SchemaViolation."""
+    kind = spec["kind"].string()
     if kind == "quaternion8":
         return quaternion_group()
-    if kind not in ("abelian", "dihedral", "table"):
-        raise SchemaViolation(f"unknown group kind {kind!r}")
-    if len(spec) < 2:
-        raise SchemaViolation("group spec missing 'data'")
     if kind == "abelian":
-        return abelian_group(spec[1])
+        return abelian_group(spec["data"].integers())
     if kind == "dihedral":
-        return dihedral_group(int(spec[1]))
-    return group_from_table(spec[1])
+        return dihedral_group(spec["data"].integer())
+    if kind == "table":
+        return group_from_table([row.integers() for row in spec["data"].items()])
+    raise SchemaViolation(f"{spec['kind'].path}: unknown group kind {kind!r}")
 
 
 def subgroup_embedding(G: FiniteGroup, elements) -> tuple[FiniteGroup, tuple[int, ...]]:

@@ -24,9 +24,7 @@ from .errors import (
     InvariantViolation,
     IrreducibilityUndecided,
     MalformedRow,
-    NonPPower,
     NotLinearlyDisjoint,
-    NotPrime,
     PoolExhausted,
     RamifiedPrime,
     Reducible,
@@ -45,7 +43,8 @@ from .intpoly import IntPoly, from_vector
 from .numberfield import NumberField, is_totally_split, make_field, splitting_type
 from .numutil import is_prime, kronecker, primes_upto
 from .rules import CertifyOutcome, certify
-from .towers import load_tower
+from .schema import Node, parse_json, read_json, read_text
+from .towers import tower_from_document
 
 logger = logging.getLogger("gkcert.harness")
 
@@ -197,25 +196,19 @@ class RowVerdict:
         return all(status != "failed" for _, status, _ in self.facts)
 
 
-def _parse_row(row) -> dict:
-    if isinstance(row, (list, tuple)) and len(row) == 5:
-        row = {
-            "p": row[0],
-            "poly": list(row[1]) if isinstance(row[1], (list, tuple)) else row[1],
-            "modulus": str(row[2]),
-            "degree_k": row[3],
-            "r_bound": row[4],
-        }
-    if not isinstance(row, dict):
-        raise MalformedRow(f"row {row!r} is not a mapping or 5-tuple")
-    for key in ("p", "poly", "modulus", "degree_k", "r_bound"):
-        if key not in row:
-            raise MalformedRow(f"row missing {key!r}")
-    if not isinstance(row["poly"], list) or not all(isinstance(c, int) for c in row["poly"]):
-        raise MalformedRow("polynomial vector must be a list of integers")
-    for key in ("p", "degree_k", "r_bound"):
-        if not isinstance(row[key], int):
-            raise MalformedRow(f"{key} must be an integer, not {row[key]!r}")
+# the fields of a row, in the order of the equivalent 5-element list
+_ROW_FIELDS = {"p": Node.integer, "poly": Node.integers, "modulus": Node.string,
+               "degree_k": Node.integer, "r_bound": Node.integer}
+
+
+def _parse_row(raw) -> dict:
+    if isinstance(raw, (list, tuple)):
+        if len(raw) != len(_ROW_FIELDS):
+            raise MalformedRow(f"a row list has {len(_ROW_FIELDS)} items, not {len(raw)}")
+        raw = dict(zip(_ROW_FIELDS, raw))
+    if not isinstance(raw, dict):
+        raise MalformedRow(f"expected an object or a list, got {raw!r}")
+    row = {key: read(Node(raw)[key]) for key, read in _ROW_FIELDS.items()}
     if not is_prime(row["p"]):
         raise MalformedRow(f"{row['p']} is not prime")
     if row["degree_k"] % 2 != 0:
@@ -232,6 +225,7 @@ def check_example_table(rows) -> list[RowVerdict]:
     degree identity [K:Q] = 2 * [K+:R] * [R:Q] with [K+:R] the published r
     bound, and that the modulus prime has a degree-one prime in R.  Ray-class
     facts (the construction of K itself) are reported Unverifiable by design.
+    A malformed row raises SchemaViolation.
     """
     verdicts = []
     for raw in rows:
@@ -261,7 +255,7 @@ def check_example_table(rows) -> list[RowVerdict]:
                 facts.append(
                     ("degree-identity", "failed", f"2*{row['r_bound']}*{F.degree} = {want} != {row['degree_k']}")
                 )
-            modulus = str(row["modulus"]).rsplit("_", 1)[-1]
+            modulus = row["modulus"].rsplit("_", 1)[-1]
             if modulus.isdigit() and is_prime(int(modulus)):
                 q = int(modulus)
                 try:
@@ -334,7 +328,11 @@ class RunConfig:
             raise SchemaViolation("prime bound must be >= 3")
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
-                raise SchemaViolation(f"unknown report format {fmt!r}")
+                raise SchemaViolation(f"formats: expected 'csv' or 'json', got {fmt!r}")
+        if self.cm_piece not in BUILTIN_PIECES:
+            raise SchemaViolation(
+                f"search_b.cm_piece: expected one of {list(BUILTIN_PIECES)}, got {self.cm_piece!r}"
+            )
 
     def digest(self) -> str:
         """Hash of every field but ``out_dir``, which moves the reports
@@ -344,52 +342,44 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
-
-
-def config_from_dict(doc: dict) -> RunConfig:
-    """RunConfig from a config document; unknown keys are ignored."""
-    if not isinstance(doc, dict):
-        raise SchemaViolation("config must be an object")
-    search = doc.get("search_b", {})
+def config_from_dict(doc) -> RunConfig:
+    """RunConfig from a config document; unknown keys are ignored, and a known
+    one of the wrong type raises SchemaViolation naming its path."""
+    doc = Node(doc)
+    scan, search = doc.get("scan", {}), doc.get("search_b", {})
     return RunConfig(
-        pipelines=tuple(doc.get("pipelines", ())),
-        prime_bound=int(doc.get("prime_bound", 1000)),
-        out_dir=str(doc.get("out_dir", "out")),
-        formats=tuple(doc.get("formats", ("csv", "json"))),
-        store_path=doc.get("store"),
-        polynomial_db=doc.get("scan", {}).get("polynomial_db"),
-        field_vectors=tuple(tuple(v) for v in doc.get("scan", {}).get("field_vectors", ())),
-        descriptors=tuple(doc.get("certify", {}).get("descriptors", ())),
-        towers=tuple(doc.get("certify", {}).get("towers", ())),
-        assumptions=tuple(doc.get("certify", {}).get("assumptions", ())),
-        target_r=int(search.get("target_r", 2)),
-        pool=tuple(search.get("pool", (5, 13, 17, 21, 29))),
-        cm_piece=str(search.get("cm_piece", "q8")),
-        search_prime_bound=search.get("prime_bound"),
-        max_hits=search.get("max_hits", 1),
-        table_rows_path=doc.get("check_table", {}).get("rows"),
+        pipelines=tuple(doc.get("pipelines", []).strings()),
+        prime_bound=doc.get("prime_bound", 1000).integer(),
+        out_dir=doc.get("out_dir", "out").string(),
+        formats=tuple(doc.get("formats", ["csv", "json"]).strings()),
+        store_path=doc.get("store").nullable(Node.string),
+        polynomial_db=scan.get("polynomial_db").nullable(Node.string),
+        field_vectors=tuple(tuple(v.integers()) for v in scan.get("field_vectors", []).items()),
+        descriptors=tuple(doc.get("certify", {}).get("descriptors", []).strings()),
+        towers=tuple(doc.get("certify", {}).get("towers", []).strings()),
+        assumptions=tuple(doc.get("certify", {}).get("assumptions", []).strings()),
+        target_r=search.get("target_r", 2).integer(),
+        pool=tuple(search.get("pool", [5, 13, 17, 21, 29]).integers()),
+        cm_piece=search.get("cm_piece", "q8").string(),
+        search_prime_bound=search.get("prime_bound").nullable(Node.integer),
+        max_hits=search.get("max_hits", 1).nullable(Node.integer),
+        table_rows_path=doc.get("check_table", {}).get("rows").nullable(Node.string),
     )
 
 
-def _load_polynomial_db(path) -> list[IntPoly]:
+def _parse_polynomial_db(text: str) -> list[IntPoly]:
     """One monic polynomial per line, as the coefficient vector [a_0, ..., a_{n-1}]."""
     polys = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                vec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(f"line {lineno}: not a JSON vector: {exc}") from exc
-            if not isinstance(vec, list) or not all(isinstance(c, int) for c in vec):
-                raise SchemaViolation(f"line {lineno}: expected a list of integers")
-            polys.append(from_vector(vec))
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            where = f"line {lineno}"
+            polys.append(from_vector(Node(parse_json(line, where), where).integers()))
     return polys
+
+
+def _parse_rows(document) -> list:
+    return [row.value for row in Node(document).items()]
 
 
 # -- reports --------------------------------------------------------------------------
@@ -432,14 +422,21 @@ class RunResult:
 # name in front of the rows and violations that it added.
 
 
+def _read_input(path, read, parse, result: RunResult):
+    """parse(read(path)), or None once a bad input file (unreadable, or
+    breaking its schema or invariants) is recorded as a violation naming it."""
+    try:
+        return parse(read(path))
+    except (OSError, SchemaViolation, InvariantViolation) as exc:
+        result.violations.append(f"{path}: {exc}")
+        return None
+
+
 def _scan(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
-    fields = []
-    if config.polynomial_db:
-        try:
-            fields.extend(_load_polynomial_db(config.polynomial_db))
-        except (OSError, UnicodeDecodeError, SchemaViolation) as exc:
-            result.violations.append(f"{config.polynomial_db}: {exc}")
-            return
+    db = config.polynomial_db
+    fields = _read_input(db, read_text, _parse_polynomial_db, result) if db else []
+    if fields is None:
+        return
     fields.extend(from_vector(v) for v in config.field_vectors)
     made = []
     for f in fields:
@@ -488,20 +485,12 @@ def _search_b(config: RunConfig, store: CertificateStore, result: RunResult) -> 
 
 
 def _certify(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
-    towers = []
-    for path in config.towers:
-        try:
-            towers.append(load_tower(path))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, SchemaViolation, NonPPower, NotPrime) as exc:
-            result.violations.append(f"{path}: {exc}")
-    if len(towers) < len(config.towers):
+    towers = [_read_input(path, read_json, tower_from_document, result) for path in config.towers]
+    if None in towers:
         return
     for path in config.descriptors:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                ext = ingest_extension(json.load(fh))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, InvariantViolation, SchemaViolation) as exc:
-            result.violations.append(f"{path}: {exc}")
+        ext = _read_input(path, read_json, ingest_extension, result)
+        if ext is None:
             continue
         tower = next((t for t in towers if t.p == ext.p), None)
         if ext.p == 2:
@@ -525,22 +514,13 @@ def _certify(config: RunConfig, store: CertificateStore, result: RunResult) -> N
 
 def _check_table(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
     path = config.table_rows_path
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw_rows = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            result.violations.append(f"{path}: {exc}")
-            return
-        if not isinstance(raw_rows, list):
-            result.violations.append(f"{path}: rows must be a list, not {type(raw_rows).__name__}")
-            return
-    else:
-        raw_rows = [dict(r) for r in EXAMPLE_ROWS]
+    raw_rows = _read_input(path, read_json, _parse_rows, result) if path else EXAMPLE_ROWS
+    if raw_rows is None:
+        return
     for i, raw in enumerate(raw_rows):
         try:
             (verdict,) = check_example_table([raw])
-        except MalformedRow as exc:
+        except SchemaViolation as exc:
             result.violations.append(f"{path}: rows[{i}]: {exc}")
             continue
         result.rows.append(

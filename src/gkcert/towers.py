@@ -16,12 +16,12 @@ repeated value certifies the bound.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .errors import MissingLayer, NonPPower, SchemaViolation
+from .errors import InvariantViolation, MissingLayer, NonPPower, NotPrime, SchemaViolation
 from .numutil import require_prime
+from .schema import Node
 
 TOWER_SCHEMA_ID = "gkcert/tower-data/v1"
 
@@ -185,58 +185,34 @@ def gkc_minus_stabilization(tower: TowerData) -> StabilizationResult:
 # -- file format ----------------------------------------------------------------
 
 
-_LAYER_FIELDS = (
-    "n",
-    "order_a_prime",
-    "order_a_prime_plus",
-    "ram_ratio",
-    "norm_index_plus",
-    "norm_index_full",
-)
+# a layer object has one member per TowerLayer field; only minus_order is optional
+_LAYER_FIELDS = tuple(f.name for f in fields(TowerLayer) if f.name != "minus_order")
 
 
-def _integer(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaViolation(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def tower_from_document(document: dict) -> TowerData:
+def tower_from_document(document) -> TowerData:
     """Parse a tower document; any malformed field raises SchemaViolation
-    naming its path, such as ``layers[0].n``."""
-    if not isinstance(document, dict):
-        raise SchemaViolation("tower document must be an object")
-    if document.get("schema", TOWER_SCHEMA_ID) != TOWER_SCHEMA_ID:
-        raise SchemaViolation(f"unknown schema {document.get('schema')!r}")
-    for key in ("label", "p", "r", "layers"):
-        if key not in document:
-            raise SchemaViolation(f"missing field {key!r}")
-    if not isinstance(document["layers"], list):
-        raise SchemaViolation(f"layers: expected a list, got {document['layers']!r}")
-    layers = []
-    for i, entry in enumerate(document["layers"]):
-        path = f"layers[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaViolation(f"{path}: expected an object, got {entry!r}")
-        for key in _LAYER_FIELDS:
-            if key not in entry:
-                raise SchemaViolation(f"{path} missing {key!r}")
-        minus_order = entry.get("minus_order")
-        if minus_order is not None:
-            _integer(minus_order, f"{path}.minus_order")
-        layers.append(
-            TowerLayer(
-                **{key: _integer(entry[key], f"{path}.{key}") for key in _LAYER_FIELDS},
-                minus_order=minus_order,
-            )
+    naming its path, such as ``layers[0].n``, and a composite p or an order
+    that is not a power of p raises InvariantViolation."""
+    doc = Node(document)
+    if doc.get("schema", TOWER_SCHEMA_ID).string() != TOWER_SCHEMA_ID:
+        raise SchemaViolation(f"schema: unknown schema {doc['schema'].value!r}")
+    layers = tuple(
+        TowerLayer(
+            **{key: entry[key].integer() for key in _LAYER_FIELDS},
+            minus_order=entry.get("minus_order").nullable(Node.integer),
         )
-    return TowerData(
-        label=str(document["label"]),
-        p=_integer(document["p"], "p"),
-        r=_integer(document["r"], "r"),
-        layers=tuple(layers),
-        provenance=str(document.get("provenance", "")),
+        for entry in doc["layers"].items()
     )
+    try:
+        return TowerData(
+            label=doc["label"].string(),
+            p=doc["p"].integer(),
+            r=doc["r"].integer(),
+            layers=layers,
+            provenance=doc.get("provenance", "").string(),
+        )
+    except (NonPPower, NotPrime) as exc:
+        raise InvariantViolation("tower data", str(exc)) from exc
 
 
 def tower_to_document(tower: TowerData) -> dict:
@@ -248,19 +224,9 @@ def tower_to_document(tower: TowerData) -> dict:
         "provenance": tower.provenance,
         "layers": [
             {
-                "n": layer.n,
-                "order_a_prime": layer.order_a_prime,
-                "order_a_prime_plus": layer.order_a_prime_plus,
-                "ram_ratio": layer.ram_ratio,
-                "norm_index_plus": layer.norm_index_plus,
-                "norm_index_full": layer.norm_index_full,
+                **{key: getattr(layer, key) for key in _LAYER_FIELDS},
                 **({"minus_order": layer.minus_order} if layer.minus_order is not None else {}),
             }
             for layer in tower.layers
         ],
     }
-
-
-def load_tower(path) -> TowerData:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tower_from_document(json.load(fh))

@@ -114,6 +114,26 @@ def test_bad_prime_bound_flag_is_an_error_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        pytest.param({"scan": []}, "scan", id="list-scan"),
+        pytest.param({"search_b": []}, "search_b", id="list-search-b"),
+        pytest.param({"pipelines": "scan"}, "pipelines", id="string-pipelines"),
+        pytest.param({"certify": {"descriptors": "d.json"}}, "certify.descriptors", id="string-descriptors"),
+        pytest.param({"search_b": {"cm_piece": "zz"}}, "search_b.cm_piece", id="unknown-cm-piece"),
+        pytest.param({"search_b": {"max_hits": "x"}}, "search_b.max_hits", id="string-max-hits"),
+        pytest.param({"search_b": {"pool": ["x"]}}, "search_b.pool[0]", id="string-pool-item"),
+    ],
+)
+def test_config_of_the_wrong_shape_is_an_error_line(tmp_path, capsys, doc, path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["search-b", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad config: {path}: expected ") and "Traceback" not in err
+
+
 def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit):
         run_cli(["check-table", "--seed", "1"])

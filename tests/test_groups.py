@@ -11,6 +11,7 @@ from gkcert.groups import (
     quaternion_group,
     subgroup_embedding,
 )
+from gkcert.schema import Node
 from helpers import (
     dicyclic12_group,
     order64_raw_groups,
@@ -32,11 +33,11 @@ def brute_force_classes(G):
 
 
 def test_build_group_examples():
-    c2 = build_group(("abelian", [2]))
+    c2 = build_group(Node({"kind": "abelian", "data": [2]}))
     assert c2.order == 2 and len(c2.classes) == 2
-    d6 = build_group(("dihedral", 6))
+    d6 = build_group(Node({"kind": "dihedral", "data": 6}))
     assert d6.order == 12 and len(d6.classes) == 6
-    q8 = build_group(("quaternion8",))
+    q8 = build_group(Node({"kind": "quaternion8"}))
     assert q8.order == 8 and len(q8.classes) == 5
 
 

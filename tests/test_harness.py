@@ -196,17 +196,19 @@ def test_run_certify_unreadable_descriptor_is_a_violation(tmp_path):
     truncated.write_text('{"base_poly": [0')
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)  # deeper than the JSON decoder recurses
     cfg = config_from_dict(
         {
             "pipelines": ["certify"],
             "out_dir": str(tmp_path / "out"),
-            "certify": {"descriptors": [str(truncated), os.path.abspath(gaussian), str(binary)]},
+            "certify": {"descriptors": [str(truncated), os.path.abspath(gaussian), str(binary), str(deep)]},
         }
     )
     result = run(cfg)
     assert not result.ok
     assert [v.split(": ")[:2] for v in result.violations] == [
-        ["certify", str(truncated)], ["certify", str(binary)]
+        ["certify", str(truncated)], ["certify", str(binary)], ["certify", str(deep)]
     ]
     with open(tmp_path / "out" / "report.json") as fh:
         rows = json.load(fh)["rows"]

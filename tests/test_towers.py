@@ -153,6 +153,8 @@ def _layer(i, **changes):
         pytest.param(_demo_document(layers=[_layer(0), 5]), "layers[1]", id="layer-not-an-object"),
         pytest.param(_demo_document(p="11"), "p", id="string-p"),
         pytest.param(_demo_document(r=None), "r", id="null-r"),
+        pytest.param(_demo_document(label=None), "label", id="null-label"),
+        pytest.param(_demo_document(provenance=[1]), "provenance", id="list-provenance"),
     ],
 )
 def test_document_schema_violation_names_the_path(doc, path):
