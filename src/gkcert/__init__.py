@@ -11,12 +11,9 @@ from .certificates import Certificate, CertificateStore, Conclusion, Hypothesis,
 from .characters import (
     Character,
     ClassFunction,
-    Idempotent,
     Parity,
     character_table,
     fixed_dim,
-    idempotent,
-    induced_character,
     inner_product,
     odd_characters,
     parity,
@@ -24,6 +21,7 @@ from .characters import (
 from .cyclotomic import CycNumber, cyclotomic_poly
 from .extensions import (
     BUILTIN_PIECES,
+    Compositum,
     CyclotomicComponent,
     Disjointness,
     ExtensionDescriptor,

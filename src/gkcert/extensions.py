@@ -10,11 +10,11 @@ polynomial; every formula in scope consumes only (G, tau, G_w, e, f).
 
 Two construction routes:
 
-* ``build_compositum_over_Q`` -- composita of real quadratic fields with a
-  single CM piece (imaginary quadratic, cyclotomic, or a quaternion/dihedral
-  octic given by radical data over a real biquadratic field).  All
-  decomposition data is computed exactly (Kronecker symbols, p mod m,
-  Legendre tests on the radical's conjugates).
+* ``Compositum`` / ``build_compositum_over_Q`` -- composita of real quadratic
+  fields with a single CM piece (imaginary quadratic, cyclotomic, or a
+  quaternion/dihedral octic given by radical data over a real biquadratic
+  field).  All decomposition data is computed exactly (Kronecker symbols,
+  p mod m, Legendre tests on the radical's conjugates).
 * ``ingest_extension`` -- JSON documents for extensions built by external
   systems (e.g. ray-class constructions); every group-theoretic invariant is
   re-validated, and the records are marked ingested.
@@ -403,9 +403,13 @@ def _unit_digits(ug: UnitGroup, u: int) -> tuple[int, ...]:
 # -- compositum builder -----------------------------------------------------------
 
 
+def _radicand(disc: int) -> int:
+    """The squarefree d with Q(sqrt disc) = Q(sqrt d)."""
+    return disc if disc % 4 == 1 else disc // 4
+
+
 def _quadratic_poly(disc: int) -> IntPoly:
-    d = disc if disc % 4 == 1 else disc // 4
-    return IntPoly([-d, 0, 1])
+    return IntPoly([-_radicand(disc), 0, 1])
 
 
 def _twist_by_sqrt(P: IntPoly, d: int) -> IntPoly:
@@ -421,131 +425,182 @@ def _twist_by_sqrt(P: IntPoly, d: int) -> IntPoly:
 
 def multiquadratic_field(discs: tuple[int, ...]) -> NumberField:
     """Totally real field Q(sqrt d1, ..., sqrt dk) for fundamental discs with
-    pairwise coprime support (which forces degree 2^k)."""
+    pairwise coprime support (which forces degree 2^k).
+
+    For k >= 2 the field is built here, the one place besides ``make_field``
+    that builds a NumberField, and its invariants come from closed forms
+    instead of the generic algorithms.  The defining polynomial
+    P = prod (X - sum_i e_i sqrt d_i), over all signs e, is the twist chain
+    of ``_twist_by_sqrt``.  Its 2^k roots are real, so r1 = 2^k and r2 = 0.
+    Two roots whose signs differ on the set S differ by 2 sum_{i in S} e_i
+    sqrt d_i, so
+
+        disc(P) = prod_{S nonempty in {1..k}} 2^(2^k) |P_S(0)|^(2^(k-|S|)),
+
+    with P_S the polynomial of the sub-family S.  Each P_S is twisted once,
+    from P_{S minus its last index}.  A zero P_S(0) means a repeated root
+    (Reducible), which coprime supports rule out.
+    """
     if not discs:
         return Q_FIELD
     if len(discs) == 1:
         return make_field(_quadratic_poly(discs[0]))
-    P = IntPoly([0, 1])
-    for disc in discs:
-        d = disc if disc % 4 == 1 else disc // 4
-        P = _twist_by_sqrt(P, d)
-    return make_field(P, f"asserted: multiquadratic compositum of discriminants {list(discs)}")
+    k = len(discs)
+    radicands = [_radicand(disc) for disc in discs]
+    polys = [IntPoly([0, 1])]  # polys[S] = P_S, S a bit mask over the discs
+    poly_disc = 1
+    for S in range(1, 1 << k):
+        last = S.bit_length() - 1
+        P = _twist_by_sqrt(polys[S ^ (1 << last)], radicands[last])
+        polys.append(P)
+        if P.coeffs[0] == 0:
+            raise Reducible(f"multiquadratic polynomial of {list(discs)} has a repeated root")
+        poly_disc *= 2 ** (1 << k) * abs(P.coeffs[0]) ** (1 << (k - S.bit_count()))
+    return NumberField(
+        defining_poly=polys[-1],
+        degree=1 << k,
+        r1=1 << k,
+        r2=0,
+        poly_disc=poly_disc,
+        irreducibility=f"asserted: multiquadratic compositum of discriminants {list(discs)}",
+    )
+
+
+class Compositum:
+    """The part of a compositum descriptor that does not depend on p.
+
+    K is the compositum of the components and R the compositum of the
+    totally real ones; exactly one CM piece among the components supplies G
+    and tau.  Building a Compositum separates the real quadratics from the
+    CM piece, checks their pairwise linear disjointness and builds R, G and
+    tau, once; ``at(p)`` then gives the descriptor of K/R at each prime p.
+
+    Raises NotLinearlyDisjoint on overlapping discriminant support not
+    covered by a caller assertion ("disjoint:<label-a>:<label-b>").
+    """
+
+    def __init__(self, components, assertions=()):
+        assertions = tuple(assertions)
+        real_quads: list[QuadraticComponent] = []
+        cm_pieces = []
+        for comp in components:
+            if isinstance(comp, QuadraticComponent):
+                (real_quads if comp.is_real else cm_pieces).append(comp)
+            elif isinstance(comp, (CyclotomicComponent, RadicalCMPiece)):
+                cm_pieces.append(comp)
+            else:
+                raise SchemaViolation(f"unknown component {comp!r}")
+        if len(cm_pieces) != 1:
+            raise SchemaViolation(f"exactly one CM piece required, got {len(cm_pieces)}")
+        cm = cm_pieces[0]
+
+        # pairwise linear disjointness via coprime discriminant support
+        labelled = [(q.label, q.support) for q in real_quads]
+        labelled.append((cm.label, cm.support))
+        notes = []
+        for i in range(len(labelled)):
+            for j in range(i):
+                la, sa = labelled[i]
+                lb, sb = labelled[j]
+                if la == lb:
+                    raise NotLinearlyDisjoint(f"duplicate component {la}")
+                if sa & sb:
+                    key1 = f"disjoint:{la}:{lb}"
+                    key2 = f"disjoint:{lb}:{la}"
+                    if key1 in assertions or key2 in assertions:
+                        notes.append(key1)
+                    else:
+                        raise NotLinearlyDisjoint(
+                            f"{la} and {lb} share discriminant support {sorted(sa & sb)}"
+                        )
+
+        real_discs = tuple(sorted(q.disc for q in real_quads))
+        self.base = multiquadratic_field(real_discs)
+
+        # CM piece group and tau
+        self._units = None
+        if isinstance(cm, QuadraticComponent):
+            self.group, self.tau = abelian_group([2]), 1
+            kind, cm_assert = "imaginary-quadratic", ""
+        elif isinstance(cm, CyclotomicComponent):
+            self._units = unit_group(cm.m)
+            self.group, self.tau = self._units.group, unit_element(self._units, cm.m - 1)
+            kind, cm_assert = "cyclotomic", ""
+        else:
+            self.group, self.tau = cm.group(), cm.tau()
+            kind, cm_assert = cm.kind, cm.assertion
+
+        if cm_assert:
+            notes.append(f"asserted:{cm_assert}")
+        if self.base.irreducibility.startswith("asserted"):
+            notes.append(f"asserted:base polynomial irreducible ({self.base.irreducibility})")
+        self.cm = cm
+        self.real_quads = tuple(real_quads)
+        self.notes = tuple(notes)
+        self.label = "K=" + "*".join([cm.label] + [q.label for q in real_quads])
+        self.construction = CompositumProvenance(
+            cm_kind=kind, cm_label=cm.label, real_discs=real_discs, cm_assertion=cm_assert
+        )
+
+    def _frobenius(self, p: int) -> int:
+        """Frobenius at p of the CM piece, as an element of G."""
+        if isinstance(self.cm, QuadraticComponent):
+            return 0 if kronecker(self.cm.disc, p) == 1 else 1
+        if isinstance(self.cm, CyclotomicComponent):
+            return unit_element(self._units, p % self.cm.m)
+        return self.cm.frobenius(p)
+
+    def at(self, p: int) -> ExtensionDescriptor:
+        """The descriptor of K/R at p; raises RamifiedPrime if p ramifies in
+        any component."""
+        require_prime(p)
+        for comp in self.real_quads + (self.cm,):
+            if p in comp.support:
+                raise RamifiedPrime(f"{p} ramifies in {comp.label}")
+        frob = self._frobenius(p)
+
+        # Frobenius order in the real multiquadratic part
+        ord_r = 1
+        for quad in self.real_quads:
+            if kronecker(quad.disc, p) != 1:
+                ord_r = 2
+                break
+        G = self.group
+        g_w = G.subgroup_generated_by([G.power(frob, ord_r)])
+        t = 2 ** len(self.real_quads) // ord_r
+
+        records = tuple(
+            PrimeRecord(
+                label=f"v{i+1}",
+                e_base=1,
+                f_base=ord_r,
+                decomposition=g_w,
+                provenance="computed",
+            )
+            for i in range(t)
+        )
+        return ExtensionDescriptor(
+            base=self.base,
+            group=G,
+            tau=self.tau,
+            p=p,
+            primes=records,
+            assertions=self.notes,
+            label=f"{self.label}/R,p={p}",
+            construction=self.construction,
+        )
 
 
 def build_compositum_over_Q(components, p: int, assertions=()) -> ExtensionDescriptor:
     """Descriptor for K/R with K the compositum of the components, R the
     compositum of the totally real ones, and exactly one CM piece among the
-    components supplying tau.
+    components supplying tau: ``Compositum(components, assertions).at(p)``.
 
-    Raises RamifiedPrime if p ramifies in any component and
-    NotLinearlyDisjoint on overlapping discriminant support not covered by a
-    caller assertion ("disjoint:<label-a>:<label-b>").
+    Raises NotLinearlyDisjoint on overlapping discriminant support not
+    covered by a caller assertion ("disjoint:<label-a>:<label-b>") and
+    RamifiedPrime if p ramifies in any component.
     """
-    require_prime(p)
-    assertions = tuple(assertions)
-    real_quads: list[QuadraticComponent] = []
-    cm_pieces = []
-    for comp in components:
-        if isinstance(comp, QuadraticComponent):
-            (real_quads if comp.is_real else cm_pieces).append(comp)
-        elif isinstance(comp, (CyclotomicComponent, RadicalCMPiece)):
-            cm_pieces.append(comp)
-        else:
-            raise SchemaViolation(f"unknown component {comp!r}")
-    if len(cm_pieces) != 1:
-        raise SchemaViolation(f"exactly one CM piece required, got {len(cm_pieces)}")
-    cm = cm_pieces[0]
-
-    # ramification of p in each component
-    for comp in real_quads + [cm]:
-        if p in comp.support:
-            raise RamifiedPrime(f"{p} ramifies in {comp.label}")
-
-    # pairwise linear disjointness via coprime discriminant support
-    labelled = [(q.label, q.support) for q in real_quads]
-    labelled.append((cm.label, cm.support))
-    used_assertions = []
-    for i in range(len(labelled)):
-        for j in range(i):
-            la, sa = labelled[i]
-            lb, sb = labelled[j]
-            if la == lb:
-                raise NotLinearlyDisjoint(f"duplicate component {la}")
-            if sa & sb:
-                key1 = f"disjoint:{la}:{lb}"
-                key2 = f"disjoint:{lb}:{la}"
-                if key1 in assertions or key2 in assertions:
-                    used_assertions.append(key1)
-                else:
-                    raise NotLinearlyDisjoint(
-                        f"{la} and {lb} share discriminant support {sorted(sa & sb)}"
-                    )
-
-    real_discs = tuple(sorted(q.disc for q in real_quads))
-    base = multiquadratic_field(real_discs)
-
-    # CM piece group, tau, and Frobenius at p
-    if isinstance(cm, QuadraticComponent):
-        G = abelian_group([2])
-        tau = 1
-        frob = 0 if kronecker(cm.disc, p) == 1 else 1
-        kind = "imaginary-quadratic"
-        cm_assert = ""
-    elif isinstance(cm, CyclotomicComponent):
-        ug = unit_group(cm.m)
-        G = ug.group
-        tau = unit_element(ug, cm.m - 1)
-        frob = unit_element(ug, p % cm.m)
-        kind = "cyclotomic"
-        cm_assert = ""
-    else:
-        G = cm.group()
-        tau = cm.tau()
-        frob = cm.frobenius(p)
-        kind = cm.kind
-        cm_assert = cm.assertion
-
-    # Frobenius order in the real multiquadratic part
-    ord_r = 1
-    for quad in real_quads:
-        if kronecker(quad.disc, p) != 1:
-            ord_r = 2
-            break
-    g_w = G.subgroup_generated_by([G.power(frob, ord_r)])
-    t = 2 ** len(real_quads) // ord_r
-
-    records = tuple(
-        PrimeRecord(
-            label=f"v{i+1}",
-            e_base=1,
-            f_base=ord_r,
-            decomposition=g_w,
-            provenance="computed",
-        )
-        for i in range(t)
-    )
-    notes = list(used_assertions)
-    if cm_assert:
-        notes.append(f"asserted:{cm_assert}")
-    if base.irreducibility.startswith("asserted"):
-        notes.append(f"asserted:base polynomial irreducible ({base.irreducibility})")
-    label = "K=" + "*".join([cm.label] + [q.label for q in real_quads]) + f"/R,p={p}"
-    return ExtensionDescriptor(
-        base=base,
-        group=G,
-        tau=tau,
-        p=p,
-        primes=records,
-        assertions=tuple(notes),
-        label=label,
-        construction=CompositumProvenance(
-            cm_kind=kind,
-            cm_label=cm.label,
-            real_discs=real_discs,
-            cm_assertion=cm_assert,
-        ),
-    )
+    return Compositum(components, assertions).at(p)
 
 
 # -- ingestion ---------------------------------------------------------------------

@@ -22,10 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import lcm
+from math import lcm, prod
 
-from .errors import InvalidTable, NotASubgroup, SchemaViolation, TauNotCentralInvolution
+from .errors import (
+    InvalidTable,
+    InvariantViolation,
+    NotASubgroup,
+    SchemaViolation,
+    TauNotCentralInvolution,
+)
 from .schema import Node
+
+# Largest order of a group that ``build_group`` builds from a descriptor.  A
+# table's associativity check takes |G|^3 steps, so the order is read from the
+# spec and checked before anything is built.
+MAX_INGESTED_ORDER = 128
 
 
 @dataclass(frozen=True)
@@ -59,9 +70,6 @@ class FiniteGroup:
             a = self.table[a][a]
             k >>= 1
         return result
-
-    def order_of(self, a: int) -> int:
-        return self._orders[a]
 
     def exponent(self) -> int:
         return lcm(*self._orders) if self.order else 1
@@ -315,19 +323,32 @@ def group_from_table(rows) -> FiniteGroup:
     return _validate_and_build(rows, ("table",))
 
 
+def _require_ingestable(order: int) -> None:
+    if order > MAX_INGESTED_ORDER:
+        raise InvariantViolation("group", f"order {order} exceeds the bound {MAX_INGESTED_ORDER}")
+
+
 def build_group(spec: Node) -> FiniteGroup:
     """The group a descriptor's group spec names: {"kind": k, "data": d} with k one
     of "abelian" (d = [d1..dk]), "dihedral" (d = n), "quaternion8" (no d) or "table"
-    (d = rows).  An unknown kind or a missing or mistyped d raises SchemaViolation."""
+    (d = rows).  An unknown kind or a missing or mistyped d raises SchemaViolation;
+    an order above MAX_INGESTED_ORDER, read from d before anything is built,
+    raises InvariantViolation("group")."""
     kind = spec["kind"].string()
     if kind == "quaternion8":
         return quaternion_group()
     if kind == "abelian":
-        return abelian_group(spec["data"].integers())
+        invariants = spec["data"].integers()
+        _require_ingestable(prod(invariants))
+        return abelian_group(invariants)
     if kind == "dihedral":
-        return dihedral_group(spec["data"].integer())
+        n = spec["data"].integer()
+        _require_ingestable(2 * n)
+        return dihedral_group(n)
     if kind == "table":
-        return group_from_table([row.integers() for row in spec["data"].items()])
+        rows = spec["data"].items()
+        _require_ingestable(len(rows))
+        return group_from_table([row.integers() for row in rows])
     raise SchemaViolation(f"{spec['kind'].path}: unknown group kind {kind!r}")
 
 

@@ -34,9 +34,9 @@ from .errors import (
 from .certificates import CertificateStore
 from .extensions import (
     BUILTIN_PIECES,
+    Compositum,
     QuadraticComponent,
     RadicalCMPiece,
-    build_compositum_over_Q,
     ingest_extension,
 )
 from .intpoly import IntPoly, from_vector
@@ -104,9 +104,13 @@ class SearchHit:
         return max(c.payload_dict()["r_S"] for c in gvc) if gvc else 0
 
 
-def _choose_pool_subset(pool, piece: RadicalCMPiece, target_r: int) -> tuple[int, ...]:
+def _choose_pool_subset(
+    pool, piece: RadicalCMPiece, target_r: int, skipped: list
+) -> tuple[int, ...]:
     """Smallest prefix-greedy set of pool discriminants, pairwise disjoint and
-    disjoint from the CM piece, with 2^k >= target_r."""
+    disjoint from the CM piece, with 2^k >= target_r.  Each pool entry that is
+    not a fundamental discriminant or shares support with the piece is noted
+    in ``skipped``."""
     chosen: list[QuadraticComponent] = []
     needed = 0
     while (1 << needed) < target_r:
@@ -117,14 +121,12 @@ def _choose_pool_subset(pool, piece: RadicalCMPiece, target_r: int) -> tuple[int
         try:
             comp = QuadraticComponent(d)
         except SchemaViolation:
-            logger.warning("search: %s is not a fundamental discriminant; skipped", d)
+            skipped.append(f"{d} is not a fundamental discriminant; skipped")
             continue
         if not comp.is_real:
             continue
         if comp.support & piece.support:
-            logger.info(
-                "search: skipping discriminant %d (shares support with %s)", d, piece.label
-            )
+            skipped.append(f"skipping discriminant {d} (shares support with {piece.label})")
             continue
         if any(comp.support & c.support for c in chosen):
             continue
@@ -144,6 +146,7 @@ def search_theoremB(
     cm_piece="q8",
     max_hits: int | None = None,
     assumptions=(),
+    skipped: list | None = None,
 ) -> list[SearchHit]:
     """Search for certified examples with r_{S,chi} = 2|S_p(R)| >= 2*target_r.
 
@@ -151,9 +154,21 @@ def search_theoremB(
     scans odd primes totally split in the full compositum, and certifies each
     hit (Klingen bound -> compositum Leopoldt -> totally-split rule ->
     equivalence).  Hits come back in ascending prime order.
+
+    The ``Compositum`` is built once per search, before the prime loop; each
+    prime adds only its Frobenius and prime records.  R's invariants come
+    from closed forms in ``multiquadratic_field``, the one place besides
+    ``make_field`` that builds a NumberField: r1 = 2^k, r2 = 0 and
+    disc = prod over nonempty S of 2^(2^k) |P_S(0)|^(2^(k-|S|)).  The pool
+    entries and hits passed over are noted in ``skipped`` when it is given.
     """
+    skipped = [] if skipped is None else skipped
     piece = BUILTIN_PIECES[cm_piece] if isinstance(cm_piece, str) else cm_piece
-    discs = _choose_pool_subset(pool, piece, target_r)
+    discs = _choose_pool_subset(pool, piece, target_r, skipped)
+    try:
+        compositum = Compositum([piece] + [QuadraticComponent(d) for d in discs], assumptions)
+    except NotLinearlyDisjoint as exc:
+        raise PoolExhausted(f"chosen pool subset is not usable: {exc}") from exc
     hits: list[SearchHit] = []
     for p in primes_upto(prime_bound):
         if p == 2 or p in piece.ramified:
@@ -165,15 +180,11 @@ def search_theoremB(
                 continue
         except (AmbiguousDecomposition, RamifiedPrime):
             continue
-        components = [piece] + [QuadraticComponent(d) for d in discs]
-        try:
-            ext = build_compositum_over_Q(components, p, assertions=assumptions)
-        except NotLinearlyDisjoint as exc:
-            raise PoolExhausted(f"chosen pool subset is not usable: {exc}") from exc
+        ext = compositum.at(p)
         outcome = certify(ext, assumptions=assumptions)
         hit = SearchHit(p=p, discs=discs, descriptor=ext, outcome=outcome)
         if hit.achieved_r < 2 * target_r:
-            logger.warning("search: p = %d certified only r_S = %d; skipped", p, hit.achieved_r)
+            skipped.append(f"p = {p} certified only r_S = {hit.achieved_r}; skipped")
             continue
         hits.append(hit)
         if max_hits is not None and len(hits) >= max_hits:
@@ -458,6 +469,7 @@ def _scan(config: RunConfig, store: CertificateStore, result: RunResult) -> None
 
 
 def _search_b(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
+    skipped: list[str] = []
     try:
         hits = search_theoremB(
             pool=config.pool,
@@ -466,10 +478,13 @@ def _search_b(config: RunConfig, store: CertificateStore, result: RunResult) -> 
             cm_piece=config.cm_piece,
             max_hits=config.max_hits,
             assumptions=config.assumptions,
+            skipped=skipped,
         )
     except PoolExhausted as exc:
         result.violations.append(str(exc))
         return
+    finally:
+        result.diagnostics.extend(f"search-b: {note}" for note in skipped)
     for hit in hits:
         result.certificates.extend(hit.outcome.certificates)
         result.rows.append(

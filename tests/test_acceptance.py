@@ -185,6 +185,25 @@ def test_criterion_6_theorem_b_pipeline():
     _report(6, f"p = {hit.p}, r_S = {hit.achieved_r}, chain {rules}", started)
 
 
+def test_criterion_6b_theorem_b_at_scale():
+    # r_S in the hundreds: R of degree 256 from eight pool discriminants, its
+    # closed-form invariants built once for the search
+    started = time.monotonic()
+    hits = search_theoremB(
+        pool=[5, 13, 17, 29, 37, 41, 53, 61],
+        target_r=256,
+        prime_bound=100_000,
+        cm_piece="q8",
+        max_hits=1,
+    )
+    hit = hits[0]
+    assert hit.p == 77711 and hit.achieved_r == 512
+    assert hit.descriptor.base.degree == 256
+    elapsed = time.monotonic() - started
+    assert elapsed < 5.0, f"search took {elapsed:.2f}s (budget 5s)"
+    _report("6b", f"p = {hit.p}, r_S = {hit.achieved_r}", started)
+
+
 def test_criterion_7_klingen_equivalence():
     started = time.monotonic()
     pairs = groups_with_central_involution(24)

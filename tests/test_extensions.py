@@ -14,6 +14,7 @@ from gkcert.errors import (
 from gkcert.extensions import (
     D4_PIECE,
     Q8_PIECE,
+    Compositum,
     CyclotomicComponent,
     Disjointness,
     ExtensionDescriptor,
@@ -23,6 +24,7 @@ from gkcert.extensions import (
     check_tower_disjointness,
     classify_primes,
     ingest_extension,
+    _twist_by_sqrt,
     multiquadratic_field,
     to_document,
     unit_element,
@@ -280,6 +282,41 @@ def test_multiquadratic_fields():
     F = multiquadratic_field((5, 13, 17))
     assert F.degree == 8 and F.is_totally_real
     assert F.irreducibility.startswith("asserted")
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [
+        (5, 13, 17, 29, 37),
+        (8, 5, 13, 17, 29),  # 8 and 12 take the disc // 4 branch
+        (12, 5, 13, 17, 29),
+        (5, 12, 13, 41, 53),
+        (13, 8, 17, 37, 61),
+        (61, 53, 41, 37, 29),
+        (12, 5, 17, 29, 41),
+    ],
+)
+def test_multiquadratic_closed_form_matches_make_field(pool):
+    # the closed-form invariants of multiquadratic_field against make_field's
+    # subresultant discriminant and Sturm count on the same polynomial
+    for k in range(2, len(pool) + 1):
+        discs = pool[:k]
+        P = IntPoly([0, 1])
+        for disc in discs:
+            P = _twist_by_sqrt(P, disc if disc % 4 == 1 else disc // 4)
+        proof = f"asserted: multiquadratic compositum of discriminants {list(discs)}"
+        assert multiquadratic_field(discs) == make_field(P, proof)
+
+
+def test_compositum_builds_the_base_once():
+    components = [Q8_PIECE, QuadraticComponent(5), QuadraticComponent(13)]
+    compositum = Compositum(components)
+    primes = [p for p in q8_split_primes(2000) if kronecker(5, p) == kronecker(13, p) == 1]
+    assert len(primes) >= 2
+    for p in primes:
+        ext = compositum.at(p)
+        assert ext.base is compositum.base
+        assert ext == build_compositum_over_Q(components, p)
 
 
 def test_descriptor_invariants_enforced():

@@ -72,6 +72,68 @@ def test_search_d4_piece():
     assert hits[0].descriptor.group.spec == ("dihedral", 4)
 
 
+POOL = [5, 13, 17, 29, 37, 41, 53, 61]
+
+
+def test_search_builds_the_base_once(monkeypatch):
+    from gkcert import extensions
+
+    calls = []
+    original = extensions.multiquadratic_field
+
+    def counted(discs):
+        calls.append(discs)
+        return original(discs)
+
+    monkeypatch.setattr(extensions, "multiquadratic_field", counted)
+    hits = search_theoremB(pool=POOL, target_r=4, prime_bound=1000, cm_piece="q8", max_hits=None)
+    assert len(hits) >= 3
+    assert calls == [(5, 13)]
+    assert all(hit.descriptor.base is hits[0].descriptor.base for hit in hits)
+
+
+def test_search_certificate_digests_pinned():
+    # recorded before the base was hoisted out of the prime loop
+    (hit,) = search_theoremB(pool=POOL, target_r=16, prime_bound=2100, cm_piece="q8", max_hits=1)
+    assert (hit.p, hit.discs, hit.achieved_r) == (2089, (5, 13, 17, 29), 32)
+    assert hit.descriptor.digest() == "1f009b5af4736a47"
+    assert [c.digest() for c in hit.outcome.certificates] == [
+        "cdfccca47917ee2b",
+        "a583a2db7d525c38",
+        "df7e5470a227f97f",
+    ]
+
+
+def _search_config(tmp_path, pool):
+    return config_from_dict(
+        {
+            "pipelines": ["search-b"],
+            "out_dir": str(tmp_path / "out"),
+            "search_b": {"target_r": 16, "pool": pool, "cm_piece": "q8", "prime_bound": 2100},
+        }
+    )
+
+
+def test_search_skipped_pool_entries_reach_diagnostics(tmp_path):
+    result = run(_search_config(tmp_path, [9, 21, 5, 13, 17, 29]))
+    assert result.ok
+    assert result.rows[0]["base_discriminants"] == [5, 13, 17, 29]
+    assert result.diagnostics == [
+        "search-b: 9 is not a fundamental discriminant; skipped",
+        "search-b: skipping discriminant 21 (shares support with q8-witt-cm)",
+    ]
+
+
+def test_search_hits_with_too_small_r_reach_diagnostics(tmp_path, monkeypatch):
+    from gkcert import harness
+    from gkcert.rules import CertifyOutcome
+
+    monkeypatch.setattr(harness, "certify", lambda ext, assumptions=(): CertifyOutcome())
+    result = run(_search_config(tmp_path, [5, 13, 17, 29]))
+    assert result.violations == ["search-b: no prime <= 2100 qualifies"]
+    assert result.diagnostics == ["search-b: p = 2089 certified only r_S = 0; skipped"]
+
+
 def test_check_example_table_published_rows():
     verdicts = check_example_table(EXAMPLE_ROWS)
     assert len(verdicts) == 5

@@ -5,11 +5,13 @@ import glob
 import json
 import os
 import re
+import time
 
 import pytest
 
 from gkcert.errors import SchemaViolation
 from gkcert.extensions import ingest_extension
+from gkcert.groups import MAX_INGESTED_ORDER
 from gkcert.harness import config_from_dict, run
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -97,3 +99,50 @@ def test_mutated_config_is_read_or_a_schema_violation():
             config_from_dict(mutant)
         except SchemaViolation as exc:
             assert re.match(r"^[a-z_]+(\.[a-z_]+|\[\d\])*: ", str(exc)), str(exc)
+
+
+def _descriptor_with_group(group, tau):
+    return {
+        "base_poly": [0],
+        "p": 5,
+        "group": group,
+        "tau": tau,
+        "primes": [{"e_base": 1, "f_base": 1, "decomposition_subgroup": [0]}],
+    }
+
+
+BOUND = MAX_INGESTED_ORDER
+
+
+@pytest.mark.parametrize(
+    "group, tau, order",
+    [
+        # at the bound the group is built; above it, the violation names the order
+        pytest.param({"kind": "abelian", "data": [BOUND]}, BOUND // 2, None, id="abelian-at-bound"),
+        pytest.param({"kind": "dihedral", "data": BOUND // 2}, BOUND // 4, None, id="dihedral-at-bound"),
+        pytest.param({"kind": "abelian", "data": [2, BOUND // 2 + 1]}, 1, BOUND + 2,
+                     id="abelian-above-bound"),
+        pytest.param({"kind": "dihedral", "data": BOUND // 2 + 1}, BOUND // 2 + 1, BOUND + 2,
+                     id="dihedral-above-bound"),
+        pytest.param({"kind": "table", "data": [[0] * 3] * (BOUND + 1)}, 1, BOUND + 1,
+                     id="table-above-bound"),
+        pytest.param({"kind": "dihedral", "data": 100000}, 1, 200000, id="dihedral-100000"),
+    ],
+)
+def test_group_order_is_bounded_before_the_group_is_built(tmp_path, group, tau, order):
+    # the order comes from the spec, so a group too large to validate in
+    # |G|^3 steps is refused before its table exists
+    assert BOUND >= 66  # the C66 descriptor of test_harness.py stays in scope
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(_descriptor_with_group(group, tau)))
+    out = tmp_path / "out"
+    started = time.monotonic()
+    result = run(config_from_dict({"pipelines": ["certify"], "out_dir": str(out),
+                                   "certify": {"descriptors": [str(path)]}}))
+    assert time.monotonic() - started < 1.0
+    assert (out / "report.json").exists()
+    if order is None:
+        assert result.ok, result.violations
+        assert [row["group_order"] for row in result.rows] == [BOUND]
+    else:
+        assert result.violations == [f"certify: {path}: group: order {order} exceeds the bound {BOUND}"]
