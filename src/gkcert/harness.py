@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import logging
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -46,8 +45,6 @@ from .rules import CertifyOutcome, certify
 from .schema import Node, parse_json, read_json, read_text
 from .towers import tower_from_document
 
-logger = logging.getLogger("gkcert.harness")
-
 # The published large-vanishing-order example rows:
 # (p, base polynomial vector, modulus label, [K:Q], lower bound for r_{S,chi}).
 EXAMPLE_ROWS = (
@@ -62,10 +59,10 @@ EXAMPLE_ROWS = (
 # -- prime scanning ---------------------------------------------------------------
 
 
-def scan_split_primes(fields, bound: int) -> list[int]:
+def scan_split_primes(fields, bound: int, skipped: list | None = None) -> list[int]:
     """Ascending odd primes p <= bound, unramified and totally split in every
-    listed field.  A prime at which any field is Dedekind-unsafe is skipped
-    with a logged diagnostic, never treated as split."""
+    listed field.  A prime at which any field is Dedekind-unsafe is skipped,
+    never treated as split, and noted in ``skipped`` when it is given."""
     if bound < 3:
         raise ValueError("prime bound must be >= 3")
     out = []
@@ -77,11 +74,10 @@ def scan_split_primes(fields, bound: int) -> list[int]:
                 if not is_totally_split(F, p):
                     break
             except UnsafePrime:
-                logger.warning(
-                    "scan: skipping p = %d; Dedekind-unsafe for %s (splitting not certified)",
-                    p,
-                    F,
-                )
+                if skipped is not None:
+                    skipped.append(
+                        f"skipping p = {p}; Dedekind-unsafe for {F} (splitting not certified)"
+                    )
                 break
         else:
             out.append(p)
@@ -455,7 +451,9 @@ def _scan(config: RunConfig, store: CertificateStore, result: RunResult) -> None
             made.append(make_field(f))
         except GkcertError as exc:
             result.diagnostics.append(f"scan: skipping {f}: {exc}")
-    primes = scan_split_primes(made, config.prime_bound)
+    skipped: list[str] = []
+    primes = scan_split_primes(made, config.prime_bound, skipped)
+    result.diagnostics.extend(f"scan: {note}" for note in skipped)
     for p in primes:
         result.rows.append(
             {

@@ -7,6 +7,13 @@ needs: squarefree decomposition, then distinct-degree splitting, which
 yields the degree and multiplicity of every irreducible factor without
 separating factors of equal degree.  Both stages are deterministic; nothing
 here is random.
+
+The hot kernel is ``pow_mod``, the Frobenius powers X^(p^d) mod (g, p) of
+distinct-degree splitting, of Rabin's test and of the total-splitting test.
+It works on a fixed modulus: residues are packed into one integer each
+(Kronecker substitution, von zur Gathen-Gerhard, Modern Computer Algebra,
+ch. 8), so a product is one big-int multiply, and a product is reduced
+through rows X^(n+k) mod g computed once per call.
 """
 
 from __future__ import annotations
@@ -91,15 +98,63 @@ def monic(a, p):
 
 
 def pow_mod(base, e: int, mod, p):
-    """base^e mod (mod, p) by square and multiply."""
-    result = (1,)
-    base = rem(base, mod, p)
-    while e:
+    """base^e mod (mod, p) by square and multiply, for any base and e >= 0.
+
+    The modulus is made monic, m of degree n, which leaves remainders
+    unchanged.  A residue c_0 + ... + c_(n-1) X^(n-1) is packed into the
+    integer sum c_i 2^(s i) (Kronecker substitution), so each product is one
+    big-int multiply.  The n - 1 high slots of a product are folded back
+    through the precomputed rows X^(n+k) mod m, k = 0..n-2, and each slot is
+    then reduced mod p.  A slot of s bits holds n^2 (p-1)^2, which bounds
+    every slot of a product and of a folded sum, so no slot carries into
+    the next.
+    """
+    if not mod:
+        raise ZeroDivisionError
+    if not e:
+        return (1,)
+    m = monic(mod, p)
+    n = deg(m)
+    if n == 0:
+        return ()
+    s = (n * n * (p - 1) ** 2).bit_length()
+    mask = (1 << s) - 1
+    low_mask = (1 << (s * n)) - 1
+    shifts = [s * i for i in range(n)]
+
+    def pack(a):
+        return sum(c << sh for c, sh in zip(a, shifts))
+
+    rows = []
+    row = [-c % p for c in m[:-1]]  # X^n mod m
+    for _ in range(n - 1):
+        rows.append(pack(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [(r - top * c) % p for r, c in zip(row, m)]
+
+    def mulmod(x, y):
+        prod = x * y
+        acc = prod & low_mask
+        prod >>= s * n
+        for r in rows:
+            h = (prod & mask) % p
+            if h:
+                acc += h * r
+            prod >>= s
+        return sum(((acc >> sh) & mask) % p << sh for sh in shifts)
+
+    b = pack(rem(tuple(c % p for c in base), m, p))
+    result = None
+    while True:
         if e & 1:
-            result = rem(mul(result, base, p), mod, p)
-        base = rem(mul(base, base, p), mod, p)
+            result = b if result is None else mulmod(result, b)
         e >>= 1
-    return result
+        if not e:
+            break
+        b = mulmod(b, b)
+    return _trim([(result >> sh) & mask for sh in shifts])
 
 
 def derivative(a, p):

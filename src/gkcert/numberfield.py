@@ -6,7 +6,8 @@ through Dedekind's theorem: factor the defining polynomial mod p and read
 off (e, f) pairs -- but only after certifying that p does not divide the
 index [O_F : Z[theta]] (p^2 does not divide disc(f), or Dedekind's index
 criterion passes).  Unsafe primes raise UnsafePrime; splitting data for
-them must be ingested, never guessed.
+them must be ingested, never guessed.  Total splitting at p not dividing
+disc(f) needs no factorization: it is one Frobenius power X^p mod (f, p).
 
 Irreducibility over Q is *certified*, never assumed: a prime p coprime to
 disc(f) with f irreducible mod p, or a cross-prime factorization-pattern
@@ -195,5 +196,19 @@ def splitting_type(F: NumberField, p: int) -> SplittingType:
 
 
 def is_totally_split(F: NumberField, p: int) -> bool:
+    """Whether p splits completely in F.
+
+    When p does not divide disc(f), f mod p is squarefree, so p is
+    Dedekind-safe, and p splits completely exactly when X^p = X mod
+    (f, p): one Frobenius power, with no factorization.  At p | disc(f) the
+    answer comes from ``splitting_type``, which raises UnsafePrime when p
+    divides the index.
+    """
+    require_prime(p)
+    if F.poly_disc % p:
+        fbar = modpoly.reduce_intpoly(F.defining_poly, p)  # monic, as f is
+        # X mod fbar rather than X, so that a linear fbar compares right
+        x = modpoly.rem(modpoly.X_P, fbar, p)
+        return modpoly.pow_mod(modpoly.X_P, p, fbar, p) == x
     # splitting_type checks that e * f sums to [F:Q]
     return splitting_type(F, p).is_totally_split

@@ -36,14 +36,26 @@ def test_scan_reverification_pass():
             assert st.is_totally_split and len(st.entries) == F.degree
 
 
-def test_scan_skips_unsafe_primes(caplog):
-    # x^2 - 12 is 2-unsafe (index divisible by 2); 2 is even so excluded
-    # anyway -- use x^3 - x - 10, unsafe at 3? build an unsafe case directly:
-    F = make_field(IntPoly([-12, 0, 1]))  # Q(sqrt 3) via a non-maximal order
-    with caplog.at_level("WARNING", logger="gkcert.harness"):
-        primes = scan_split_primes([F], 30)
-    # 13: 12 is a QR mod 13 (5^2 = 25 = 12)... verified via the factorization
-    assert all(p > 2 for p in primes)
+def test_scan_skips_unsafe_primes(tmp_path):
+    # X^2 - 63 = X^2 - 3^2 * 7: 3 divides the index [O : Z[sqrt 63]], so
+    # Dedekind's theorem does not apply at 3, although 3 splits in Q(sqrt 7)
+    F = make_field(IntPoly([-63, 0, 1]))
+    skipped = []
+    primes = scan_split_primes([F], 40, skipped)
+    assert primes == [19, 29, 31, 37]
+    assert skipped == [f"skipping p = 3; Dedekind-unsafe for {F} (splitting not certified)"]
+    # a run reports the skip among its diagnostics, and only once
+    cfg = config_from_dict(
+        {
+            "pipelines": ["scan"],
+            "prime_bound": 40,
+            "out_dir": str(tmp_path / "out"),
+            "scan": {"field_vectors": [[-63, 0]]},
+        }
+    )
+    result = run(cfg)
+    assert [row["prime"] for row in result.rows] == primes
+    assert [d for d in result.diagnostics if "Dedekind-unsafe" in d] == [f"scan: {skipped[0]}"]
 
 
 def test_search_theorem_b_minimal():

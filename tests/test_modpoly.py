@@ -144,3 +144,40 @@ def test_nonmonic_unit():
     assert fac.unit == 2
     assert mul((fac.unit,), fac.product(), 5) or True
     assert fac.product() == reduce_intpoly(f, 5)
+
+
+def test_pow_mod_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    def oracle(base, e, mod, p):
+        out = gf_pow_mod([ZZ(c) for c in reversed(base)], e, [ZZ(c) for c in reversed(mod)], p, ZZ)
+        return tuple(int(c) for c in reversed(out))
+
+    rng = random.Random(20261018)
+    primes = [2, 3, 5, 7, 13, 101, 797, 2003, 9973]
+
+    def rand(degree, p, monic=False):
+        lead = 1 if monic else rng.randrange(1, p)
+        return tuple(rng.randrange(p) for _ in range(degree)) + (lead,)
+
+    cases = []
+    for i in range(600):
+        p = primes[i % len(primes)]
+        n = rng.randint(0, 16)  # degree-0 and degree-1 moduli included
+        mod = rand(n, p, monic=i % 2 == 0)  # every other one with a random leading coefficient
+        kind = i % 5
+        if kind == 0:
+            base = ()
+        elif kind == 1:
+            base = rand(rng.randint(n, 2 * n + 3), p)  # degree >= the modulus
+        else:
+            base = rand(rng.randint(0, max(n - 1, 0)), p)
+        e = rng.choice([0, 1, 2, p, p**n, p ** (n + 1), rng.randrange(10**9)])
+        cases.append((base, e, mod, p))
+    cases += [((5,), 0, (7,), 11), ((), 0, (0, 1), 2)]
+    for base, e, mod, p in cases:
+        assert pow_mod(base, e, mod, p) == oracle(base, e, mod, p), (base, e, mod, p)
+    with pytest.raises(ZeroDivisionError):
+        pow_mod(X_P, 3, (), 5)

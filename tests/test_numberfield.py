@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gkcert.cyclotomic import cyclotomic_poly
 from gkcert.errors import IrreducibilityUndecided, NotPrime, NotSquarefree, Reducible, UnsafePrime
 from gkcert.intpoly import IntPoly, count_real_roots, from_vector, poly_discriminant
 from gkcert.numberfield import (
@@ -62,6 +63,66 @@ def test_totally_split():
     assert is_totally_split(GAUSSIAN, 13)
     assert not is_totally_split(GAUSSIAN, 7)
     assert is_totally_split(cyclotomic_field(5), 11)
+
+
+def _real_cyclotomic_poly(m):
+    """Minimal polynomial of 2 cos(2 pi / m): Phi_m(X) = X^d g(X + 1/X), and
+    X^k + X^-k = D_k(X + 1/X) for the Dickson polynomials D_k."""
+    phi = cyclotomic_poly(m).coeffs
+    d = len(phi) // 2
+    y = IntPoly([0, 1])
+    dickson = [IntPoly([2]), y]
+    while len(dickson) <= d:
+        dickson.append(y * dickson[-1] - dickson[-2])
+    g = IntPoly([phi[d]])
+    for k in range(1, d + 1):
+        g = g + phi[d + k] * dickson[k]
+    return g
+
+
+def _split_or_unsafe(is_split, F, p):
+    try:
+        return is_split(F, p)
+    except UnsafePrime:
+        return "unsafe"
+
+
+def test_total_splitting_fast_path_matches_factorization():
+    # is_totally_split (one Frobenius power when p does not divide disc f)
+    # against the full factorization at every odd p <= 2000, on fields of
+    # every degree 1-16: cyclotomic of degree 1, 2, 4, 6, 8, 10, 12, 16, real
+    # cyclotomic of degree 3, 5, 6, 14, 15, random monic of degree 2, 3, 7,
+    # 9, 11, 13
+    fields = [cyclotomic_field(m) for m in (1, 3, 5, 7, 15, 11, 13, 17)]
+    fields += [
+        make_field(_real_cyclotomic_poly(m), "certified: real cyclotomic")
+        for m in (7, 11, 13, 29, 31)
+    ]
+    rng = random.Random(20261018)
+    for n in (2, 3, 7, 9, 11, 13):
+        while True:
+            f = from_vector([rng.randint(-9, 9) or 1] + [rng.randint(-5, 5) for _ in range(n - 1)])
+            try:
+                fields.append(make_field(f))
+                break
+            except (Reducible, IrreducibilityUndecided):
+                pass
+    orders = [make_field(IntPoly([-45, 0, 1])), make_field(IntPoly([-63, 0, 1]))]
+    assert {F.degree for F in fields} == set(range(1, 17))
+    seen = {True: 0, False: 0, "unsafe": 0}
+    ramified = 0
+    for F in fields + orders:
+        for p in primes_upto(2000)[1:]:
+            fast = _split_or_unsafe(is_totally_split, F, p)
+            slow = _split_or_unsafe(lambda F, p: splitting_type(F, p).is_totally_split, F, p)
+            assert fast == slow, (F, p)
+            seen[fast] += 1
+            ramified += F.poly_disc % p == 0
+    # both paths and the unsafe raise are exercised: 3 divides the index of
+    # Z[sqrt 45] and of Z[sqrt 63]
+    assert all(seen.values()) and ramified
+    for F in orders:
+        assert _split_or_unsafe(is_totally_split, F, 3) == "unsafe"
 
 
 def test_quadratic_reciprocity_small():
