@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from .errors import InternalCheckError
-from .intpoly import IntPoly, divmod_q
+from .intpoly import IntPoly, pseudo_divmod
 from .numutil import divisors, euler_phi
 
 
@@ -34,7 +34,7 @@ def cyclotomic_poly(m: int) -> IntPoly:
     for d in divisors(m):
         if d < m:
             den = den * cyclotomic_poly(d)
-    q, r = divmod_q(num, den)
+    q, r = pseudo_divmod(num, den)  # den is monic: exact division over Z
     if not r.is_zero:
         raise InternalCheckError(f"Phi_{m} does not divide X^{m} - 1")
     return q

@@ -13,8 +13,9 @@ Two construction routes:
 * ``Compositum`` / ``build_compositum_over_Q`` -- composita of real quadratic
   fields with a single CM piece (imaginary quadratic, cyclotomic, or a
   quaternion/dihedral octic given by radical data over a real biquadratic
-  field).  All decomposition data is computed exactly (Kronecker symbols,
-  p mod m, Legendre tests on the radical's conjugates).
+  field).  Every CM piece answers ``group()``, ``tau()``, ``frobenius(p)``
+  and ``assertion``, and its Frobenius is computed exactly (Kronecker
+  symbols, p mod m, Legendre tests on the radical's conjugates).
 * ``ingest_extension`` -- JSON documents for extensions built by external
   systems (e.g. ray-class constructions); every group-theoretic invariant is
   re-validated, and the records are marked ingested.
@@ -25,7 +26,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .errors import (
@@ -89,7 +91,6 @@ class Disjointness(enum.Enum):
 class CompositumProvenance:
     """How a compositum descriptor was built; consumed by the Leopoldt rules."""
 
-    cm_kind: str  # "imaginary-quadratic" | "cyclotomic" | "quaternion8" | "dihedral4"
     cm_label: str
     real_discs: tuple[int, ...]
     cm_assertion: str = ""
@@ -180,9 +181,11 @@ def check_tower_disjointness(ext: ExtensionDescriptor) -> Disjointness:
 
 @dataclass(frozen=True)
 class QuadraticComponent:
-    """Quadratic field given by its fundamental discriminant."""
+    """Quadratic field given by its fundamental discriminant.  An imaginary
+    one is a CM piece: G = Z/2, tau = 1."""
 
     disc: int
+    assertion = ""  # the Galois group of a quadratic field needs no assertion
 
     def __post_init__(self):
         if not is_fundamental_discriminant(self.disc):
@@ -200,12 +203,24 @@ class QuadraticComponent:
     def support(self) -> frozenset[int]:
         return prime_support(self.disc)
 
+    def group(self) -> FiniteGroup:
+        return abelian_group([2])
+
+    def tau(self) -> int:
+        return 1
+
+    def frobenius(self, p: int) -> int:
+        """Frobenius at an unramified p: 0 if p splits, else tau."""
+        return 0 if kronecker(self.disc, p) == 1 else 1
+
 
 @dataclass(frozen=True)
 class CyclotomicComponent:
     """Q(zeta_m); CM for m >= 3.  m = 2 mod 4 is rejected (duplicate field)."""
 
     m: int
+    assertion = ""  # Gal(Q(zeta_m)/Q) = (Z/m)^* is classical
+    is_real = False
 
     def __post_init__(self):
         if self.m < 3 or self.m % 4 == 2:
@@ -218,6 +233,19 @@ class CyclotomicComponent:
     @property
     def support(self) -> frozenset[int]:
         return prime_support(self.m)
+
+    def group(self) -> FiniteGroup:
+        """(Z/m)^*, indexed as in ``_unit_indices``."""
+        return abelian_group(_unit_indices(self.m)[0])
+
+    def tau(self) -> int:
+        return self.frobenius(-1)  # complex conjugation is the unit -1
+
+    def frobenius(self, u: int) -> int:
+        """The element of G that is the unit u mod m (Frobenius at a prime u)."""
+        if gcd(u, self.m) != 1:
+            raise RamifiedPrime(f"{u} is not a unit mod {self.m}")
+        return _unit_indices(self.m)[1][u % self.m]
 
 
 @dataclass(frozen=True)
@@ -238,6 +266,7 @@ class RadicalCMPiece:
     ramified: frozenset[int]
     label: str
     assertion: str
+    is_real = False
 
     def group(self) -> FiniteGroup:
         return quaternion_group() if self.kind == "quaternion8" else dihedral_group(4)
@@ -338,35 +367,6 @@ def _local_unit_gens(q: int, p: int, k: int) -> list[tuple[int, int]]:
         g += 1
 
 
-@dataclass(frozen=True)
-class UnitGroup:
-    """(Z/m)^* as an explicit abelian group; gens[i] generates the i-th cyclic
-    factor (CRT-lifted to a unit mod m)."""
-
-    m: int
-    invariants: tuple[int, ...]
-    gens: tuple[int, ...]
-    group: FiniteGroup = field(compare=False)
-
-
-def unit_group(m: int) -> UnitGroup:
-    gens: list[tuple[int, int]] = []
-    factor_moduli = []
-    for p, k in sorted(factorint(m).items()):
-        q = p**k
-        for g, d in _local_unit_gens(q, p, k):
-            # CRT-lift: g mod q, 1 mod m/q
-            rest = m // q
-            lifted = _crt(g, q, 1, rest)
-            gens.append((lifted, d))
-            factor_moduli.append(q)
-    if not gens:
-        gens = [(1, 1)]
-    invariants = tuple(d for _, d in gens)
-    group = abelian_group(invariants)
-    return UnitGroup(m=m, invariants=invariants, gens=tuple(g for g, _ in gens), group=group)
-
-
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
     if m2 == 1:
         return a1 % m1
@@ -374,30 +374,20 @@ def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
     return (a1 + m1 * ((a2 - a1) * inv % m2)) % (m1 * m2)
 
 
-def unit_element(ug: UnitGroup, u: int) -> int:
-    """Element index of the unit u mod m, by exhaustive digit search."""
-    u %= ug.m
-    if gcd(u, ug.m) != 1:
-        raise ValueError(f"{u} is not a unit mod {ug.m}")
-    digits = _unit_digits(ug, u)
-    index, mult = 0, 1
-    for x, d in zip(digits, ug.invariants):
-        index += x * mult
-        mult *= d
-    return index
-
-
-def _unit_digits(ug: UnitGroup, u: int) -> tuple[int, ...]:
-    from itertools import product
-
-    ranges = [range(d) for d in ug.invariants]
-    for combo in product(*ranges):
-        acc = 1
-        for g, x in zip(ug.gens, combo):
-            acc = acc * pow(g, x, ug.m) % ug.m
-        if acc == u:
-            return combo
-    raise ValueError(f"no discrete log for {u} mod {ug.m}")
+@cache
+def _unit_indices(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """(Z/m)^* as an explicit abelian group: its invariants d_i, and the
+    element index of each unit mod m.  The unit prod g_i^(x_i), with g_i a
+    generator of the i-th cyclic factor CRT-lifted to a unit mod m, has the
+    mixed-radix digits x, first digit fastest, as in ``abelian_group``."""
+    invariants, units = [], [1]
+    for p, k in sorted(factorint(m).items()):
+        q = p**k
+        for g, d in _local_unit_gens(q, p, k):
+            g = _crt(g, q, 1, m // q)  # g mod q, 1 mod m/q
+            units = [u * pow(g, x, m) % m for x in range(d) for u in units]
+            invariants.append(d)
+    return tuple(invariants), {u: i for i, u in enumerate(units)}
 
 
 # -- compositum builder -----------------------------------------------------------
@@ -481,15 +471,8 @@ class Compositum:
 
     def __init__(self, components, assertions=()):
         assertions = tuple(assertions)
-        real_quads: list[QuadraticComponent] = []
-        cm_pieces = []
-        for comp in components:
-            if isinstance(comp, QuadraticComponent):
-                (real_quads if comp.is_real else cm_pieces).append(comp)
-            elif isinstance(comp, (CyclotomicComponent, RadicalCMPiece)):
-                cm_pieces.append(comp)
-            else:
-                raise SchemaViolation(f"unknown component {comp!r}")
+        real_quads = [comp for comp in components if comp.is_real]
+        cm_pieces = [comp for comp in components if not comp.is_real]
         if len(cm_pieces) != 1:
             raise SchemaViolation(f"exactly one CM piece required, got {len(cm_pieces)}")
         cm = cm_pieces[0]
@@ -517,21 +500,9 @@ class Compositum:
         real_discs = tuple(sorted(q.disc for q in real_quads))
         self.base = multiquadratic_field(real_discs)
 
-        # CM piece group and tau
-        self._units = None
-        if isinstance(cm, QuadraticComponent):
-            self.group, self.tau = abelian_group([2]), 1
-            kind, cm_assert = "imaginary-quadratic", ""
-        elif isinstance(cm, CyclotomicComponent):
-            self._units = unit_group(cm.m)
-            self.group, self.tau = self._units.group, unit_element(self._units, cm.m - 1)
-            kind, cm_assert = "cyclotomic", ""
-        else:
-            self.group, self.tau = cm.group(), cm.tau()
-            kind, cm_assert = cm.kind, cm.assertion
-
-        if cm_assert:
-            notes.append(f"asserted:{cm_assert}")
+        self.group, self.tau = cm.group(), cm.tau()
+        if cm.assertion:
+            notes.append(f"asserted:{cm.assertion}")
         if self.base.irreducibility.startswith("asserted"):
             notes.append(f"asserted:base polynomial irreducible ({self.base.irreducibility})")
         self.cm = cm
@@ -539,16 +510,8 @@ class Compositum:
         self.notes = tuple(notes)
         self.label = "K=" + "*".join([cm.label] + [q.label for q in real_quads])
         self.construction = CompositumProvenance(
-            cm_kind=kind, cm_label=cm.label, real_discs=real_discs, cm_assertion=cm_assert
+            cm_label=cm.label, real_discs=real_discs, cm_assertion=cm.assertion
         )
-
-    def _frobenius(self, p: int) -> int:
-        """Frobenius at p of the CM piece, as an element of G."""
-        if isinstance(self.cm, QuadraticComponent):
-            return 0 if kronecker(self.cm.disc, p) == 1 else 1
-        if isinstance(self.cm, CyclotomicComponent):
-            return unit_element(self._units, p % self.cm.m)
-        return self.cm.frobenius(p)
 
     def at(self, p: int) -> ExtensionDescriptor:
         """The descriptor of K/R at p; raises RamifiedPrime if p ramifies in
@@ -557,7 +520,7 @@ class Compositum:
         for comp in self.real_quads + (self.cm,):
             if p in comp.support:
                 raise RamifiedPrime(f"{p} ramifies in {comp.label}")
-        frob = self._frobenius(p)
+        frob = self.cm.frobenius(p)
 
         # Frobenius order in the real multiquadratic part
         ord_r = 1

@@ -354,22 +354,23 @@ def config_from_dict(doc) -> RunConfig:
     one of the wrong type raises SchemaViolation naming its path."""
     doc = Node(doc)
     scan, search = doc.get("scan", {}), doc.get("search_b", {})
+    default = RunConfig()
     return RunConfig(
         pipelines=tuple(doc.get("pipelines", []).strings()),
-        prime_bound=doc.get("prime_bound", 1000).integer(),
-        out_dir=doc.get("out_dir", "out").string(),
-        formats=tuple(doc.get("formats", ["csv", "json"]).strings()),
+        prime_bound=doc.get("prime_bound", default.prime_bound).integer(),
+        out_dir=doc.get("out_dir", default.out_dir).string(),
+        formats=tuple(doc.get("formats", default.formats).strings()),
         store_path=doc.get("store").nullable(Node.string),
         polynomial_db=scan.get("polynomial_db").nullable(Node.string),
         field_vectors=tuple(tuple(v.integers()) for v in scan.get("field_vectors", []).items()),
         descriptors=tuple(doc.get("certify", {}).get("descriptors", []).strings()),
         towers=tuple(doc.get("certify", {}).get("towers", []).strings()),
         assumptions=tuple(doc.get("certify", {}).get("assumptions", []).strings()),
-        target_r=search.get("target_r", 2).integer(),
-        pool=tuple(search.get("pool", [5, 13, 17, 21, 29]).integers()),
-        cm_piece=search.get("cm_piece", "q8").string(),
+        target_r=search.get("target_r", default.target_r).integer(),
+        pool=tuple(search.get("pool", default.pool).integers()),
+        cm_piece=search.get("cm_piece", default.cm_piece).string(),
         search_prime_bound=search.get("prime_bound").nullable(Node.integer),
-        max_hits=search.get("max_hits", 1).nullable(Node.integer),
+        max_hits=search.get("max_hits", default.max_hits).nullable(Node.integer),
         table_rows_path=doc.get("check_table", {}).get("rows").nullable(Node.string),
     )
 

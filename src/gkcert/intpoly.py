@@ -7,14 +7,16 @@ polynomial is the empty tuple and has degree -1.
 Beyond ring arithmetic this module provides the two exact-algebra
 operations the rest of the package leans on:
 
-* ``count_real_roots`` -- Sturm sequence over Q (fractions.Fraction), whose
-  last term is gcd(f, f'), so the same run rejects a repeated factor,
-* ``poly_discriminant`` -- subresultant PRS, integer arithmetic throughout.
+* ``count_real_roots`` -- Sturm sequence, whose last term is gcd(f, f'), so
+  the same run rejects a repeated factor,
+* ``poly_discriminant`` -- subresultant PRS.
+
+Both divide with the one integer routine ``pseudo_divmod``, as does
+``cyclotomic_poly``; no rational arithmetic is needed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import gcd
 
@@ -139,52 +141,32 @@ def from_vector(vector) -> IntPoly:
     return IntPoly(list(vector) + [1])
 
 
-# -- rational helpers (private): polynomials as Fraction lists -----------------
+# -- pseudo-division ------------------------------------------------------------
 
-def _frac(f: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in f.coeffs]
-
-
-def _ftrim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _frem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        _ftrim(a)
-        if not a:
-            break
-    return a
-
-
-def divmod_q(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Quotient and remainder of f by g over Q; both must be integral to return
-    IntPoly, so this is meant for exact divisions and monic divisors."""
-    a, b = _frac(f), _frac(g)
-    if not b:
+def pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Pseudo-quotient and pseudo-remainder of a by b over Z: with
+    d = deg a - deg b, lc(b)^(d + 1) * a = q * b + r and deg r < deg b.
+    When d < 0 this is (0, a).  For a monic b, q and r are the quotient and
+    remainder of ordinary division."""
+    if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        c = a[-1] / lb
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] -= c * bc
-        _ftrim(a)
-    def to_int(cs):
-        if any(c.denominator != 1 for c in cs):
-            raise ValueError("non-integral quotient/remainder")
-        return IntPoly([int(c) for c in cs])
-    return to_int(q), to_int(a)
+    d = a.degree - b.degree
+    if d < 0:
+        return IntPoly(()), a
+    lb, db, bs = b.lc, b.degree, b.coeffs
+    scale = lb ** (d + 1)
+    r = [c * scale for c in a.coeffs]
+    q = [0] * (d + 1)
+    for shift in range(d, -1, -1):
+        top = r[shift + db]
+        if top:
+            c, rem = divmod(top, lb)
+            if rem:
+                raise InternalCheckError("pseudo-division step is not exact")
+            q[shift] = c
+            for i, bc in enumerate(bs):
+                r[shift + i] -= c * bc
+    return IntPoly(q), IntPoly(r[:db])
 
 
 # -- Sturm sequences ----------------------------------------------------------
@@ -194,22 +176,28 @@ def _sign(x) -> int:
 
 
 def _variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_sequence(f: IntPoly) -> list[list[Fraction]]:
-    """Sturm sequence of a squarefree f.  Its last term is gcd(f, f') up to
-    a unit, so the same Euclid run raises NotSquarefree on a repeated factor."""
+def sturm_sequence(f: IntPoly) -> list[IntPoly]:
+    """Sturm sequence of a squarefree f, over Z.  Each term is the positive
+    primitive multiple of the Euclidean term -rem(a, b): the pseudo-remainder
+    r = lc(b)^(d + 1) * rem(a, b), d = deg a - deg b, is negated unless
+    lc(b) < 0 and d is even, then divided by its content.  Signs at +-oo are
+    those of the Euclidean sequence.  The last term is gcd(f, f') up to a
+    unit, so the same run raises NotSquarefree on a repeated factor."""
     if f.is_zero:
         raise NotSquarefree("zero polynomial")
-    chain = [_frac(f), _frac(f.derivative())]
-    while chain[-1]:
-        r = [-c for c in _frem(chain[-2], chain[-1])]
-        if not r:
+    chain = [f, f.derivative()]
+    while chain[-1].degree > 0:
+        a, b = chain[-2], chain[-1]
+        _, r = pseudo_divmod(a, b)
+        if r.is_zero:
             break
-        chain.append(r)
-    if len(chain[-1]) > 1:
+        unit = 1 if b.lc < 0 and (a.degree - b.degree) % 2 == 0 else -1
+        g = unit * r.content()
+        chain.append(IntPoly([c // g for c in r.coeffs]))
+    if chain[-1].degree > 0:
         raise NotSquarefree(f"{f} has a repeated factor")
     return chain
 
@@ -222,30 +210,12 @@ def count_real_roots(f: IntPoly) -> int:
     chain = sturm_sequence(f)
     if f.degree == 0:
         return 0
-    at_plus = [_sign(c[-1]) for c in chain]
-    at_minus = [_sign(c[-1]) * (1 if (len(c) - 1) % 2 == 0 else -1) for c in chain]
+    at_plus = [_sign(c.lc) for c in chain]
+    at_minus = [_sign(c.lc) * (-1) ** c.degree for c in chain]
     return _variations(at_minus) - _variations(at_plus)
 
 
 # -- resultant and discriminant (subresultant PRS) ------------------------------
-
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a  mod b, integer arithmetic."""
-    d = a.degree - b.degree
-    lb = b.lc
-    r = a * (lb ** (d + 1))
-    cs = list(r.coeffs)
-    while len(cs) - 1 >= b.degree and cs:
-        q, rem = divmod(cs[-1], lb)
-        if rem:
-            raise InternalCheckError("pseudo-remainder step is not exact")
-        shift = len(cs) - 1 - b.degree
-        for i, c in enumerate(b.coeffs):
-            cs[shift + i] -= q * c
-        while cs and cs[-1] == 0:
-            cs.pop()
-    return IntPoly(cs)
-
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
     """Res(f, g) over Z via the subresultant PRS (no fraction blowup)."""
@@ -270,7 +240,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         delta = A.degree - B.degree
         if (A.degree % 2 == 1) and (B.degree % 2 == 1):
             s = -s
-        R = _pseudo_rem(A, B)
+        _, R = pseudo_divmod(A, B)
         A = B
         denom = g_ * h**delta
         B = IntPoly([c // denom for c in R.coeffs])

@@ -33,15 +33,10 @@ _CERT_PRIME_COUNT = 25
 
 @dataclass(frozen=True)
 class SplittingType:
-    """Decomposition type of p in a number field: multiset of (e, f) pairs.
-
-    ``certified`` is True when the data came out of a Dedekind-safe
-    factorization, False for ingested data taken on trust.
-    """
+    """Decomposition type of p in a number field: multiset of (e, f) pairs."""
 
     p: int
     entries: tuple[tuple[int, int], ...]  # sorted (ramification e, residue degree f)
-    certified: bool
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
@@ -70,7 +65,7 @@ class NumberField:
     r1: int
     r2: int
     poly_disc: int
-    irreducibility: str  # "certified", or the proof make_field was given
+    irreducibility: str  # "certified", or the proof or assertion it was built with
 
     @property
     def signature(self) -> tuple[int, int]:
@@ -129,8 +124,10 @@ def make_field(f: IntPoly, proof: str = "") -> NumberField:
     """Validated number field from a monic integral polynomial.
 
     Irreducibility is certified unless the caller built f with a proof in
-    hand (families with no mod-p certificate, such as multiquadratic
-    composita); ``proof`` is then stored verbatim as ``irreducibility``.
+    hand (families the certifier cannot reach, such as cyclotomic
+    polynomials); ``proof`` is then stored verbatim as ``irreducibility``.
+    Multiquadratic bases of degree 4 or more are built from closed forms by
+    ``extensions.multiquadratic_field`` instead.
 
     Raises NotMonic, Reducible, or IrreducibilityUndecided.
     """
@@ -189,7 +186,7 @@ def splitting_type(F: NumberField, p: int) -> SplittingType:
     if not _dedekind_safe(F, p, fac):
         raise UnsafePrime(f"{p} divides the index [O_F : Z[theta]] for {F}")
     entries = tuple((m, d) for d, m in fac.degrees())
-    st = SplittingType(p=p, entries=entries, certified=True)
+    st = SplittingType(p=p, entries=entries)
     if st.degree_sum != F.degree:
         raise InternalCheckError(f"splitting degrees at {p} do not sum to [F:Q]")
     return st

@@ -22,6 +22,14 @@ def test_cyclotomic_polynomials():
         assert prod.coeffs == tuple([-1] + [0] * (m - 1) + [1])
 
 
+def test_cyclotomic_polynomials_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 301):
+        want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+        assert cyclotomic_poly(m).coeffs == tuple(int(c) for c in reversed(want)), m
+
+
 def test_root_of_unity_relations():
     for m in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 36, 40):
         z = CycNumber.zeta(m)

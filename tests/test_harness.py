@@ -7,6 +7,7 @@ from gkcert.certificates import CertificateStore, Conclusion, asserted, make_cer
 from gkcert.errors import MalformedRow, PoolExhausted
 from gkcert.harness import (
     EXAMPLE_ROWS,
+    RunConfig,
     check_example_table,
     config_from_dict,
     run,
@@ -395,6 +396,10 @@ def test_config_digest_names_the_effective_config():
     assert config_from_dict({**base, "seed": 7}).digest() == digest
     assert config_from_dict({**base, "out_dir": "elsewhere"}).digest() == digest
     assert config_from_dict({**base, "prime_bound": 50}).digest() != digest
+
+
+def test_config_defaults_are_the_run_config_defaults():
+    assert config_from_dict({}) == RunConfig()
 
 
 def test_run_search_pipeline(tmp_path):

@@ -10,6 +10,7 @@ from gkcert.intpoly import (
     from_vector,
     poly_discriminant,
     resultant,
+    sturm_sequence,
 )
 
 X2_PLUS_1 = IntPoly([1, 0, 1])
@@ -187,3 +188,29 @@ def test_root_count_matches_bisection_oracle():
         # real roots + complex pairs fill the degree
         assert (f.degree - count_real_roots(f)) % 2 == 0
         checked += 1
+
+
+def test_count_real_roots_against_sympy():
+    # seeded sparse non-monic polynomials of degree 1-32, leading coefficients
+    # of both signs; sparse ones make Sturm remainders drop more than one
+    # degree, so deg a - deg b takes both parities
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(10)
+    branches = set()
+    for _ in range(300):
+        n = rng.randint(1, 32)
+        density = rng.choice([0.2, 0.5, 1.0])
+        cs = [rng.randrange(-9, 10) if rng.random() < density else 0 for _ in range(n)]
+        f = IntPoly(cs + [rng.choice([-1, 1]) * rng.randint(1, 6)])
+        g = sympy.Poly(list(reversed(f.coeffs)), x)
+        if not g.is_sqf:
+            with pytest.raises(NotSquarefree):
+                count_real_roots(f)
+            continue
+        assert count_real_roots(f) == g.count_roots(), f
+        chain = sturm_sequence(f)
+        for a, b in zip(chain, chain[1:-1]):
+            branches.add((b.lc < 0, (a.degree - b.degree) % 2))
+    # both sign rules of the integer Sturm step ran, with either sign of lc(b)
+    assert branches == {(False, 0), (False, 1), (True, 0), (True, 1)}

@@ -166,11 +166,11 @@ def test_unsafe_prime_dedekind():
         splitting_type(F, 2)
     # but p = 2 stays fine for x^2 - 3 itself
     F3 = make_field(IntPoly([-3, 0, 1]))
-    assert splitting_type(F3, 2).certified
+    splitting_type(F3, 2)
 
 
 def test_splitting_type_invariants():
-    st = SplittingType(p=5, entries=((1, 2), (1, 1)), certified=False)
+    st = SplittingType(p=5, entries=((1, 2), (1, 1)))
     assert st.entries == ((1, 1), (1, 2))  # sorted
     assert st.degree_sum == 3 and not st.is_totally_split
 
@@ -190,7 +190,7 @@ def test_splitting_type_factors_each_pair_once(monkeypatch):
     monkeypatch.setattr(gkcert.numberfield, "factor_mod_p", counting)
     st = splitting_type(F, 3)
     assert len(calls) == 1
-    assert st.entries == ((3, 1),) and st.certified
+    assert st.entries == ((3, 1),)
 
 
 def test_field_layer_against_sympy():
