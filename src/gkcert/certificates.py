@@ -103,6 +103,12 @@ class Certificate:
         )
 
     def digest(self) -> str:
+        """The hash of the certificate's content, computed once per object and
+        kept in the instance ``__dict__``, outside the dataclass fields (so
+        outside ``to_json``, ``__eq__`` and ``__hash__``)."""
+        memo = self.__dict__.get("_digest")
+        if memo is not None:
+            return memo
         blob = json.dumps(
             {
                 "conclusion": self.conclusion.value,
@@ -115,7 +121,8 @@ class Certificate:
             sort_keys=True,
             separators=(",", ":"),
         ).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        memo = self.__dict__["_digest"] = hashlib.sha256(blob).hexdigest()[:16]
+        return memo
 
 
 def make_certificate(conclusion, subject, rule, hypotheses, payload, inputs_digest) -> Certificate:

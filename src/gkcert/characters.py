@@ -459,10 +459,12 @@ def parity(chi: Character, tau: int) -> Parity:
     G = chi.group
     G.require_central_involution(tau)
     v = chi.value_at(tau)
-    if v == chi.degree:
-        return Parity.EVEN
-    if v == -chi.degree:
-        return Parity.ODD
+    if v.is_integer:
+        n = v.as_int()
+        if n == chi.degree:
+            return Parity.EVEN
+        if n == -chi.degree:
+            return Parity.ODD
     raise InternalCheckError(f"chi(tau) = {v!r} is neither +-chi(1); chi not irreducible?")
 
 

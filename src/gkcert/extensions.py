@@ -51,6 +51,7 @@ from .groups import (
 from .intpoly import IntPoly, from_vector
 from .numberfield import NumberField, make_field
 from .numutil import (
+    discriminant_symbol,
     factorint,
     is_fundamental_discriminant,
     is_prime,
@@ -119,11 +120,14 @@ class ExtensionDescriptor:
             raise InvariantViolation(
                 "base degree", f"sum e(v/p)f(v/p) = {total} != [R:Q] = {self.base.degree}"
             )
+        subgroups = set()  # the distinct G_w checked so far
         for rec in self.primes:
             if rec.e_base < 1 or rec.f_base < 1:
                 raise InvariantViolation("local degrees", rec.label)
-            if not self.group.is_subgroup(rec.decomposition):
-                raise InvariantViolation("decomposition subgroup", rec.label)
+            if rec.decomposition not in subgroups:
+                if not self.group.is_subgroup(rec.decomposition):
+                    raise InvariantViolation("decomposition subgroup", rec.label)
+                subgroups.add(rec.decomposition)
 
     def tau_in(self, rec: PrimeRecord) -> bool:
         return self.tau in rec.decomposition
@@ -513,19 +517,22 @@ class Compositum:
             cm_label=cm.label, real_discs=real_discs, cm_assertion=cm.assertion
         )
 
-    def at(self, p: int) -> ExtensionDescriptor:
+    def at(self, p: int, frob: int | None = None) -> ExtensionDescriptor:
         """The descriptor of K/R at p; raises RamifiedPrime if p ramifies in
-        any component."""
+        any component.  ``frob`` is the CM piece's Frobenius at p,
+        ``self.cm.frobenius(p)``, for a caller that has computed it already;
+        left out, it is computed here."""
         require_prime(p)
         for comp in self.real_quads + (self.cm,):
             if p in comp.support:
                 raise RamifiedPrime(f"{p} ramifies in {comp.label}")
-        frob = self.cm.frobenius(p)
+        if frob is None:
+            frob = self.cm.frobenius(p)
 
         # Frobenius order in the real multiquadratic part
         ord_r = 1
         for quad in self.real_quads:
-            if kronecker(quad.disc, p) != 1:
+            if discriminant_symbol(quad.disc, p) != 1:
                 ord_r = 2
                 break
         G = self.group

@@ -40,7 +40,7 @@ from .extensions import (
 )
 from .intpoly import IntPoly, from_vector
 from .numberfield import NumberField, is_totally_split, make_field, splitting_type
-from .numutil import is_prime, kronecker, primes_upto
+from .numutil import discriminant_symbol, is_prime, primes_upto
 from .rules import CertifyOutcome, certify
 from .schema import Node, parse_json, read_json, read_text
 from .towers import tower_from_document
@@ -152,11 +152,14 @@ def search_theoremB(
     equivalence).  Hits come back in ascending prime order.
 
     The ``Compositum`` is built once per search, before the prime loop; each
-    prime adds only its Frobenius and prime records.  R's invariants come
-    from closed forms in ``multiquadratic_field``, the one place besides
-    ``make_field`` that builds a NumberField: r1 = 2^k, r2 = 0 and
-    disc = prod over nonempty S of 2^(2^k) |P_S(0)|^(2^(k-|S|)).  The pool
-    entries and hits passed over are noted in ``skipped`` when it is given.
+    prime adds only its Frobenius and prime records.  The filter reads each
+    pool symbol (d|p) from its residue p mod |d| (``discriminant_symbol``)
+    and hands the CM Frobenius it computed to ``Compositum.at``, so a hit
+    computes it once.  R's invariants come from closed forms in
+    ``multiquadratic_field``, the one place besides ``make_field`` that
+    builds a NumberField: r1 = 2^k, r2 = 0 and disc = prod over nonempty S
+    of 2^(2^k) |P_S(0)|^(2^(k-|S|)).  The pool entries and hits passed over
+    are noted in ``skipped`` when it is given.
     """
     skipped = [] if skipped is None else skipped
     piece = BUILTIN_PIECES[cm_piece] if isinstance(cm_piece, str) else cm_piece
@@ -169,14 +172,15 @@ def search_theoremB(
     for p in primes_upto(prime_bound):
         if p == 2 or p in piece.ramified:
             continue
-        if any(d % p == 0 or kronecker(d, p) != 1 for d in discs):
+        if any(discriminant_symbol(d, p) != 1 for d in discs):
             continue
         try:
-            if piece.frobenius(p) != piece.group().identity:
-                continue
+            frob = piece.frobenius(p)
         except (AmbiguousDecomposition, RamifiedPrime):
             continue
-        ext = compositum.at(p)
+        if frob != piece.group().identity:
+            continue
+        ext = compositum.at(p, frob)
         outcome = certify(ext, assumptions=assumptions)
         hit = SearchHit(p=p, discs=discs, descriptor=ext, outcome=outcome)
         if hit.achieved_r < 2 * target_r:

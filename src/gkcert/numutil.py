@@ -9,6 +9,7 @@ needs (discriminants, conductors and group orders stay small).
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, isqrt
 
 from .errors import NotPrime
@@ -138,6 +139,28 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
+
+
+def discriminant_symbol(d: int, n: int) -> int:
+    """Kronecker symbol (d|n) for a discriminant d = 0, 1 (mod 4), d != 0,
+    and n >= 1, computed once per residue n mod |d|.
+
+    For such d, n -> (d|n) is periodic mod |d| on n >= 1 (Cohen, *A Course
+    in Computational Algebraic Number Theory*, Thm 1.4.9), and it is 0
+    exactly when gcd(d, n) > 1.  So (d|n) = (d|r) for r = n mod |d| (at
+    r = 0 too, where ``kronecker`` gives (1|0) = 1 and (d|0) = 0 for
+    |d| > 1), and ``kronecker`` runs at most |d| times per d.
+    """
+    if d == 0 or d % 4 not in (0, 1):
+        raise ValueError(f"{d} is not a discriminant (need d = 0, 1 mod 4, d != 0)")
+    if n < 1:
+        raise ValueError(f"(d|n) is periodic in n only for n >= 1, got n = {n}")
+    return _residue_symbol(d, n % abs(d))
+
+
+@cache
+def _residue_symbol(d: int, r: int) -> int:
+    return kronecker(d, r)
 
 
 def multiplicative_order(a: int, m: int) -> int:

@@ -479,7 +479,7 @@ def _undecomposed_subfield(ext: ExtensionDescriptor):
     """Largest proper subgroup N with tau not in N contained in the core of
     every decomposition group, or None."""
     G = ext.group
-    cores = [G.normal_core(rec.decomposition) for rec in ext.primes]
+    cores = [G.normal_core(H) for H in dict.fromkeys(rec.decomposition for rec in ext.primes)]
     if not cores:
         return None
     meet = frozenset.intersection(*cores)

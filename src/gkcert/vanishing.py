@@ -69,9 +69,9 @@ def _require_odd(ext: ExtensionDescriptor, chi: Character) -> None:
 def tate_order(ext: ExtensionDescriptor, chi: Character) -> VanishingReport:
     """r_{S,chi} for S = S_infty(R) u S_p(R); rejects even characters."""
     _require_odd(ext, chi)
-    contribs = tuple(
-        (rec.label, fixed_dim(chi, rec.decomposition)) for rec in ext.primes
-    )
+    # records repeat few distinct G_w (a search hit has one): one fixed_dim each
+    dims = {H: fixed_dim(chi, H) for H in dict.fromkeys(rec.decomposition for rec in ext.primes)}
+    contribs = tuple((rec.label, dims[rec.decomposition]) for rec in ext.primes)
     return VanishingReport(
         chi_degree=chi.degree,
         r_s=sum(d for _, d in contribs),

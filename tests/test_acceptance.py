@@ -181,7 +181,7 @@ def test_criterion_6_theorem_b_pipeline():
     assert disjoint.status.value == "verified"
     assert str(hit.p) in disjoint.detail  # p does not divide |G| = 8 * 2^k
     elapsed = time.monotonic() - started
-    assert elapsed < 120.0, f"search took {elapsed:.2f}s (budget 120s)"
+    assert elapsed < 10.0, f"search took {elapsed:.2f}s (budget 10s)"
     _report(6, f"p = {hit.p}, r_S = {hit.achieved_r}, chain {rules}", started)
 
 

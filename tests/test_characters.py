@@ -344,3 +344,46 @@ def test_corrupted_tables_are_rejected_under_optimize():
     lines = proc.stdout.splitlines()
     assert len(lines) == 4 * len(CORRUPTION_GROUPS)
     assert all(line.startswith("rejected ") for line in lines), proc.stdout
+
+
+def _parity_violators():
+    """(class function, tau) pairs whose value at tau is not +-chi(1): D4's
+    degree-2 row with its value at tau = a^2 replaced by 0, by 1/2, and by
+    the irrational i and 2 + i."""
+    D4 = dihedral_group(4)
+    two = next(ch for ch in character_table(D4) if ch.degree == 2)
+    at_tau = D4.class_of[2]
+    out = []
+    zero, half = CycNumber.from_rational(0), CycNumber.from_rational(Fraction(1, 2))
+    for bad in (zero, half, CycNumber(4, [0, 1]), CycNumber(4, [2, 1])):
+        values = tuple(bad if i == at_tau else v for i, v in enumerate(two.values))
+        out.append((replace(two, values=values), 2))
+    return out
+
+
+def test_parity_rejects_values_that_are_not_plus_or_minus_the_degree():
+    for chi, tau in _parity_violators():
+        with pytest.raises(InternalCheckError):
+            parity(chi, tau)
+
+
+def test_parity_rejects_bad_values_under_optimize():
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = (
+        "from gkcert.characters import parity\n"
+        "from gkcert.errors import InternalCheckError\n"
+        "from test_characters import _parity_violators\n"
+        "for chi, tau in _parity_violators():\n"
+        "    try:\n"
+        "        parity(chi, tau)\n"
+        "    except InternalCheckError:\n"
+        "        print('rejected')\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(here, "..", "src"), here])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["rejected"] * 4, proc.stdout

@@ -14,6 +14,7 @@ from gkcert.harness import (
     scan_split_primes,
     search_theoremB,
 )
+from gkcert.extensions import BUILTIN_PIECES, Compositum, QuadraticComponent, RadicalCMPiece
 from gkcert.intpoly import IntPoly
 from gkcert.numberfield import cyclotomic_field, make_field
 
@@ -103,6 +104,26 @@ def test_search_builds_the_base_once(monkeypatch):
     assert len(hits) >= 3
     assert calls == [(5, 13)]
     assert all(hit.descriptor.base is hits[0].descriptor.base for hit in hits)
+
+
+def test_search_computes_each_cm_frobenius_once(monkeypatch):
+    asked = []
+    original = RadicalCMPiece.frobenius
+
+    def counted(self, p):
+        asked.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(RadicalCMPiece, "frobenius", counted)
+    for piece in ("q8", "d4"):
+        asked.clear()
+        hits = search_theoremB(pool=POOL, target_r=4, prime_bound=3000, cm_piece=piece, max_hits=None)
+        assert len(hits) >= 3 and len(asked) > len(hits)
+        assert len(asked) == len(set(asked))  # hits included
+        # the descriptor built from the filter's Frobenius is the one at(p) builds
+        compositum = Compositum([BUILTIN_PIECES[piece]] + [QuadraticComponent(d) for d in hits[0].discs])
+        for hit in hits:
+            assert compositum.at(hit.p) == hit.descriptor
 
 
 def test_search_certificate_digests_pinned():

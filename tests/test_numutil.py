@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gkcert.numutil import (
+    discriminant_symbol,
     euler_phi,
     factorint,
     is_fundamental_discriminant,
@@ -90,3 +91,31 @@ def test_fundamental_discriminants():
     bad = [0, 1, 2, 3, 6, 9, -1, -2, 25, 45]
     assert all(is_fundamental_discriminant(d) for d in good)
     assert not any(is_fundamental_discriminant(d) for d in bad)
+
+
+def test_discriminant_symbol_matches_kronecker():
+    discs = [d for d in range(-200, 201) if abs(d) > 1 and is_fundamental_discriminant(d)]
+    assert {d % 4 for d in discs} == {0, 1} and min(discs) < 0 < max(discs)
+    primes = primes_upto(3000)[1:]
+    assert sum(d % p == 0 for d in discs for p in primes) > len(discs)  # p | d included
+    for d in discs:
+        for p in primes:
+            want = kronecker(d, p)
+            assert discriminant_symbol(d, p) == want, (d, p)
+            assert (want == 0) == (d % p == 0)
+
+
+def test_discriminant_symbol_on_every_n_and_nonfundamental_d():
+    for d in range(-60, 61):
+        if d != 0 and d % 4 in (0, 1):  # squares and 4 * 9 included
+            for n in range(1, 400):
+                assert discriminant_symbol(d, n) == kronecker(d, n), (d, n)
+
+
+def test_discriminant_symbol_refuses_non_discriminants():
+    for d in (2, 3, -1, -2, 6, 7, -5, 0):
+        with pytest.raises(ValueError):
+            discriminant_symbol(d, 7)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            discriminant_symbol(5, n)

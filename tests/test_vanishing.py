@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gkcert.characters import character_table, inner_product, odd_characters
+from gkcert.characters import character_table, fixed_dim, inner_product, odd_characters
 from gkcert.errors import (
     EvenCharacter,
     LiftedOrderMismatch,
@@ -10,12 +10,17 @@ from gkcert.errors import (
     NotAbelian,
     PrimesNotSplitInSubfield,
 )
+from gkcert.errors import AmbiguousDecomposition, RamifiedPrime
 from gkcert.extensions import (
+    Compositum,
     CyclotomicComponent,
+    ExtensionDescriptor,
+    PrimeRecord,
     QuadraticComponent,
     build_compositum_over_Q,
 )
-from gkcert.groups import subgroup_embedding
+from gkcert.groups import abelian_group, dihedral_group, quaternion_group, subgroup_embedding
+from gkcert.rules import certify
 from gkcert.vanishing import (
     GKC_ASSUMED,
     bv_component,
@@ -23,10 +28,11 @@ from gkcert.vanishing import (
     t_order_ledger,
     tate_order,
 )
-from helpers import random_descriptor
+from helpers import order64_raw_groups, random_descriptor, totally_real_field
 from test_extensions import q8_split_primes
+from test_rules import undecomposed_by_full_lattice
 from gkcert.extensions import Q8_PIECE
-from gkcert.numutil import kronecker
+from gkcert.numutil import kronecker, primes_upto
 
 
 def _odd(ext):
@@ -199,3 +205,66 @@ def test_lifted_order_mismatch_detected():
     )
     with pytest.raises(LiftedOrderMismatch):
         lifted_order(ext_bad, frozenset(range(G.order)))
+
+
+def _repeating_descriptors():
+    """Descriptors whose records repeat one G_w or mix two or three distinct
+    G_w: six records over a sextic base for D4, Q8, C2 x C4 and the raw
+    Q8 x (Z/2)^3, plus search hits whose 16 records share one G_w."""
+    rng = random.Random(211)
+    exts = []
+    groups = (dihedral_group(4), quaternion_group(), abelian_group([2, 4]), order64_raw_groups()[1])
+    for G in groups:
+        subgroups = sorted(G.all_subgroups(), key=lambda h: (len(h), sorted(h)))
+        taus = G.central_involutions()
+        for tau in rng.sample(taus, min(2, len(taus))):
+            for distinct in (1, 2, 3):
+                for _ in range(4):
+                    picks = rng.sample(subgroups, distinct)
+                    picks += [rng.choice(picks) for _ in range(6 - distinct)]
+                    rng.shuffle(picks)
+                    records = tuple(
+                        PrimeRecord(f"v{i+1}", 1, 1, H, "ingested") for i, H in enumerate(picks)
+                    )
+                    exts.append(
+                        ExtensionDescriptor(
+                            base=totally_real_field(6), group=G, tau=tau, p=7, primes=records,
+                            label=f"{G.spec[0]}-{G.order}-tau{tau}-{distinct}",
+                        )
+                    )
+    compositum = Compositum([Q8_PIECE] + [QuadraticComponent(d) for d in (5, 13, 17, 29)])
+    kinds = {}  # (|G_w|, f(v/p)) -> one hit of that kind
+    for p in primes_upto(50_000):
+        try:
+            ext = compositum.at(p)
+        except (AmbiguousDecomposition, RamifiedPrime):
+            continue
+        kinds.setdefault((len(ext.primes[0].decomposition), ext.primes[0].f_base), ext)
+        if len(kinds) == 3:
+            break
+    assert set(kinds) == {(1, 1), (2, 1), (1, 2)}
+    return exts + list(kinds.values())
+
+
+def test_distinct_decomposition_groups_match_per_record_oracle():
+    """tate_order, bv_component and the undecomposed-subfield reduction
+    against record-by-record sums of fixed_dim and meets of normal_core."""
+    nonzero = reductions = 0
+    for ext in _repeating_descriptors():
+        for chi in _odd(ext):
+            want = tuple((rec.label, fixed_dim(chi, rec.decomposition)) for rec in ext.primes)
+            report = tate_order(ext, chi)
+            assert report.contributions == want
+            assert report.r_s == sum(d for _, d in want)
+            nonzero += report.r_s > 0
+            for label, dim in want:
+                bv = bv_component(ext, chi, label)
+                assert bv.chi_multiplicity == bv.t_order_contribution == chi.degree * dim
+        want_n = undecomposed_by_full_lattice(ext)
+        got = certify(ext).by_rule("undecomposed-subfield-reduction")
+        if want_n is None:
+            assert not got
+        else:
+            assert [c.payload_dict()["subgroup_order"] for c in got] == [len(want_n)]
+            reductions += 1
+    assert nonzero > 50 and reductions > 10
