@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
+from operator import itemgetter, mul
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _reduce_exponents
 from .errors import InternalCheckError, NonIntegralDimension, ScaleExceeded
 from .groups import FiniteGroup
 from .numutil import is_prime, primitive_root
@@ -74,36 +74,56 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> CycNumber:
 
 
 def _integral_coordinates(table: list[Character], e: int):
-    """Per row and class, the nonzero (index, coefficient) pairs of the value
-    and of its complex conjugate in the power basis of Z[zeta_e].
+    """Per row and class, the coordinates of the value and of its complex
+    conjugate in the power basis of Z[zeta_e].
 
     That basis is integral, so a value with den != 1 is not an algebraic
     integer and cannot be a character value: InternalCheckError."""
     values, conjugates = [], []
+    conjugate_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # a table has few distinct values
     for chi in table:
         row, row_conj = [], []
         for v in chi.values:
             x = v.embed(e)
             if x.den != 1:
                 raise InternalCheckError(f"character value {v!r} is not an algebraic integer")
-            row.append([(k, c) for k, c in enumerate(x.num) if c])
-            row_conj.append([(k, c) for k, c in enumerate(x.conjugate().num) if c])
+            if x.num not in conjugate_of:
+                flipped = {-k % e: c for k, c in enumerate(x.num) if c}
+                conjugate_of[x.num] = _reduce_exponents(e, flipped)
+            row.append(x.num)
+            row_conj.append(conjugate_of[x.num])
         values.append(row)
         conjugates.append(row_conj)
     return values, conjugates
 
 
-def _weighted_sum(e: int, terms) -> CycNumber:
-    """sum of w * x * y over (w, x, y) in ``terms``, with x and y given as
-    sparse integer coordinates in Q(zeta_e): one shared convolution, then one
-    reduction to the power basis."""
-    acc: dict[int, int] = {}
-    for w, x, y in terms:
-        for i, xi in x:
-            wxi = w * xi
-            for j, yj in y:
-                acc[i + j] = acc.get(i + j, 0) + wxi * yj
-    return CycNumber.from_exponents(e, acc)
+def _digit_width(bound: int) -> int:
+    """Bits per packed digit for signed digits of absolute value <= bound."""
+    return bound.bit_length() + 1
+
+
+def _pack(coords, width: int) -> int:
+    """Kronecker packing: the polynomial with coefficients ``coords`` at X = 2^width."""
+    return sum(c << (width * k) for k, c in enumerate(coords))
+
+
+def _packed_dot(e: int, width: int, xs, ys) -> tuple[int, ...]:
+    """Power-basis coordinates of sum x * y over packed pairs (x, y) from
+    ``xs`` and ``ys``: one integer dot product, whose signed digits are the
+    coefficients of the summed products before reduction mod Phi_e.  Each
+    such coefficient must have absolute value below 2^(width - 1)."""
+    packed = sum(map(mul, xs, ys))
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    coeffs: dict[int, int] = {}
+    k = 0
+    while packed:
+        digit = packed & mask
+        if digit >= half:
+            digit -= 1 << width
+        coeffs[k] = digit
+        packed = (packed - digit) >> width
+        k += 1
+    return _reduce_exponents(e, coeffs)
 
 
 def verify_character_table(table: list[Character]) -> None:
@@ -125,18 +145,31 @@ def verify_character_table(table: list[Character]) -> None:
             raise InternalCheckError("value at identity != degree")
     values, conjugates = _integral_coordinates(table, e)
     sizes = [len(c) for c in G.classes]
+    # every coefficient of a product x * y has absolute value <= |x|_1 |y|_1,
+    # and both relations sum at most n = sum |C| >= r products
+    norm = max(sum(map(abs, x)) for row in values + conjugates for x in row)
+    width = _digit_width(n * norm * norm)
+    packed: dict[tuple[int, ...], int] = {}
+    for x in {x for row in values + conjugates for x in row}:
+        packed[x] = _pack(x, width)
+    values = [[packed[x] for x in row] for row in values]
+    conjugates = [[packed[x] for x in row] for row in conjugates]
+    zero = _reduce_exponents(e, {})
     # |G| <chi_i, chi_j> = sum_C |C| chi_i(C) conj(chi_j(C)) = |G| delta_ij
     for i in range(r):
+        weighted = list(map(mul, sizes, values[i]))
         for j in range(i + 1):
-            total = _weighted_sum(e, zip(sizes, values[i], conjugates[j]))
-            if total != (n if i == j else 0):
+            total = _packed_dot(e, width, weighted, conjugates[j])
+            if total != ((n,) + zero[1:] if i == j else zero):
                 raise InternalCheckError(f"row orthogonality fails at ({i},{j}): {total!r}")
     # column orthogonality follows from row orthonormality, but check it anyway:
     # sum_chi chi(C_i) conj(chi(C_j)) = |C_G(g_i)| delta_ij
+    columns = list(zip(*values))
+    conjugate_columns = list(zip(*conjugates))
     for i in range(r):
         for j in range(i + 1):
-            total = _weighted_sum(e, ((1, v[i], c[j]) for v, c in zip(values, conjugates)))
-            if total != (n // sizes[i] if i == j else 0):
+            total = _packed_dot(e, width, columns[i], conjugate_columns[j])
+            if total != ((n // sizes[i],) + zero[1:] if i == j else zero):
                 raise InternalCheckError(f"column orthogonality fails at ({i},{j})")
 
 
@@ -250,17 +283,34 @@ def _dixon_prime(e: int, n: int) -> int:
     return q
 
 
-def _class_matrix(G: FiniteGroup, i: int, reps) -> list[list[tuple[int, int]]]:
-    """Class matrix A of class i, as per-column lists of its nonzero entries:
-    column k holds (j, A[j][k]) for A[j][k] = #{x in C_i : x^-1 g_k in C_j}."""
-    columns = []
+def _class_action(G: FiniteGroup, i: int, reps, q: int):
+    """The map w -> A w mod q for the class matrix A of class i, with
+    A[j][k] = #{x in C_i : x^-1 g_k in C_j}."""
+    if len(G.classes[i]) == 1:
+        # a central z permutes the classes, so A is a permutation matrix
+        z_inv = G.inv(G.classes[i][0])
+        source = [0] * len(reps)
+        for k, rep_k in enumerate(reps):
+            source[G.class_of[G.op(z_inv, rep_k)]] = k
+        gather = itemgetter(*source)
+        return lambda w: list(gather(w))
+    columns = []  # column k: the (j, A[j][k]) with A[j][k] != 0
     for rep_k in reps:
         counts: dict[int, int] = {}
         for x in G.classes[i]:
             j = G.class_of[G.op(G.inv(x), rep_k)]
             counts[j] = counts.get(j, 0) + 1
         columns.append(list(counts.items()))
-    return columns
+
+    def apply(w):
+        img = [0] * len(w)
+        for wk, column in zip(w, columns):
+            if wk:
+                for j, a in column:
+                    img[j] += a * wk
+        return [x % q for x in img]
+
+    return apply
 
 
 def _rref(rows, q):
@@ -337,31 +387,28 @@ def _poly_roots_mod(poly, q):
     return roots
 
 
-def _split_space(basis, pivots, columns, q):
+def _split_space(basis, pivots, apply, q):
     """Split an invariant subspace (RREF row basis) by eigenvalues of the
-    class matrix given by its nonzero ``columns`` (as from _class_matrix)."""
+    class matrix that ``apply`` multiplies by (as from _class_action)."""
     d = len(basis)
-    images = []
-    for w in basis:
-        img = [0] * len(w)
-        for wk, column in zip(w, columns):
-            if wk:
-                for j, a in column:
-                    img[j] += a * wk
-        images.append([x % q for x in img])
-    # coordinates of each image in the basis (read off at pivot columns)
     C = []
-    for img in images:
+    for w in basis:
+        img = apply(w)
+        # coordinates in the basis, read off at the pivot columns; an RREF
+        # basis is the unit matrix there, so img lies in the span exactly when
+        # it equals the combination with these coordinates
         coords = [img[p] for p in pivots]
-        recon = [0] * len(basis[0])
+        recon = [0] * len(w)
         for c, row in zip(coords, basis):
             if c:
-                for t, x in enumerate(row):
-                    recon[t] = (recon[t] + c * x) % q
-        if recon != img:
+                recon = [x + c * y for x, y in zip(recon, row)]
+        if [x % q for x in recon] != img:
             raise InternalCheckError("class matrix does not preserve the subspace")
         C.append(coords)
-    CT = [[C[t][s] for t in range(d)] for s in range(d)]
+    lam = C[0][0]
+    if all(row == [0] * s + [lam] + [0] * (d - 1 - s) for s, row in enumerate(C)):
+        return [(basis, pivots)]  # a scalar: the whole space is one eigenspace
+    CT = [list(row) for row in zip(*C)]
     spaces = []
     total = 0
     for lam in _poly_roots_mod(_hessenberg_charpoly(CT, q), q):
@@ -370,21 +417,26 @@ def _split_space(basis, pivots, columns, q):
             A[i][i] = (A[i][i] - lam) % q
         # kernel of A = coordinate vectors of the lambda-eigenspace
         R, piv = _rref(A, q)
-        vecs = []
+        kernel = []
         for fc in (c for c in range(d) if c not in piv):
             coord = [0] * d
             coord[fc] = 1
             for ri, pc in enumerate(piv):
                 coord[pc] = (-R[ri][fc]) % q
-            vec = [0] * len(basis[0])
-            for c, row in zip(coord, basis):
-                if c:
-                    for t, x in enumerate(row):
-                        vec[t] = (vec[t] + c * x) % q
-            vecs.append(vec)
-        total += len(vecs)
-        if vecs:
-            spaces.append(_rref(vecs, q))
+            kernel.append(coord)
+        total += len(kernel)
+        if kernel:
+            # an RREF coordinate matrix times an RREF basis is the RREF basis
+            # of the eigenspace, with pivots among the basis pivots
+            K, kpiv = _rref(kernel, q)
+            vecs = []
+            for coord in K:
+                vec = [0] * len(basis[0])
+                for c, row in zip(coord, basis):
+                    if c:
+                        vec = [(x + c * y) % q for x, y in zip(vec, row)]
+                vecs.append(vec)
+            spaces.append((vecs, [pivots[k] for k in kpiv]))
     if total != d:
         raise InternalCheckError("eigenspace dimensions do not add up")
     return spaces
@@ -403,21 +455,44 @@ def _dixon_table(G: FiniteGroup) -> list[Character]:
     for i in range(1, r):
         if all(len(b) == 1 for b, _ in spaces):
             break
-        columns = _class_matrix(G, i, reps)
+        apply = _class_action(G, i, reps, q)
         nxt = []
         for basis, piv in spaces:
             if len(basis) == 1:
                 nxt.append((basis, piv))
             else:
-                nxt.extend(_split_space(basis, piv, columns, q))
+                nxt.extend(_split_space(basis, piv, apply, q))
         spaces = nxt
     if not all(len(b) == 1 for b, _ in spaces) or len(spaces) != r:
         raise InternalCheckError("class matrices failed to split the center")
 
+    # The eigenvalues of g are ord(g)-th roots of unity: the multiplicity of
+    # zeta_o^s, o = ord(g), is (1/o) sum_{k<o} chi(g^k) zeta_o^(-s k), and
+    # zeta_e^t with (e/o) not dividing t never occurs.
     zeta = pow(primitive_root(q), (q - 1) // e, q)
-    inv_e = pow(e % q, q - 2, q)
-    power_class = [[G.class_of[G.power(g, k)] for k in range(e)] for g in reps]
+    zeta_powers = [1]
+    for _ in range(e - 1):
+        zeta_powers.append(zeta_powers[-1] * zeta % q)
+    transforms = {}  # o -> (1/o mod q, row s = zeta_o^(-s k) for k < o)
+    power_classes = []  # per class: classes of g^k for k < ord(g)
+    for g in reps:
+        row, x = [], G.identity
+        while True:
+            row.append(G.class_of[x])
+            x = G.op(x, g)
+            if x == G.identity:
+                break
+        o = len(row)
+        if o not in transforms:
+            step = e // o
+            transforms[o] = (
+                pow(o, q - 2, q),
+                [[zeta_powers[-s * k * step % e] for k in range(o)] for s in range(o)],
+            )
+        power_classes.append(row)
+    inv_sizes = [pow(size, q - 2, q) for size in sizes]
 
+    lifted: dict[tuple, CycNumber] = {}  # multiplicities -> value, shared across the table
     table = []
     for basis, _ in spaces:
         v = basis[0]
@@ -425,27 +500,30 @@ def _dixon_table(G: FiniteGroup) -> list[Character]:
             raise InternalCheckError("eigenvector vanishes at the identity class")
         scale = pow(v[0], q - 2, q)
         v = [x * scale % q for x in v]
-        csum = sum(v[j] * v[inv_class[j]] * pow(sizes[j], q - 2, q) for j in range(r)) % q
+        csum = sum(v[j] * v[inv_class[j]] * inv_sizes[j] for j in range(r)) % q
         target = n * pow(csum, q - 2, q) % q
         degree = next((d for d in range(1, isqrt(n) + 1) if d * d % q == target), None)
         if degree is None:
             raise InternalCheckError("no admissible degree for eigenvector")
-        chi_q = [degree * v[j] * pow(sizes[j], q - 2, q) % q for j in range(r)]
+        chi_q = [degree * x * inv_size % q for x, inv_size in zip(v, inv_sizes)]
         values = []
-        for j in range(r):
+        for row in power_classes:
+            inv_o, weight_rows = transforms[len(row)]
+            step = e // len(row)
+            at_powers = [chi_q[c] for c in row]
             mults: dict[int, int] = {}
-            for t in range(e):
-                s = 0
-                for k in range(e):
-                    s += chi_q[power_class[j][k]] * pow(zeta, (-t * k) % e, q)
-                m = s % q * inv_e % q
+            for s, weights in enumerate(weight_rows):
+                m = sum(map(mul, at_powers, weights)) % q * inv_o % q
                 if m > degree:
                     raise InternalCheckError("eigenvalue multiplicity out of range")
                 if m:
-                    mults[t] = m
+                    mults[s * step] = m
             if sum(mults.values()) != degree:
                 raise InternalCheckError("eigenvalue multiplicities do not sum to the degree")
-            values.append(CycNumber.from_exponents(e, mults))
+            key = tuple(mults.items())
+            if key not in lifted:
+                lifted[key] = CycNumber.from_exponents(e, mults)
+            values.append(lifted[key])
         table.append(Character(group=G, values=tuple(values), degree=degree))
     return table
 
@@ -503,35 +581,3 @@ def induced_character(G: FiniteGroup, embedding, chi_h: ClassFunction) -> ClassF
                 total = total + chi_h.value_at(position[y])
         values.append(total / h_order)
     return ClassFunction(group=G, values=tuple(values))
-
-
-@dataclass(frozen=True)
-class Idempotent:
-    """Central idempotent e_chi = chi(1)/|G| sum_sigma chi(sigma) sigma^(-1),
-    stored as one coefficient per group element."""
-
-    group: FiniteGroup
-    coeffs: tuple[CycNumber, ...]
-
-    def algebra_mul(self, other: "Idempotent") -> "Idempotent":
-        G = self.group
-        out = [CycNumber.from_rational(0) for _ in range(G.order)]
-        for s, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for t, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    rho = G.op(s, t)
-                    out[rho] = out[rho] + a * b
-        return Idempotent(group=G, coeffs=tuple(out))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-
-def idempotent(chi: Character) -> Idempotent:
-    G = chi.group
-    w = Fraction(chi.degree, G.order)
-    coeffs = tuple(w * chi.value_at(G.inv(s)) for s in range(G.order))
-    return Idempotent(group=G, coeffs=coeffs)

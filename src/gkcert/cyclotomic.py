@@ -40,10 +40,14 @@ def cyclotomic_poly(m: int) -> IntPoly:
     return q
 
 
+# phi(m) for every construction; conductors are few, so factor each once
+_phi = lru_cache(maxsize=None)(euler_phi)
+
+
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Row k = coordinates of zeta_m^k in the power basis, for k = 0..m-1."""
-    phi = euler_phi(m)
+    phi = _phi(m)
     poly = cyclotomic_poly(m).coeffs  # monic, degree phi
     rows = []
     cur = [0] * phi
@@ -81,7 +85,7 @@ class CycNumber:
     def __init__(self, m: int, num, den: int = 1):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        phi = euler_phi(m)
+        phi = _phi(m)
         num = list(num)
         if len(num) > phi:
             raise ValueError("coordinate vector longer than phi(m)")
@@ -89,7 +93,7 @@ class CycNumber:
         if den < 0:
             den = -den
             num = [-c for c in num]
-        g = reduce(gcd, (abs(c) for c in num), den)
+        g = reduce(gcd, num, den) if den > 1 else 1
         if g > 1:
             den //= g
             num = [c // g for c in num]

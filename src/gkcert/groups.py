@@ -9,7 +9,7 @@ built-in families; ``table[a][b]`` is the product a*b.  Builders:
   indices n..2n-1 are the reflections b*a^(i-n).
 * ``quaternion_group()`` -- Q8 with element order 1, -1, i, -i, j, -j, k, -k.
 * ``group_from_table(rows)`` -- arbitrary table, fully validated
-  (associativity included; |G| <= 64 keeps the cubic check cheap).
+  (associativity included, by Light's test on a greedy generating set).
 
 Conjugacy classes are computed eagerly and ordered by smallest member, so
 the identity class is always class 0.  ``dihedral_group(n)`` and
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import repeat
 from math import lcm, prod
+from operator import itemgetter
 
 from .errors import (
     InvalidTable,
@@ -34,8 +36,9 @@ from .errors import (
 from .schema import Node
 
 # Largest order of a group that ``build_group`` builds from a descriptor.  A
-# table's associativity check takes |G|^3 steps, so the order is read from the
-# spec and checked before anything is built.
+# table's checks take |G|^2 steps per generator tried (up to |G|^3 for a table
+# that is no group), so the order is read from the spec and checked before
+# anything is built.
 MAX_INGESTED_ORDER = 128
 
 
@@ -171,13 +174,48 @@ class FiniteGroup:
         )
 
 
+def _associativity_failure(rows, identity):
+    """A triple (x, a, y) with (x a) y != x (a y), or None when ``rows`` is
+    associative; ``identity`` must be a two-sided identity of the table.
+
+    Light's test on a generating set S grown greedily: the elements a with
+    (x a) y = x (a y) for all x, y contain the identity and are closed under
+    the product (for such a and b, (x ab) y = ((x a) b) y = (x a)(b y) =
+    x (a (b y)) = x ((a b) y)), so checking a in S suffices -- n^2 |S| steps
+    instead of n^3."""
+    n = len(rows)
+    reached = {identity}
+    generators = []
+    for g in range(n):
+        if g in reached:
+            continue
+        # every product of generators, bracketed from the left, is reached
+        generators.append(g)
+        frontier = list(reached)
+        while frontier:
+            row = rows[frontier.pop()]
+            for s in generators:
+                y = row[s]
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    for a in generators:
+        # (x a) y = x (a y) for every y: row x a equals row x read through row a
+        through_a = itemgetter(*rows[a])
+        for x, row in enumerate(rows):
+            if rows[row[a]] != through_a(row):
+                y = next(y for y in range(n) if rows[row[a]][y] != row[rows[a][y]])
+                return (x, a, y)
+    return None
+
+
 def _validate_and_build(table, spec) -> FiniteGroup:
     n = len(table)
     if n == 0:
         raise InvalidTable("empty table")
     rows = tuple(tuple(r) for r in table)
     for r in rows:
-        if len(r) != n or not all(isinstance(x, int) and 0 <= x < n for x in r):
+        if len(r) != n or not (all(map(isinstance, r, repeat(int))) and 0 <= min(r) and max(r) < n):
             raise InvalidTable("table is not a square array over 0..n-1")
     # identity
     identity = None
@@ -196,16 +234,9 @@ def _validate_and_build(table, spec) -> FiniteGroup:
                 break
         if inverse[a] is None:
             raise InvalidTable(f"element {a} has no inverse")
-    # associativity
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            ab = ra[b]
-            rab = rows[ab]
-            rb = rows[b]
-            for c in range(n):
-                if rab[c] != ra[rb[c]]:
-                    raise InvalidTable(f"associativity fails at ({a},{b},{c})")
+    failure = _associativity_failure(rows, identity)
+    if failure is not None:
+        raise InvalidTable(f"associativity fails at {failure}")
     # conjugacy classes
     seen = [False] * n
     classes = []

@@ -72,7 +72,10 @@ class Node:
         return None if self.value is None else read(self)
 
     def integers(self) -> list[int]:
-        return [item.integer() for item in self.items()]
+        values = self._expect(isinstance(self.value, (list, tuple)), "a list")
+        if all(map(_is_integer, values)):
+            return list(values)
+        return [item.integer() for item in self.items()]  # raises at the first non-integer
 
     def string(self) -> str:
         return self._expect(isinstance(self.value, str), "a string")

@@ -46,7 +46,7 @@ def test_criterion_1_character_theory_suite():
         assert deg1 == 2 and deg2 == (n - 2) // 4
         assert sum(ch.degree for ch in odd) == n // 2 + 1
     elapsed = time.monotonic() - started
-    assert elapsed < 3.0, f"character suite took {elapsed:.2f}s (budget 3s)"
+    assert elapsed < 1.5, f"character suite took {elapsed:.2f}s (budget 1.5s)"
     _report(1, f"{len(groups)} groups verified exactly + dihedral counting", started)
 
 

@@ -9,11 +9,12 @@ import pytest
 
 from gkcert.characters import (
     Parity,
+    _digit_width,
     _integral_coordinates,
-    _weighted_sum,
+    _pack,
+    _packed_dot,
     character_table,
     fixed_dim,
-    idempotent,
     induced_character,
     inner_product,
     odd_characters,
@@ -90,12 +91,17 @@ def test_deterministic_row_order():
 
 
 def test_dixon_matches_closed_forms():
-    # the modular route on a raw D4 table must agree with the closed form
-    raw = character_table(group_from_table(dihedral_group(4).table))
-    closed = character_table(dihedral_group(4))
-    raw_keys = [[v.sort_key(4) for v in ch.values] for ch in raw]
-    closed_keys = [[v.sort_key(4) for v in ch.values] for ch in closed]
-    assert raw_keys == closed_keys
+    # the modular route on a raw copy of every abelian, dihedral and Q8 group
+    # of order <= 24 must agree with its closed form
+    closed_groups = [G for G in supported_groups(24) if G.spec[0] != "table"]
+    assert {G.spec[0] for G in closed_groups} == {"abelian", "dihedral", "quaternion8"}
+    for G in closed_groups:
+        raw = group_from_table(G.table)
+        assert raw.classes == G.classes
+        e = G.exponent()
+        raw_keys = [[v.sort_key(e) for v in ch.values] for ch in character_table(raw)]
+        closed_keys = [[v.sort_key(e) for v in ch.values] for ch in character_table(G)]
+        assert raw_keys == closed_keys, G.spec
 
 
 def test_dixon_bigger_groups():
@@ -158,33 +164,6 @@ def test_frobenius_reciprocity_oracle():
         checked += 1
 
 
-def test_idempotents():
-    c2 = abelian_group([2])
-    coeffs = sorted(
-        tuple(c.as_fraction() for c in idempotent(ch).coeffs) for ch in character_table(c2)
-    )
-    assert coeffs == [(Fraction(1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 2))]
-    d6 = dihedral_group(6)
-    idems = [idempotent(ch) for ch in character_table(d6)]
-    for i, ei in enumerate(idems):
-        assert ei.algebra_mul(ei).coeffs == ei.coeffs  # e^2 = e
-        for j in range(i):
-            assert ei.algebra_mul(idems[j]).is_zero  # distinct idempotents kill each other
-
-
-def test_idempotent_orthogonality_order_16():
-    G = abelian_group([4, 4])
-    idems = [idempotent(ch) for ch in character_table(G)]
-    rng = random.Random(5)
-    for _ in range(20):
-        i, j = rng.randrange(16), rng.randrange(16)
-        prod = idems[i].algebra_mul(idems[j])
-        if i == j:
-            assert prod.coeffs == idems[i].coeffs
-        else:
-            assert prod.is_zero
-
-
 def test_contragredient():
     z = character_table(abelian_group([5]))
     chi = next(ch for ch in z if ch.values[1] == CycNumber.zeta(5))
@@ -226,6 +205,33 @@ def sampled_pairs(r, rng, limit=40):
     return pairs if len(pairs) <= limit else rng.sample(pairs, limit)
 
 
+def packed_coordinates(coordinates, width):
+    return [[_pack(x, width) for x in row] for row in coordinates]
+
+
+def max_norm(coordinates):
+    return max(sum(map(abs, x)) for row in coordinates for x in row)
+
+
+def test_packed_dot_matches_cycnumber_oracle():
+    # random signed coordinates, packed at the width their products need
+    rng = random.Random(12)
+    for e in (1, 2, 3, 4, 5, 8, 12, 24):
+        phi = len(CycNumber.zeta(e).num)
+        for _ in range(20):
+            terms = rng.randint(1, 6)
+            xs = [[rng.randint(-9, 9) for _ in range(phi)] for _ in range(terms)]
+            ys = [[rng.randint(-9, 9) for _ in range(phi)] for _ in range(terms)]
+            bound = sum(sum(map(abs, x)) * sum(map(abs, y)) for x, y in zip(xs, ys))
+            width = _digit_width(bound)
+            packed_xs, packed_ys = ([_pack(v, width) for v in vs] for vs in (xs, ys))
+            got = _packed_dot(e, width, packed_xs, packed_ys)
+            want = CycNumber.from_rational(0)
+            for x, y in zip(xs, ys):
+                want = want + CycNumber(e, x) * CycNumber(e, y)
+            assert CycNumber(e, got) == want
+
+
 def test_integer_orthogonality_sums_match_cycnumber_oracle():
     # the CycNumber oracle costs about a millisecond per pair, so large
     # tables check a seeded sample of their pairs
@@ -235,15 +241,19 @@ def test_integer_orthogonality_sums_match_cycnumber_oracle():
         e, n, r = G.exponent(), G.order, len(G.classes)
         sizes = [len(c) for c in G.classes]
         values, conjugates = _integral_coordinates(table, e)
+        width = _digit_width(n * max_norm(values + conjugates) ** 2)
+        values, conjugates = (packed_coordinates(c, width) for c in (values, conjugates))
         for i, j in sampled_pairs(r, rng):
-            row_sum = _weighted_sum(e, zip(sizes, values[i], conjugates[j]))
-            assert row_sum == inner_product(table[i], table[j]) * n
+            weighted = [s * x for s, x in zip(sizes, values[i])]
+            row_sum = _packed_dot(e, width, weighted, conjugates[j])
+            assert CycNumber(e, row_sum) == inner_product(table[i], table[j]) * n
         for i, j in sampled_pairs(r, rng):
-            column_sum = _weighted_sum(e, ((1, v[i], c[j]) for v, c in zip(values, conjugates)))
+            column = [v[i] for v in values]
+            column_sum = _packed_dot(e, width, column, [c[j] for c in conjugates])
             plain = CycNumber.from_rational(0)
             for ch in table:
                 plain = plain + ch.values[i] * ch.values[j].conjugate()
-            assert column_sum == plain
+            assert CycNumber(e, column_sum) == plain
 
 
 def test_integer_row_sums_match_on_products_of_characters():
@@ -259,9 +269,13 @@ def test_integer_row_sums_match_on_products_of_characters():
         ]
         values, _ = _integral_coordinates(products, e)
         _, conjugates = _integral_coordinates(table, e)
+        width = _digit_width(n * max_norm(values) * max_norm(conjugates))
+        values, conjugates = (packed_coordinates(c, width) for c in (values, conjugates))
         for prod, vals in zip(products, values):
+            weighted = [s * x for s, x in zip(sizes, vals)]
             for chi, conj in zip(table, conjugates):
-                assert _weighted_sum(e, zip(sizes, vals, conj)) == inner_product(prod, chi) * n
+                row_sum = _packed_dot(e, width, weighted, conj)
+                assert CycNumber(e, row_sum) == inner_product(prod, chi) * n
 
 
 def _with_value(rows, i, k, value):
@@ -275,6 +289,7 @@ def corrupted_tables(table):
     rows = list(table)
     last = len(rows) - 1
     yield "value-changed", _with_value(rows, last, 1, rows[last].values[1] + 1)
+    yield "value-off-by-10^30", _with_value(rows, last, 1, rows[last].values[1] + 10**30)
     i, a, b = next(
         (i, a, b)
         for i, ch in enumerate(rows)
@@ -296,6 +311,7 @@ def corrupted_tables(table):
 
 REJECTION = {
     "value-changed": "row orthogonality",
+    "value-off-by-10^30": "row orthogonality",
     "values-swapped": "row orthogonality",
     "value-halved": "not an algebraic integer",
     "row-dropped": "rows for",
@@ -342,7 +358,7 @@ def test_corrupted_tables_are_rejected_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4 * len(CORRUPTION_GROUPS)
+    assert len(lines) == len(REJECTION) * len(CORRUPTION_GROUPS)
     assert all(line.startswith("rejected ") for line in lines), proc.stdout
 
 

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from gkcert.errors import InvalidTable, NotASubgroup, TauNotCentralInvolution
 from gkcert.groups import (
+    _associativity_failure,
     abelian_group,
     build_group,
     dihedral_group,
@@ -16,6 +18,7 @@ from helpers import (
     dicyclic12_group,
     order64_raw_groups,
     permutation_group,
+    raw_groups,
     sl23_group,
     supported_groups,
 )
@@ -150,3 +153,96 @@ def test_all_subgroups_inside_matches_filtered_lattice():
                 G.all_subgroups(inside=[x for x in range(G.order) if x != G.identity])
         with pytest.raises(NotASubgroup):
             G.all_subgroups(inside=[G.identity, G.order])
+
+
+def brute_force_associative(rows):
+    n = range(len(rows))
+    return all(rows[rows[a][b]][c] == rows[a][rows[b][c]] for a in n for b in n for c in n)
+
+
+def reduced_latin_squares(n, rng=None):
+    """Every n x n Latin square over 0..n-1 whose first row and column are
+    0..n-1 in order (each a loop with identity 0); with ``rng``, one such
+    square drawn by randomized backtracking instead."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == (n - 1) * (n - 1):
+            yield tuple(tuple(r) for r in rows)
+            return
+        i, j = 1 + cell // (n - 1), 1 + cell % (n - 1)
+        used = set(rows[i][:j]) | {rows[k][j] for k in range(i)}
+        choices = [x for x in range(n) if x not in used]
+        if rng is not None:
+            rng.shuffle(choices)
+        for x in choices:
+            rows[i][j] = x
+            yield from fill(cell + 1)
+        rows[i][j] = None
+
+    squares = fill(0)
+    return next(squares) if rng is not None else list(squares)
+
+
+def relabelled(rows, rng):
+    """The table under a random relabelling that keeps 0 fixed."""
+    n = len(rows)
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    back = {y: x for x, y in enumerate(perm)}
+    return tuple(tuple(perm[rows[back[a]][back[b]]] for b in range(n)) for a in range(n))
+
+
+def with_intercalate_swapped(rows, rng):
+    """A loop one 2 x 2 subsquare away from ``rows`` (rows and columns > 0),
+    or None when it has none: associative on all but a few triples."""
+    n = len(rows)
+    found = [
+        (a, b, c, d)
+        for a, b in itertools.combinations(range(1, n), 2)
+        for c, d in itertools.combinations(range(1, n), 2)
+        if rows[a][c] == rows[b][d] and rows[a][d] == rows[b][c]
+    ]
+    if not found:
+        return None
+    a, b, c, d = rng.choice(found)
+    out = [list(r) for r in rows]
+    out[a][c], out[a][d], out[b][c], out[b][d] = rows[a][d], rows[a][c], rows[b][d], rows[b][c]
+    return tuple(tuple(r) for r in out)
+
+
+def loop_sample():
+    """Seeded order-6 and order-8 loops: random ones, relabelled group tables,
+    and group tables with one subsquare swapped."""
+    rng = random.Random(8)
+    groups = [G for G in supported_groups(8) if G.order in (6, 8)]
+    sample = []
+    for n in (6, 8):
+        sample += [reduced_latin_squares(n, rng) for _ in range(40)]
+    for G in groups:
+        for _ in range(5):
+            rows = relabelled(G.table, rng)
+            sample.append(rows)
+            near = with_intercalate_swapped(rows, rng)
+            if near is not None:
+                sample.append(near)
+    return sample
+
+
+def test_associativity_matches_brute_force():
+    squares = reduced_latin_squares(5)
+    assert len(squares) == 56
+    raw = [G.table for G in raw_groups() + order64_raw_groups()]
+    loops = loop_sample()
+    verdicts = {True: 0, False: 0}
+    for rows in squares + loops + raw:
+        failure = _associativity_failure(rows, 0)
+        associative = brute_force_associative(rows)
+        assert (failure is None) == associative, rows
+        if failure is not None:
+            x, a, y = failure
+            assert rows[rows[x][a]][y] != rows[x][rows[a][y]]
+        verdicts[associative] += 1
+    # both verdicts occur among the loops of each order
+    for n in (6, 8):
+        assert {brute_force_associative(r) for r in loops if len(r) == n} == {True, False}
+    assert verdicts[True] >= len(raw) and verdicts[False] > 100
