@@ -283,6 +283,12 @@ class RadicalCMPiece:
     def support(self) -> frozenset[int]:
         return self.ramified
 
+    @property
+    def base_discriminants(self) -> tuple[int, int]:
+        """Discriminants D of Q(sqrt d1), Q(sqrt d2): an odd p splits in L
+        exactly when (D|p) = 1 for both (8 and 12 for Q8, 8 and 28 for D4)."""
+        return tuple(d if d % 4 == 1 else 4 * d for d in (self.d1, self.d2))
+
     def frobenius(self, p: int) -> int:
         """Frobenius at an unramified odd p as a group element; only the
         central cases are decidable from splitting data, so p must split in

@@ -40,7 +40,7 @@ from .extensions import (
 )
 from .intpoly import IntPoly, from_vector
 from .numberfield import NumberField, is_totally_split, make_field, splitting_type
-from .numutil import discriminant_symbol, is_prime, primes_upto
+from .numutil import is_prime, primes_upto, split_primes_upto
 from .rules import CertifyOutcome, certify
 from .schema import Node, parse_json, read_json, read_text
 from .towers import tower_from_document
@@ -152,10 +152,12 @@ def search_theoremB(
     equivalence).  Hits come back in ascending prime order.
 
     The ``Compositum`` is built once per search, before the prime loop; each
-    prime adds only its Frobenius and prime records.  The filter reads each
-    pool symbol (d|p) from its residue p mod |d| (``discriminant_symbol``)
-    and hands the CM Frobenius it computed to ``Compositum.at``, so a hit
-    computes it once.  R's invariants come from closed forms in
+    prime adds only its Frobenius and prime records.  The candidates come
+    from one residue sieve (``split_primes_upto``) over the pool
+    discriminants and the discriminants of the CM piece's real biquadratic
+    base L, so only primes split in R and L reach the CM Frobenius, which
+    still checks them; the filter hands that Frobenius to ``Compositum.at``,
+    so a hit computes it once.  R's invariants come from closed forms in
     ``multiquadratic_field``, the one place besides ``make_field`` that
     builds a NumberField: r1 = 2^k, r2 = 0 and disc = prod over nonempty S
     of 2^(2^k) |P_S(0)|^(2^(k-|S|)).  The pool entries and hits passed over
@@ -169,10 +171,8 @@ def search_theoremB(
     except NotLinearlyDisjoint as exc:
         raise PoolExhausted(f"chosen pool subset is not usable: {exc}") from exc
     hits: list[SearchHit] = []
-    for p in primes_upto(prime_bound):
+    for p in split_primes_upto(prime_bound, discs + piece.base_discriminants):
         if p == 2 or p in piece.ramified:
-            continue
-        if any(discriminant_symbol(d, p) != 1 for d in discs):
             continue
         try:
             frob = piece.frobenius(p)

@@ -10,6 +10,7 @@ needs (discriminants, conductors and group orders stay small).
 from __future__ import annotations
 
 from functools import cache
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import NotPrime
@@ -48,16 +49,41 @@ def require_prime(p: int) -> int:
     return p
 
 
-def primes_upto(bound: int) -> list[int]:
-    """Ascending primes <= bound (simple sieve)."""
+def _prime_sieve(bound: int) -> bytearray:
+    """Sieve of Eratosthenes: byte i is 1 exactly when i <= bound is prime."""
     if bound < 2:
-        return []
+        return bytearray(max(bound + 1, 0))
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, isqrt(bound) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+            sieve[i * i :: i] = bytes(len(range(i * i, bound + 1, i)))
+    return sieve
+
+
+def primes_upto(bound: int) -> list[int]:
+    """Ascending primes <= bound."""
+    sieve = _prime_sieve(bound)
+    return list(compress(range(len(sieve)), sieve))
+
+
+def split_primes_upto(bound: int, discs) -> list[int]:
+    """Ascending primes p <= bound with (d|p) = 1 for every d in ``discs``,
+    i.e. the primes that split in each Q(sqrt d); a prime dividing some d is
+    excluded.  Each d must be a discriminant (else ValueError).
+
+    (d|p) depends only on p mod |d| (``discriminant_symbol``), so each d
+    gives a row of |d| bytes, 1 at the residues r with (d|r) = 1.  The row is
+    tiled to the prime sieve's length and ANDed into it as one integer mask.
+    """
+    sieve = _prime_sieve(bound)
+    n = len(sieve)
+    mask = int.from_bytes(sieve, "little")
+    for d in discs:
+        m = abs(_require_discriminant(d))
+        row = bytes(discriminant_symbol(d, r or m) == 1 for r in range(m))
+        mask &= int.from_bytes((row * (n // m + 1))[:n], "little")
+    return list(compress(range(n), mask.to_bytes(n, "little")))
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -151,11 +177,16 @@ def discriminant_symbol(d: int, n: int) -> int:
     r = 0 too, where ``kronecker`` gives (1|0) = 1 and (d|0) = 0 for
     |d| > 1), and ``kronecker`` runs at most |d| times per d.
     """
-    if d == 0 or d % 4 not in (0, 1):
-        raise ValueError(f"{d} is not a discriminant (need d = 0, 1 mod 4, d != 0)")
+    _require_discriminant(d)
     if n < 1:
         raise ValueError(f"(d|n) is periodic in n only for n >= 1, got n = {n}")
     return _residue_symbol(d, n % abs(d))
+
+
+def _require_discriminant(d: int) -> int:
+    if d == 0 or d % 4 not in (0, 1):
+        raise ValueError(f"{d} is not a discriminant (need d = 0, 1 mod 4, d != 0)")
+    return d
 
 
 @cache

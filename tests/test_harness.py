@@ -138,6 +138,60 @@ def test_search_certificate_digests_pinned():
     ]
 
 
+def _reference_search(pool, target_r, prime_bound, cm_piece):
+    """search_theoremB's hits and notes from a per-prime filter: every prime,
+    every pool symbol (d|p), then the CM Frobenius."""
+    from gkcert.harness import _choose_pool_subset
+    from gkcert.errors import AmbiguousDecomposition, RamifiedPrime
+    from gkcert.numutil import discriminant_symbol, primes_upto
+    from gkcert.rules import certify
+
+    piece = BUILTIN_PIECES[cm_piece]
+    skipped = []
+    discs = _choose_pool_subset(pool, piece, target_r, skipped)
+    compositum = Compositum([piece] + [QuadraticComponent(d) for d in discs])
+    hits = []
+    for p in primes_upto(prime_bound):
+        if p == 2 or p in piece.ramified:
+            continue
+        if any(discriminant_symbol(d, p) != 1 for d in discs):
+            continue
+        try:
+            frob = piece.frobenius(p)
+        except (AmbiguousDecomposition, RamifiedPrime):
+            continue
+        if frob != piece.group().identity:
+            continue
+        ext = compositum.at(p, frob)
+        outcome = certify(ext)
+        r_S = max((c.payload_dict()["r_S"] for c in outcome.by_rule("gkc-gvc-equivalence")), default=0)
+        if r_S < 2 * target_r:
+            skipped.append(f"p = {p} certified only r_S = {r_S}; skipped")
+            continue
+        hits.append((p, discs, ext.digest(), r_S, [c.digest() for c in outcome.certificates]))
+    return hits, skipped
+
+
+@pytest.mark.parametrize("piece", ["q8", "d4"])
+@pytest.mark.parametrize(
+    "pool, target_r, bound",
+    [(POOL, 4, 3000), ([5, 29, 113, 181], 16, 20_000), ([9, 21, 5, 13, 17, 29], 16, 10_000)],
+)
+def test_search_sieve_matches_per_prime_filter(piece, pool, target_r, bound):
+    skipped = []
+    hits = search_theoremB(
+        pool=pool, target_r=target_r, prime_bound=bound, cm_piece=piece, skipped=skipped
+    )
+    got = [
+        (h.p, h.discs, h.descriptor.digest(), h.achieved_r, [c.digest() for c in h.outcome.certificates])
+        for h in hits
+    ]
+    want_hits, want_skipped = _reference_search(pool, target_r, bound, piece)
+    assert len(got) >= 3
+    assert got == want_hits
+    assert skipped == want_skipped
+
+
 def _search_config(tmp_path, pool):
     return config_from_dict(
         {

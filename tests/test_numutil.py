@@ -12,6 +12,7 @@ from gkcert.numutil import (
     multiplicative_order,
     primes_upto,
     primitive_root,
+    split_primes_upto,
     sqrt_mod_p,
 )
 
@@ -20,6 +21,11 @@ def test_primality_small():
     primes = set(primes_upto(2000))
     for n in range(2000):
         assert is_prime(n) == (n in primes)
+
+
+def test_primes_upto_every_small_bound():
+    for bound in range(-2, 301):
+        assert primes_upto(bound) == [n for n in range(bound + 1) if is_prime(n)], bound
 
 
 def test_primality_carmichael_and_large():
@@ -119,3 +125,31 @@ def test_discriminant_symbol_refuses_non_discriminants():
     for n in (0, -3):
         with pytest.raises(ValueError):
             discriminant_symbol(5, n)
+
+
+_PRIMES_5000 = [n for n in range(5001) if is_prime(n)]
+
+
+def _split_by_kronecker(bound, discs):
+    return [p for p in _PRIMES_5000 if p <= bound and all(kronecker(d, p) == 1 for d in discs)]
+
+
+def test_split_primes_upto_matches_kronecker_filter():
+    discs = [d for d in range(-200, 201) if is_fundamental_discriminant(d)]
+    assert {-199, -184, -4, -3, 8, 12, 28, 197} <= set(discs)
+    for d in discs:
+        for bound in sorted({0, 1, 2, 3, abs(d) - 1, abs(d), abs(d) + 1, 5000}):
+            got = split_primes_upto(bound, [d])
+            assert got == _split_by_kronecker(bound, [d]), (d, bound)
+            assert not any(d % p == 0 for p in got)
+    rng = random.Random(1313)
+    for _ in range(60):
+        chosen = rng.sample(discs, rng.randint(2, 5))
+        for bound in (0, 3, min(map(abs, chosen)), 5000):
+            assert split_primes_upto(bound, chosen) == _split_by_kronecker(bound, chosen), (chosen, bound)
+
+
+def test_split_primes_upto_refuses_non_discriminants():
+    for d in (2, 3, -1, -2, 6, 7, -5, 0):
+        with pytest.raises(ValueError):
+            split_primes_upto(100, [5, d])
