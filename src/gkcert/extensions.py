@@ -15,10 +15,12 @@ Two construction routes:
   quaternion/dihedral octic given by radical data over a real biquadratic
   field).  Every CM piece answers ``group()``, ``tau()``, ``frobenius(p)``
   and ``assertion``, and its Frobenius is computed exactly (Kronecker
-  symbols, p mod m, Legendre tests on the radical's conjugates).
+  symbols, p mod m, Legendre tests on the radical's conjugates).  The base
+  R is a ``MultiquadraticField``, described by its discriminants.
 * ``ingest_extension`` -- JSON documents for extensions built by external
   systems (e.g. ray-class constructions); every group-theoretic invariant is
-  re-validated, and the records are marked ingested.
+  re-validated, and the records are marked ingested.  The base is a
+  ``base_poly`` polynomial or a ``base.multiquadratic`` discriminant list.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .groups import (
     dihedral_group,
     quaternion_group,
 )
-from .intpoly import IntPoly, from_vector
+from .intpoly import from_vector
 from .numberfield import NumberField, make_field
 from .numutil import (
     discriminant_symbol,
@@ -61,9 +63,6 @@ from .numutil import (
     sqrt_mod_p,
 )
 from .schema import Node
-
-Q_FIELD = make_field(IntPoly([0, 1]))  # Q presented by the polynomial X
-
 
 # -- prime records and descriptors ---------------------------------------------
 
@@ -93,13 +92,12 @@ class CompositumProvenance:
     """How a compositum descriptor was built; consumed by the Leopoldt rules."""
 
     cm_label: str
-    real_discs: tuple[int, ...]
     cm_assertion: str = ""
 
 
 @dataclass(frozen=True)
 class ExtensionDescriptor:
-    base: NumberField  # totally real R
+    base: NumberField | MultiquadraticField  # totally real R
     group: FiniteGroup  # G = Gal(K/R)
     tau: int  # central involution (complex conjugation)
     p: int
@@ -408,62 +406,49 @@ def _radicand(disc: int) -> int:
     return disc if disc % 4 == 1 else disc // 4
 
 
-def _quadratic_poly(disc: int) -> IntPoly:
-    return IntPoly([-_radicand(disc), 0, 1])
+@dataclass(frozen=True)
+class MultiquadraticField:
+    """The totally real field Q(sqrt d_1, ..., sqrt d_k) given by its
+    discriminants (k = 0 is Q), as built by ``multiquadratic_field``."""
+
+    discs: tuple[int, ...]
+    is_totally_real = True
+
+    @property
+    def degree(self) -> int:
+        return 1 << len(self.discs)
+
+    @property
+    def signature(self) -> tuple[int, int]:
+        return (self.degree, 0)
+
+    def document(self) -> dict:
+        """The base field's entry in a descriptor document."""
+        return {"base": {"multiquadratic": list(self.discs)}}
 
 
-def _twist_by_sqrt(P: IntPoly, d: int) -> IntPoly:
-    """P(x - sqrt d) * P(x + sqrt d) expanded over Z (via y^2 = d)."""
-    A, B = IntPoly([0]), IntPoly([0])  # value A + y*B with y = sqrt d
-    xpoly = IntPoly([0, 1])
-    for c in reversed(P.coeffs):
-        # (A + yB)(x - y) = (A x - d B) + y (B x - A)
-        A, B = A * xpoly - d * B, B * xpoly - A
-        A = A + IntPoly([c])
-    return A * A - d * (B * B)
+def multiquadratic_field(discs: tuple[int, ...]) -> MultiquadraticField:
+    """R = Q(sqrt d1, ..., sqrt dk) for positive fundamental discriminants.
 
+    By Kummer theory [R:Q] = 2^k exactly when no nonempty product of the
+    radicands is a square.  Each squarefree radicand is its set of primes, a
+    vector over F_2, reduced here against a basis of the earlier ones.  The
+    roots +-sqrt d1 +- ... +- sqrt dk are real, so R has signature (2^k, 0).
 
-def multiquadratic_field(discs: tuple[int, ...]) -> NumberField:
-    """Totally real field Q(sqrt d1, ..., sqrt dk) for fundamental discs with
-    pairwise coprime support (which forces degree 2^k).
-
-    For k >= 2 the field is built here, the one place besides ``make_field``
-    that builds a NumberField, and its invariants come from closed forms
-    instead of the generic algorithms.  The defining polynomial
-    P = prod (X - sum_i e_i sqrt d_i), over all signs e, is the twist chain
-    of ``_twist_by_sqrt``.  Its 2^k roots are real, so r1 = 2^k and r2 = 0.
-    Two roots whose signs differ on the set S differ by 2 sum_{i in S} e_i
-    sqrt d_i, so
-
-        disc(P) = prod_{S nonempty in {1..k}} 2^(2^k) |P_S(0)|^(2^(k-|S|)),
-
-    with P_S the polynomial of the sub-family S.  Each P_S is twisted once,
-    from P_{S minus its last index}.  A zero P_S(0) means a repeated root
-    (Reducible), which coprime supports rule out.
+    Raises SchemaViolation for an entry that is not a positive fundamental
+    discriminant, and Reducible when [R:Q] < 2^k.
     """
-    if not discs:
-        return Q_FIELD
-    if len(discs) == 1:
-        return make_field(_quadratic_poly(discs[0]))
-    k = len(discs)
-    radicands = [_radicand(disc) for disc in discs]
-    polys = [IntPoly([0, 1])]  # polys[S] = P_S, S a bit mask over the discs
-    poly_disc = 1
-    for S in range(1, 1 << k):
-        last = S.bit_length() - 1
-        P = _twist_by_sqrt(polys[S ^ (1 << last)], radicands[last])
-        polys.append(P)
-        if P.coeffs[0] == 0:
-            raise Reducible(f"multiquadratic polynomial of {list(discs)} has a repeated root")
-        poly_disc *= 2 ** (1 << k) * abs(P.coeffs[0]) ** (1 << (k - S.bit_count()))
-    return NumberField(
-        defining_poly=polys[-1],
-        degree=1 << k,
-        r1=1 << k,
-        r2=0,
-        poly_disc=poly_disc,
-        irreducibility=f"asserted: multiquadratic compositum of discriminants {list(discs)}",
-    )
+    basis: dict[int, frozenset[int]] = {}  # largest prime of a vector -> the vector
+    for d in discs:
+        if d <= 0 or not is_fundamental_discriminant(d):
+            raise SchemaViolation(f"{d} is not a positive fundamental discriminant")
+        vector = prime_support(_radicand(d))
+        while vector and max(vector) in basis:
+            vector ^= basis[max(vector)]
+        if not vector:
+            raise Reducible(f"a product of the radicands of {list(discs)} is a square")
+        basis[max(vector)] = vector
+    return MultiquadraticField(tuple(discs))
 
 
 class Compositum:
@@ -476,7 +461,9 @@ class Compositum:
     tau, once; ``at(p)`` then gives the descriptor of K/R at each prime p.
 
     Raises NotLinearlyDisjoint on overlapping discriminant support not
-    covered by a caller assertion ("disjoint:<label-a>:<label-b>").
+    covered by a caller assertion ("disjoint:<label-a>:<label-b>"), and
+    Reducible when the real discriminants do not give [R:Q] = 2^k, which
+    no assertion covers.
     """
 
     def __init__(self, components, assertions=()):
@@ -507,21 +494,16 @@ class Compositum:
                             f"{la} and {lb} share discriminant support {sorted(sa & sb)}"
                         )
 
-        real_discs = tuple(sorted(q.disc for q in real_quads))
-        self.base = multiquadratic_field(real_discs)
+        self.base = multiquadratic_field(tuple(sorted(q.disc for q in real_quads)))
 
         self.group, self.tau = cm.group(), cm.tau()
         if cm.assertion:
             notes.append(f"asserted:{cm.assertion}")
-        if self.base.irreducibility.startswith("asserted"):
-            notes.append(f"asserted:base polynomial irreducible ({self.base.irreducibility})")
         self.cm = cm
         self.real_quads = tuple(real_quads)
         self.notes = tuple(notes)
         self.label = "K=" + "*".join([cm.label] + [q.label for q in real_quads])
-        self.construction = CompositumProvenance(
-            cm_label=cm.label, real_discs=real_discs, cm_assertion=cm.assertion
-        )
+        self.construction = CompositumProvenance(cm_label=cm.label, cm_assertion=cm.assertion)
 
     def at(self, p: int, frob: int | None = None) -> ExtensionDescriptor:
         """The descriptor of K/R at p; raises RamifiedPrime if p ramifies in
@@ -573,7 +555,8 @@ def build_compositum_over_Q(components, p: int, assertions=()) -> ExtensionDescr
     components supplying tau: ``Compositum(components, assertions).at(p)``.
 
     Raises NotLinearlyDisjoint on overlapping discriminant support not
-    covered by a caller assertion ("disjoint:<label-a>:<label-b>") and
+    covered by a caller assertion ("disjoint:<label-a>:<label-b>"),
+    Reducible when the real discriminants do not give [R:Q] = 2^k, and
     RamifiedPrime if p ramifies in any component.
     """
     return Compositum(components, assertions).at(p)
@@ -597,10 +580,20 @@ def ingest_extension(document) -> ExtensionDescriptor:
         group = build_group(doc["group"])
     except InvalidTable as exc:
         raise InvariantViolation("group", str(exc)) from exc
+    obj = doc.object()
+    if ("base_poly" in obj) == ("base" in obj):
+        raise SchemaViolation("document: give exactly one of base_poly and base")
+    node = doc["base_poly"] if "base_poly" in obj else doc["base"]["multiquadratic"]
+    values = node.integers()
     try:
-        base = make_field(from_vector(doc["base_poly"].integers()))
+        if "base_poly" in obj:
+            base = make_field(from_vector(values))
+        else:
+            base = multiquadratic_field(tuple(values))
+    except SchemaViolation as exc:  # a value that is not a positive fundamental discriminant
+        raise SchemaViolation(f"{node.path}: {exc}") from exc
     except (NotMonic, Reducible, IrreducibilityUndecided) as exc:
-        raise InvariantViolation("base field", str(exc)) from exc
+        raise InvariantViolation("base field", f"{node.path}: {exc}") from exc
 
     records = []
     for i, entry in enumerate(doc["primes"].items()):
@@ -650,7 +643,7 @@ def to_document(ext: ExtensionDescriptor) -> dict:
     return {
         "schema": SCHEMA_ID,
         "label": ext.label,
-        "base_poly": list(ext.base.defining_poly.coeffs[:-1]),
+        **ext.base.document(),
         "p": ext.p,
         "group": gspec,
         "tau": ext.tau,

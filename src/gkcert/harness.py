@@ -157,11 +157,10 @@ def search_theoremB(
     discriminants and the discriminants of the CM piece's real biquadratic
     base L, so only primes split in R and L reach the CM Frobenius, which
     still checks them; the filter hands that Frobenius to ``Compositum.at``,
-    so a hit computes it once.  R's invariants come from closed forms in
-    ``multiquadratic_field``, the one place besides ``make_field`` that
-    builds a NumberField: r1 = 2^k, r2 = 0 and disc = prod over nonempty S
-    of 2^(2^k) |P_S(0)|^(2^(k-|S|)).  The pool entries and hits passed over
-    are noted in ``skipped`` when it is given.
+    so a hit computes it once.  R is described by its discriminants, with
+    no polynomial: ``multiquadratic_field`` checks [R:Q] = 2^k by Kummer
+    theory, and its signature (2^k, 0) needs no computation.  The pool
+    entries and hits passed over are noted in ``skipped`` when it is given.
     """
     skipped = [] if skipped is None else skipped
     piece = BUILTIN_PIECES[cm_piece] if isinstance(cm_piece, str) else cm_piece

@@ -75,6 +75,10 @@ class NumberField:
     def is_totally_real(self) -> bool:
         return self.r2 == 0
 
+    def document(self) -> dict:
+        """The field's descriptor-document entry: f without its leading 1."""
+        return {"base_poly": list(self.defining_poly.coeffs[:-1])}
+
     def __str__(self):
         return f"Q[X]/({self.defining_poly})"
 
@@ -126,8 +130,8 @@ def make_field(f: IntPoly, proof: str = "") -> NumberField:
     Irreducibility is certified unless the caller built f with a proof in
     hand (families the certifier cannot reach, such as cyclotomic
     polynomials); ``proof`` is then stored verbatim as ``irreducibility``.
-    Multiquadratic bases of degree 4 or more are built from closed forms by
-    ``extensions.multiquadratic_field`` instead.
+    This is the only NumberField constructor; a compositum's base is an
+    ``extensions.MultiquadraticField``, with no polynomial.
 
     Raises NotMonic, Reducible, or IrreducibilityUndecided.
     """

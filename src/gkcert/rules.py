@@ -159,7 +159,7 @@ def _klingen_rule(ext: ExtensionDescriptor):
             ),
             verified(
                 "R is a compositum of real quadratic fields (abelian over Q)",
-                f"discriminants {list(con.real_discs)}",
+                f"discriminants {list(ext.base.discs)}",
             ),
         ],
         {"group_order": ext.group.order, "cm_piece": con.cm_label},

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -9,6 +10,7 @@ from gkcert.errors import (
     InvariantViolation,
     NotLinearlyDisjoint,
     RamifiedPrime,
+    Reducible,
     SchemaViolation,
 )
 from gkcert.extensions import (
@@ -24,7 +26,6 @@ from gkcert.extensions import (
     check_tower_disjointness,
     classify_primes,
     ingest_extension,
-    _twist_by_sqrt,
     multiquadratic_field,
     to_document,
 )
@@ -203,6 +204,8 @@ def test_split_implies_r_at_least_s():
 def test_ingest_round_trip_and_violations():
     ext = build_compositum_over_Q([QuadraticComponent(-4), QuadraticComponent(5)], 29)
     doc = to_document(ext)
+    del doc["base"]
+    doc["base_poly"] = [-5, 0]  # the same R = Q(sqrt 5), given by its polynomial
     assert to_document(ingest_extension(doc)) == doc
 
     bad = json.loads(json.dumps(doc))
@@ -251,6 +254,8 @@ def test_ingest_does_not_relabel_internal_errors(monkeypatch):
 
     monkeypatch.setattr(gkcert.extensions, "make_field", broken)
     doc = to_document(build_compositum_over_Q([QuadraticComponent(-4)], 5))
+    del doc["base"]
+    doc["base_poly"] = [0]  # R = Q, given by its polynomial, so make_field is called
     with pytest.raises(InternalCheckError):
         ingest_extension(doc)
 
@@ -276,32 +281,82 @@ def test_multiquadratic_fields():
     assert multiquadratic_field(()).degree == 1
     assert multiquadratic_field((5,)).degree == 2
     F = multiquadratic_field((5, 13, 17))
-    assert F.degree == 8 and F.is_totally_real
-    assert F.irreducibility.startswith("asserted")
+    assert F.degree == 8 and F.is_totally_real and F.signature == (8, 0)
+    for bad in (-4, 1, 20, 9):
+        with pytest.raises(SchemaViolation):
+            multiquadratic_field((5, bad))
 
 
 @pytest.mark.parametrize(
     "pool",
     [
-        (5, 13, 17, 29, 37),
-        (8, 5, 13, 17, 29),  # 8 and 12 take the disc // 4 branch
-        (12, 5, 13, 17, 29),
-        (5, 12, 13, 41, 53),
-        (13, 8, 17, 37, 61),
-        (61, 53, 41, 37, 29),
-        (12, 5, 17, 29, 41),
+        (5, 13, 65, 17),  # 65 = 5 * 13
+        (8, 12, 24, 5),  # radicands 2, 3, 6
+        (5, 8, 40, 13),  # radicands 5, 2, 10
+        (12, 21, 28, 5),  # radicands 3, 21, 7
+        (5, 13, 17, 29),
+        (8, 5, 13, 17),
+        (61, 53, 41, 37),
     ],
 )
 def test_multiquadratic_closed_form_matches_make_field(pool):
-    # the closed-form invariants of multiquadratic_field against make_field's
-    # subresultant discriminant and Sturm count on the same polynomial
-    for k in range(2, len(pool) + 1):
-        discs = pool[:k]
-        P = IntPoly([0, 1])
-        for disc in discs:
-            P = _twist_by_sqrt(P, disc if disc % 4 == 1 else disc // 4)
-        proof = f"asserted: multiquadratic compositum of discriminants {list(discs)}"
-        assert multiquadratic_field(discs) == make_field(P, proof)
+    # the Kummer check and the closed-form signature against sympy's minimal
+    # polynomial of sum sqrt(d_i), a primitive element of
+    # Q(sqrt d_1, ..., sqrt d_k), and make_field's Sturm count on it
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for k in (1, 2, 3):
+        for discs in itertools.combinations(pool, k):
+            minpoly = sympy.Poly(sympy.minimal_polynomial(sum(map(sympy.sqrt, discs)), x), x)
+            try:
+                F = multiquadratic_field(discs)
+            except Reducible:
+                assert minpoly.degree() < 2**k, discs
+                continue
+            f = make_field(IntPoly([int(c) for c in reversed(minpoly.all_coeffs())]), "sympy")
+            assert (F.degree, F.signature) == (f.degree, f.signature) == (2**k, (2**k, 0)), discs
+
+
+def test_dependent_real_discriminants_are_refused_under_disjointness_assertions():
+    # 65 = 5 * 13 shares support with 5 and with 13; the caller asserts both
+    # pairs disjoint, but sqrt 65 lies in Q(sqrt 5, sqrt 13), so [R:Q] = 4, not 8
+    components = [Q8_PIECE] + [QuadraticComponent(d) for d in (5, 13, 65)]
+    assertions = ["disjoint:quadratic(65):quadratic(5)", "disjoint:quadratic(65):quadratic(13)"]
+    with pytest.raises(NotLinearlyDisjoint):
+        Compositum(components)
+    with pytest.raises(Reducible):
+        Compositum(components, assertions)
+    with pytest.raises(Reducible):
+        build_compositum_over_Q(components, 311, assertions)
+
+
+def test_ingest_multiquadratic_base():
+    ext = build_compositum_over_Q([QuadraticComponent(-4)] + [QuadraticComponent(d) for d in (5, 13)], 29)
+    doc = to_document(ext)
+    assert doc["base"] == {"multiquadratic": [5, 13]} and "base_poly" not in doc
+    assert ingest_extension(doc).base == ext.base
+    assert ingest_extension(doc).digest() == ext.digest()
+
+    def violation(kind, base=None, **entries):
+        bad = json.loads(json.dumps(doc))
+        if base is not None:
+            bad["base"]["multiquadratic"] = base
+        bad.update(entries)
+        with pytest.raises(kind) as err:
+            ingest_extension(bad)
+        return err.value
+
+    both = violation(SchemaViolation, base_poly=[-5, 0])
+    assert "base_poly" in str(both) and "base" in str(both)
+    assert "base.multiquadratic[1]" in str(violation(SchemaViolation, [5, 13.0]))
+    assert "base.multiquadratic" in str(violation(SchemaViolation, [5, -4]))
+    assert "base.multiquadratic" in str(violation(SchemaViolation, [5, 52]))
+    dependent = violation(InvariantViolation, [5, 13, 65])
+    assert dependent.invariant == "base field" and "base.multiquadratic" in str(dependent)
+    bad = json.loads(json.dumps(doc))
+    del bad["base"]
+    with pytest.raises(SchemaViolation):
+        ingest_extension(bad)
 
 
 def test_compositum_builds_the_base_once():

@@ -14,7 +14,14 @@ from gkcert.harness import (
     scan_split_primes,
     search_theoremB,
 )
-from gkcert.extensions import BUILTIN_PIECES, Compositum, QuadraticComponent, RadicalCMPiece
+from gkcert.extensions import (
+    BUILTIN_PIECES,
+    Compositum,
+    QuadraticComponent,
+    RadicalCMPiece,
+    ingest_extension,
+    to_document,
+)
 from gkcert.intpoly import IntPoly
 from gkcert.numberfield import cyclotomic_field, make_field
 
@@ -127,15 +134,28 @@ def test_search_computes_each_cm_frobenius_once(monkeypatch):
 
 
 def test_search_certificate_digests_pinned():
-    # recorded before the base was hoisted out of the prime loop
+    # recorded when the base became a discriminant list with no polynomial
     (hit,) = search_theoremB(pool=POOL, target_r=16, prime_bound=2100, cm_piece="q8", max_hits=1)
     assert (hit.p, hit.discs, hit.achieved_r) == (2089, (5, 13, 17, 29), 32)
-    assert hit.descriptor.digest() == "1f009b5af4736a47"
+    doc = to_document(hit.descriptor)
+    assert doc["base"] == {"multiquadratic": [5, 13, 17, 29]} and "base_poly" not in doc
+    assert hit.descriptor.digest() == "36fea968f6f60cd6"
     assert [c.digest() for c in hit.outcome.certificates] == [
-        "cdfccca47917ee2b",
-        "a583a2db7d525c38",
-        "df7e5470a227f97f",
+        "78d8017600aedc6e",
+        "77eb1fe9ac60816a",
+        "8a8deba63e25a04e",
     ]
+
+
+@pytest.mark.parametrize("pool", [[5], [5, 13], [5, 13, 17, 29]])
+def test_search_descriptors_round_trip(pool):
+    hits = search_theoremB(
+        pool=pool, target_r=1 << len(pool), prime_bound=3000, cm_piece="q8", max_hits=None
+    )
+    for hit in hits:
+        d = hit.descriptor
+        assert not any(note.startswith("asserted:base") for note in d.assertions)
+        assert ingest_extension(to_document(d)).digest() == d.digest()
 
 
 def _reference_search(pool, target_r, prime_bound, cm_piece):
