@@ -334,8 +334,8 @@ def test_ingest_multiquadratic_base():
     ext = build_compositum_over_Q([QuadraticComponent(-4)] + [QuadraticComponent(d) for d in (5, 13)], 29)
     doc = to_document(ext)
     assert doc["base"] == {"multiquadratic": [5, 13]} and "base_poly" not in doc
-    assert ingest_extension(doc).base == ext.base
-    assert ingest_extension(doc).digest() == ext.digest()
+    loaded = ingest_extension(doc)
+    assert loaded.base == ext.base and loaded.digest() == ext.digest()
 
     def violation(kind, base=None, **entries):
         bad = json.loads(json.dumps(doc))
