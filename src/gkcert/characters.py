@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import isqrt
-from operator import itemgetter, mul
+from operator import is_, itemgetter, mul
 
 from .cyclotomic import CycNumber, _reduce_exponents
 from .errors import InternalCheckError, NonIntegralDimension, ScaleExceeded
@@ -546,14 +546,60 @@ def parity(chi: Character, tau: int) -> Parity:
     raise InternalCheckError(f"chi(tau) = {v!r} is neither +-chi(1); chi not irreducible?")
 
 
+def _row_index(chi: Character) -> int | None:
+    """The position of chi among the rows stored on its group, or None when
+    chi is not one of those row objects."""
+    rows = chi.group._characters
+    if rows is not None:
+        for i, row in enumerate(rows):
+            if row is chi:
+                return i
+    return None
+
+
+def _odd_rows(G: FiniteGroup, tau: int) -> tuple[Character, ...]:
+    """The odd rows of G's stored table, found by ``parity`` on the first
+    request for tau and then kept on G under ("odd", tau)."""
+    return G.verdict(
+        ("odd", tau), lambda: tuple(ch for ch in G._characters if parity(ch, tau) is Parity.ODD)
+    )
+
+
 def odd_characters(table: list[Character], tau: int) -> list[Character]:
+    """The rows chi of ``table`` with parity(chi, tau) ODD, in table order.
+
+    When ``table`` is its group G's own table (the rows character_table(G)
+    returns), the odd rows are found on the first call for each tau and kept
+    on G under the key ("odd", tau); any other list is tested row by row."""
+    rows = table[0].group._characters if table else None
+    if rows is not None and len(rows) == len(table) and all(map(is_, table, rows)):
+        return list(_odd_rows(table[0].group, tau))
     return [ch for ch in table if parity(ch, tau) is Parity.ODD]
 
 
+def is_odd(chi: Character, tau: int) -> bool:
+    """parity(chi, tau) is ODD; a row of its group's table is looked up among
+    the odd rows stored on the group."""
+    if _row_index(chi) is None:
+        return parity(chi, tau) is Parity.ODD
+    return any(chi is row for row in _odd_rows(chi.group, tau))
+
+
 def fixed_dim(chi: Character, subgroup) -> int:
-    """dim of the subspace of V_chi fixed by H: (1/|H|) sum_{h in H} chi(h)."""
+    """dim of the subspace of V_chi fixed by H: (1/|H|) sum_{h in H} chi(h).
+
+    H is checked to be a subgroup on every call.  For a row of G's table the
+    dimension is computed once and kept on G under the key ("fixed_dim", row
+    index, H as a frozenset); any other character is computed each time."""
     G = chi.group
     H = G.require_subgroup(subgroup)
+    row = _row_index(chi)
+    if row is None:
+        return _fixed_dim(chi, H)
+    return G.verdict(("fixed_dim", row, H), lambda: _fixed_dim(chi, H))
+
+
+def _fixed_dim(chi: Character, H: frozenset[int]) -> int:
     total = CycNumber.from_rational(0)
     for h in H:
         total = total + chi.value_at(h)

@@ -64,6 +64,18 @@ from .numutil import (
 )
 from .schema import Node
 
+# Largest |d| of a discriminant that gkcert checks.  Whether d is fundamental
+# is decided by trial-division factoring, up to sqrt(|d|)/3 steps (about
+# 0.06 s for a prime near 10^12, tenfold more per two digits), so |d| is
+# checked against this bound before anything is factored.
+MAX_DISCRIMINANT = 10**12
+
+
+def _require_bounded(d: int) -> None:
+    if abs(d) > MAX_DISCRIMINANT:
+        raise SchemaViolation(f"discriminant {d} exceeds the bound {MAX_DISCRIMINANT} in absolute value")
+
+
 # -- prime records and descriptors ---------------------------------------------
 
 
@@ -190,6 +202,7 @@ class QuadraticComponent:
     assertion = ""  # the Galois group of a quadratic field needs no assertion
 
     def __post_init__(self):
+        _require_bounded(self.disc)
         if not is_fundamental_discriminant(self.disc):
             raise SchemaViolation(f"{self.disc} is not a fundamental discriminant")
 
@@ -436,8 +449,11 @@ def multiquadratic_field(discs: tuple[int, ...]) -> MultiquadraticField:
     roots +-sqrt d1 +- ... +- sqrt dk are real, so R has signature (2^k, 0).
 
     Raises SchemaViolation for an entry that is not a positive fundamental
-    discriminant, and Reducible when [R:Q] < 2^k.
+    discriminant or exceeds MAX_DISCRIMINANT (checked for every entry before
+    any is factored), and Reducible when [R:Q] < 2^k.
     """
+    for d in discs:
+        _require_bounded(d)
     basis: dict[int, frozenset[int]] = {}  # largest prime of a vector -> the vector
     for d in discs:
         if d <= 0 or not is_fundamental_discriminant(d):
@@ -504,12 +520,18 @@ class Compositum:
         self.notes = tuple(notes)
         self.label = "K=" + "*".join([cm.label] + [q.label for q in real_quads])
         self.construction = CompositumProvenance(cm_label=cm.label, cm_assertion=cm.assertion)
+        self._records: dict[tuple[int, frozenset[int]], tuple[PrimeRecord, ...]] = {}
 
     def at(self, p: int, frob: int | None = None) -> ExtensionDescriptor:
         """The descriptor of K/R at p; raises RamifiedPrime if p ramifies in
         any component.  ``frob`` is the CM piece's Frobenius at p,
         ``self.cm.frobenius(p)``, for a caller that has computed it already;
-        left out, it is computed here."""
+        left out, it is computed here.
+
+        The prime records depend only on the Frobenius order ord_r in R and
+        on G_w, so each (ord_r, G_w) gets one tuple of frozen records, kept
+        on this Compositum and shared by every descriptor that has them; the
+        descriptor still checks them when it is built."""
         require_prime(p)
         for comp in self.real_quads + (self.cm,):
             if p in comp.support:
@@ -525,18 +547,19 @@ class Compositum:
                 break
         G = self.group
         g_w = G.subgroup_generated_by([G.power(frob, ord_r)])
-        t = 2 ** len(self.real_quads) // ord_r
-
-        records = tuple(
-            PrimeRecord(
-                label=f"v{i+1}",
-                e_base=1,
-                f_base=ord_r,
-                decomposition=g_w,
-                provenance="computed",
+        records = self._records.get((ord_r, g_w))
+        if records is None:
+            t = 2 ** len(self.real_quads) // ord_r
+            records = self._records[ord_r, g_w] = tuple(
+                PrimeRecord(
+                    label=f"v{i+1}",
+                    e_base=1,
+                    f_base=ord_r,
+                    decomposition=g_w,
+                    provenance="computed",
+                )
+                for i in range(t)
             )
-            for i in range(t)
-        )
         return ExtensionDescriptor(
             base=self.base,
             group=G,
@@ -590,7 +613,7 @@ def ingest_extension(document) -> ExtensionDescriptor:
             base = make_field(from_vector(values))
         else:
             base = multiquadratic_field(tuple(values))
-    except SchemaViolation as exc:  # a value that is not a positive fundamental discriminant
+    except SchemaViolation as exc:  # not a positive fundamental discriminant, or too large
         raise SchemaViolation(f"{node.path}: {exc}") from exc
     except (NotMonic, Reducible, IrreducibilityUndecided) as exc:
         raise InvariantViolation("base field", f"{node.path}: {exc}") from exc

@@ -14,8 +14,8 @@ built-in families; ``table[a][b]`` is the product a*b.  Builders:
 Conjugacy classes are computed eagerly and ordered by smallest member, so
 the identity class is always class 0.  ``dihedral_group(n)`` and
 ``quaternion_group()`` build each group once per process and return that
-shared instance; a group's character table is computed once and kept on the
-group object.
+shared instance; a group's character table, and each verdict the rules read
+from G and tau alone, is computed once and kept on the group object.
 """
 
 from __future__ import annotations
@@ -54,6 +54,22 @@ class FiniteGroup:
     _orders: tuple[int, ...] = field(repr=False, default=())
     # irreducible characters, filled on first request by characters.character_table
     _characters: tuple | None = field(repr=False, compare=False, init=False, default=None)
+    # results that depend only on this group object and the key, filled by
+    # ``verdict``; keys are tuples that start with the name of the result
+    _verdicts: dict = field(repr=False, compare=False, init=False, default_factory=dict)
+
+    def verdict(self, key: tuple, compute):
+        """The result stored on this group object under ``key``, computed by
+        ``compute()`` on the first request.  A ``compute`` that raises stores
+        nothing, so its checks run again on the next request.  Entries live
+        exactly as long as the object: two equal groups share none.  The keys
+        in use are ("klingen", tau) in rules.klingen_criterion, ("odd", tau)
+        and ("fixed_dim", row index, H) in characters, and
+        ("undecomposed", tau, set of G_w) in rules._undecomposed_subfield."""
+        verdicts = self._verdicts
+        if key not in verdicts:
+            verdicts[key] = compute()
+        return verdicts[key]
 
     # -- basic operations --
 

@@ -33,6 +33,7 @@ from .errors import (
 from .certificates import CertificateStore
 from .extensions import (
     BUILTIN_PIECES,
+    MAX_DISCRIMINANT,
     Compositum,
     QuadraticComponent,
     RadicalCMPiece,
@@ -105,8 +106,8 @@ def _choose_pool_subset(
 ) -> tuple[int, ...]:
     """Smallest prefix-greedy set of pool discriminants, pairwise disjoint and
     disjoint from the CM piece, with 2^k >= target_r.  Each pool entry that is
-    not a fundamental discriminant or shares support with the piece is noted
-    in ``skipped``."""
+    not a fundamental discriminant, exceeds MAX_DISCRIMINANT or shares
+    support with the piece is noted in ``skipped``."""
     chosen: list[QuadraticComponent] = []
     needed = 0
     while (1 << needed) < target_r:
@@ -116,8 +117,8 @@ def _choose_pool_subset(
             break
         try:
             comp = QuadraticComponent(d)
-        except SchemaViolation:
-            skipped.append(f"{d} is not a fundamental discriminant; skipped")
+        except SchemaViolation as exc:  # not fundamental, or above MAX_DISCRIMINANT
+            skipped.append(f"{exc}; skipped")
             continue
         if not comp.is_real:
             continue
@@ -343,6 +344,11 @@ class RunConfig:
             raise SchemaViolation(
                 f"search_b.cm_piece: expected one of {list(BUILTIN_PIECES)}, got {self.cm_piece!r}"
             )
+        for i, d in enumerate(self.pool):
+            if abs(d) > MAX_DISCRIMINANT:
+                raise SchemaViolation(
+                    f"search_b.pool[{i}]: {d} exceeds the discriminant bound {MAX_DISCRIMINANT}"
+                )
 
     def digest(self) -> str:
         """Hash of every field but ``out_dir``, which moves the reports

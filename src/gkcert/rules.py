@@ -43,7 +43,13 @@ from .errors import (
     PIsTwo,
     TauNotCentralInvolution,
 )
-from .extensions import Disjointness, ExtensionDescriptor, check_tower_disjointness, classify_primes
+from .extensions import (
+    Disjointness,
+    ExtensionDescriptor,
+    PrimeSummary,
+    check_tower_disjointness,
+    classify_primes,
+)
 from .groups import FiniteGroup
 from .towers import Stability, TowerData, gkc_minus_stabilization
 from .vanishing import GKC_ASSUMED, t_order_ledger
@@ -57,14 +63,19 @@ ASSUME_GKC_MINUS = "gkc-minus"
 def klingen_criterion(G: FiniteGroup, tau: int) -> bool:
     """chi(1) + chi(tau) <= 2 for every irreducible chi.
 
-    tau must be a central involution; the result must coincide with
-    abelianness of G/<tau> (a theorem), and a discrepancy raises
-    InternalCheckError.
+    tau must be a central involution, which is checked on every call; the
+    result must coincide with abelianness of G/<tau> (a theorem), and a
+    discrepancy raises InternalCheckError.  The verdict, cross-check
+    included, is computed on the first call for each group object and tau
+    and then kept on G under the key ("klingen", tau).
     """
     if not G.is_central_involution(tau):
         raise TauNotCentralInvolution(f"element {tau} is not a central involution")
-    table = character_table(G)
-    result = all(ch.degree + ch.value_at(tau).as_int() <= 2 for ch in table)
+    return G.verdict(("klingen", tau), lambda: _klingen_verdict(G, tau))
+
+
+def _klingen_verdict(G: FiniteGroup, tau: int) -> bool:
+    result = all(ch.degree + ch.value_at(tau).as_int() <= 2 for ch in character_table(G))
     quotient_abelian = G.quotient_is_abelian(G.subgroup_generated_by([tau]))
     if result != quotient_abelian:
         raise InternalCheckError(
@@ -77,11 +88,13 @@ def _subject(ext: ExtensionDescriptor) -> str:
     return ext.label or ext.digest()
 
 
-def rank_bound(ext: ExtensionDescriptor) -> Certificate:
+def rank_bound(ext: ExtensionDescriptor, summary: PrimeSummary | None = None) -> Certificate:
     """Rank bound r - s on the minus coinvariants for abelian K/R with a
     totally split prime v with R_v = Q_p; raises HypothesisFailed otherwise.
-    The r = s case is flagged in the payload (GKC- upgrade)."""
-    summary = classify_primes(ext)
+    The r = s case is flagged in the payload (GKC- upgrade).  ``summary`` is
+    ``classify_primes(ext)`` for a caller that has it already."""
+    if summary is None:
+        summary = classify_primes(ext)
     if not summary.split_qp_labels:
         raise HypothesisFailed("a", "no totally split prime with R_v = Q_p")
     if not ext.group.is_abelian:
@@ -318,7 +331,7 @@ def certify(
 
     # abelian rank bound; r = s upgrades
     try:
-        rb = rank_bound(ext)
+        rb = rank_bound(ext, summary)
         out.certificates.append(rb)
         if rb.payload_dict()["bound"] == 0:
             detail = _rem_4_9_detail(ext)
@@ -477,15 +490,24 @@ def certify(
 
 def _undecomposed_subfield(ext: ExtensionDescriptor):
     """Largest proper subgroup N with tau not in N contained in the core of
-    every decomposition group, or None."""
+    every decomposition group, or None.  N depends only on G, tau and the
+    distinct G_w, so it is chosen once per group object and kept on G under
+    the key ("undecomposed", tau, frozenset of the distinct G_w); the
+    Remark 4.9 detail names the records and is built for each descriptor."""
     G = ext.group
-    cores = [G.normal_core(H) for H in dict.fromkeys(rec.decomposition for rec in ext.primes)]
-    if not cores:
+    subgroups = frozenset(rec.decomposition for rec in ext.primes)
+    if not subgroups:
         return None
-    meet = frozenset.intersection(*cores)
-    candidates = [h for h in G.all_subgroups(inside=meet) if len(h) > 1 and ext.tau not in h]
-    if not candidates:
+    best = G.verdict(
+        ("undecomposed", ext.tau, subgroups), lambda: _largest_undecomposed(G, ext.tau, subgroups)
+    )
+    if best is None:
         return None
-    best = max(candidates, key=lambda h: (len(h), sorted(h)))
     detail = _rem_4_9_detail(ext)
     return best, (f" ({detail})" if detail else "")
+
+
+def _largest_undecomposed(G: FiniteGroup, tau: int, subgroups) -> frozenset[int] | None:
+    meet = frozenset.intersection(*(G.normal_core(H) for H in subgroups))
+    candidates = [h for h in G.all_subgroups(inside=meet) if len(h) > 1 and tau not in h]
+    return max(candidates, key=lambda h: (len(h), sorted(h))) if candidates else None

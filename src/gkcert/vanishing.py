@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import Character, Parity, character_table, fixed_dim, odd_characters, parity
+from .characters import Character, character_table, fixed_dim, is_odd, odd_characters
 from .errors import (
     EvenCharacter,
     LiftedOrderMismatch,
@@ -62,7 +62,7 @@ class VanishingReport:
 def _require_odd(ext: ExtensionDescriptor, chi: Character) -> None:
     if chi.group is not ext.group:
         raise ValueError("character belongs to a different group than the descriptor")
-    if parity(chi, ext.tau) is not Parity.ODD:
+    if not is_odd(chi, ext.tau):
         raise EvenCharacter("vanishing-order formulas apply to totally odd characters only")
 
 

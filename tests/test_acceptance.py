@@ -181,7 +181,7 @@ def test_criterion_6_theorem_b_pipeline():
     assert disjoint.status.value == "verified"
     assert str(hit.p) in disjoint.detail  # p does not divide |G| = 8 * 2^k
     elapsed = time.monotonic() - started
-    assert elapsed < 10.0, f"search took {elapsed:.2f}s (budget 10s)"
+    assert elapsed < 0.5, f"search took {elapsed:.2f}s (budget 0.5s)"
     _report(6, f"p = {hit.p}, r_S = {hit.achieved_r}, chain {rules}", started)
 
 
@@ -221,6 +221,27 @@ def test_criterion_6c_theorem_b_past_4096():
     elapsed = time.monotonic() - started
     assert elapsed < 2.0, f"search took {elapsed:.2f}s (budget 2s)"
     _report("6c", f"p = {hit.p}, r_S = {hit.achieved_r}", started)
+
+
+def test_criterion_6d_theorem_b_many_hits():
+    # hundreds of certified hits over one base: the group-level verdicts are
+    # computed once per group, so each hit costs its descriptor and certificates
+    started = time.monotonic()
+    hits = {
+        piece: search_theoremB(
+            pool=[5, 29, 113, 181],
+            target_r=16,
+            prime_bound=433_319,
+            cm_piece=piece,
+            max_hits=None,
+        )
+        for piece in ("q8", "d4")
+    }
+    elapsed = time.monotonic() - started
+    assert len(hits["q8"]) == 250 and len(hits["q8"]) + len(hits["d4"]) == 505
+    assert all(hit.achieved_r == 32 for found in hits.values() for hit in found)
+    assert elapsed < 1.0, f"searches took {elapsed:.2f}s (budget 1s)"
+    _report("6d", f"{len(hits['q8'])} q8 and {len(hits['d4'])} d4 hits, r_S = 32", started)
 
 
 def test_criterion_7_klingen_equivalence():

@@ -17,6 +17,7 @@ from gkcert.characters import (
     fixed_dim,
     induced_character,
     inner_product,
+    is_odd,
     odd_characters,
     parity,
     verify_character_table,
@@ -403,3 +404,80 @@ def test_parity_rejects_bad_values_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["rejected"] * 4, proc.stdout
+
+
+def test_fixed_dim_and_odd_rows_are_stored_per_group_object(monkeypatch):
+    import gkcert.characters as characters
+
+    computed = []
+    fixed = characters._fixed_dim
+
+    def counted(chi, H):
+        computed.append((chi, H))
+        return fixed(chi, H)
+
+    monkeypatch.setattr(characters, "_fixed_dim", counted)
+    G1, G2 = replace(dihedral_group(6)), replace(dihedral_group(6))
+    table = character_table(G1)
+    odd = odd_characters(table, 3)
+    assert odd == odd_characters(table, 3) and G1._verdicts[("odd", 3)] == tuple(odd)
+    assert all(is_odd(ch, 3) == (ch in odd) for ch in table)
+    two = [ch for ch in odd if ch.degree == 2][0]
+    assert fixed_dim(two, [0, 6]) == fixed_dim(two, {6, 0}) == 1
+    assert len(computed) == 1
+    with pytest.raises(NotASubgroup):
+        fixed_dim(two, {0, 1})  # checked on every call
+    # a character that is not a stored row is computed each time
+    copy = replace(two)
+    assert fixed_dim(copy, {0, 6}) == fixed_dim(copy, {0, 6}) == 1 and len(computed) == 3
+    assert not G2._verdicts
+    two2 = [ch for ch in odd_characters(character_table(G2), 3) if ch.degree == 2][0]
+    assert fixed_dim(two2, {0, 6}) == 1 and len(computed) == 4
+    # the subset of a table is tested row by row and stores nothing new
+    assert odd_characters(table[:3], 3) == [ch for ch in table[:3] if ch in odd]
+    assert set(G1._verdicts) == {("odd", 3), ("fixed_dim", table.index(two), frozenset({0, 6}))}
+
+
+def _corrupted_row_calls():
+    """Calls on D4, built from its raw table, whose stored degree-2 row has
+    the irrational value i at tau = a^2, made before anything is stored on
+    the group: (name, error class name or 'accepted') for each call, twice."""
+    G = group_from_table(dihedral_group(4).table)
+    rows = character_table(G)
+    i = next(k for k, ch in enumerate(rows) if ch.degree == 2)
+    at_tau = G.class_of[2]
+    values = tuple(CycNumber(4, [0, 1]) if k == at_tau else v for k, v in enumerate(rows[i].values))
+    rows[i] = replace(rows[i], values=values)
+    object.__setattr__(G, "_characters", tuple(rows))
+    calls = [
+        ("odd_characters", lambda: odd_characters(character_table(G), 2)),
+        ("is_odd", lambda: is_odd(rows[i], 2)),
+        ("fixed_dim", lambda: fixed_dim(rows[i], {0, 2})),
+    ]
+    out = []
+    for name, call in calls * 2:
+        try:
+            call()
+        except Exception as exc:
+            out.append((name, type(exc).__name__))
+        else:
+            out.append((name, "accepted"))
+    assert not G._verdicts
+    return out
+
+
+def test_corrupted_row_raises_on_every_call_also_under_optimize():
+    want = [
+        ("odd_characters", "InternalCheckError"),
+        ("is_odd", "InternalCheckError"),
+        ("fixed_dim", "NonIntegralDimension"),
+    ] * 2
+    assert _corrupted_row_calls() == want
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = "from test_characters import _corrupted_row_calls\nprint(_corrupted_row_calls())\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(here, "..", "src"), here])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(want)

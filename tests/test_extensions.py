@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from gkcert.extensions import (
     Q8_PIECE,
     Compositum,
     CyclotomicComponent,
+    MAX_DISCRIMINANT,
     Disjointness,
     ExtensionDescriptor,
     PrimeRecord,
@@ -32,7 +34,7 @@ from gkcert.extensions import (
 from gkcert.groups import dihedral_group
 from gkcert.intpoly import IntPoly
 from gkcert.numberfield import make_field, splitting_type
-from gkcert.numutil import kronecker, multiplicative_order, primes_upto
+from gkcert.numutil import is_prime, kronecker, multiplicative_order, primes_upto
 from helpers import random_descriptor
 
 
@@ -379,3 +381,25 @@ def test_descriptor_invariants_enforced():
             p=5,
             primes=(PrimeRecord("v1", 1, 2, frozenset({0}), "ingested"),),
         )
+
+
+# The first prime = 1 mod 4 above 10^30: a fundamental discriminant that
+# trial division would take years to factor.
+HUGE_PRIME_DISC = 10**30 + 57
+
+
+def test_discriminants_above_the_bound_are_refused_before_factoring():
+    assert HUGE_PRIME_DISC % 4 == 1 and is_prime(HUGE_PRIME_DISC) and HUGE_PRIME_DISC > MAX_DISCRIMINANT
+    doc = to_document(build_compositum_over_Q([QuadraticComponent(-4), QuadraticComponent(5)], 29))
+    doc["base"]["multiquadratic"] = [5, HUGE_PRIME_DISC]
+    for refuse in (
+        lambda: ingest_extension(doc),
+        lambda: multiquadratic_field((HUGE_PRIME_DISC, 5)),
+        lambda: QuadraticComponent(-HUGE_PRIME_DISC),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(SchemaViolation, match="exceeds the bound"):
+            refuse()
+        assert time.perf_counter() - started < 0.1
+    with pytest.raises(SchemaViolation, match=r"base\.multiquadratic: discriminant 10+57 exceeds"):
+        ingest_extension(doc)

@@ -1,10 +1,11 @@
 import json
 import os
+import time
 
 import pytest
 
 from gkcert.certificates import CertificateStore, Conclusion, asserted, make_certificate, verified
-from gkcert.errors import MalformedRow, PoolExhausted
+from gkcert.errors import MalformedRow, PoolExhausted, SchemaViolation
 from gkcert.harness import (
     EXAMPLE_ROWS,
     RunConfig,
@@ -495,6 +496,19 @@ def test_config_digest_names_the_effective_config():
 
 def test_config_defaults_are_the_run_config_defaults():
     assert config_from_dict({}) == RunConfig()
+
+
+def test_config_refuses_a_pool_discriminant_above_the_bound():
+    huge = 10**30 + 57  # the first prime = 1 mod 4 above 10^30
+    started = time.perf_counter()
+    with pytest.raises(SchemaViolation, match=r"search_b\.pool\[1\]: 10+57 exceeds"):
+        config_from_dict({"pipelines": ["search-b"], "search_b": {"pool": [5, huge, 13]}})
+    assert time.perf_counter() - started < 0.1
+    # called directly, the search notes the entry and goes on without it
+    skipped = []
+    hits = search_theoremB(pool=[5, -huge, 13], target_r=4, prime_bound=3000, max_hits=1, skipped=skipped)
+    assert hits[0].discs == (5, 13)
+    assert skipped == [f"discriminant {-huge} exceeds the bound 1000000000000 in absolute value; skipped"]
 
 
 def test_run_search_pipeline(tmp_path):

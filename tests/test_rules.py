@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from gkcert.certificates import Conclusion, Status
-from gkcert.errors import HypothesisFailed, PIsTwo
+from gkcert.errors import HypothesisFailed, PIsTwo, TauNotCentralInvolution
 from gkcert.extensions import (
     ExtensionDescriptor,
     PrimeRecord,
@@ -284,3 +284,73 @@ def test_undecomposed_subfield_matches_full_lattice_filter():
         assert (got[0] if got else None) == want
         found += want is not None
     assert found > 20
+
+
+def _over_fresh_group(ext):
+    """The same descriptor over a newly built copy of its group, which has
+    no stored table or verdicts."""
+    fresh = replace(ext.group)
+    assert fresh == ext.group and fresh is not ext.group and not fresh._verdicts
+    return replace(ext, group=fresh)
+
+
+@pytest.mark.parametrize("piece", ["q8", "d4"])
+def test_certify_with_stored_verdicts_matches_a_fresh_group(piece):
+    from gkcert.harness import search_theoremB
+
+    hits = search_theoremB(pool=[5, 13], target_r=4, prime_bound=3000, cm_piece=piece, max_hits=None)
+    assert len(hits) > 3
+    for hit in hits:
+        reused = certify(hit.descriptor)
+        fresh_ext = _over_fresh_group(hit.descriptor)
+        fresh = certify(fresh_ext)
+        assert fresh_ext.group._verdicts
+        for outcome in (reused, hit.outcome):
+            assert [c.digest() for c in outcome] == [c.digest() for c in fresh]
+            assert outcome.diagnostics == fresh.diagnostics
+
+
+def test_klingen_rejects_a_non_central_tau_after_a_stored_verdict():
+    G = replace(quaternion_group())
+    assert klingen_criterion(G, 1)
+    assert ("klingen", 1) in G._verdicts
+    for _ in range(2):
+        with pytest.raises(TauNotCentralInvolution):
+            klingen_criterion(G, 2)  # i is not central
+    assert ("klingen", 2) not in G._verdicts
+    D4 = replace(dihedral_group(4))
+    assert klingen_criterion(D4, 2)
+    with pytest.raises(TauNotCentralInvolution):
+        klingen_criterion(D4, 4)  # a reflection
+
+
+def test_equal_groups_never_share_stored_verdicts(monkeypatch):
+    import gkcert.rules as rules
+
+    computed = []
+    verdict = rules._klingen_verdict
+
+    def counted(G, tau):
+        computed.append(G)
+        return verdict(G, tau)
+
+    monkeypatch.setattr(rules, "_klingen_verdict", counted)
+    G1, G2 = replace(dihedral_group(4)), replace(dihedral_group(4))
+    assert G1 == G2 and G1 is not G2
+    assert klingen_criterion(G1, 2) and klingen_criterion(G1, 2)
+    assert len(computed) == 1 and not G2._verdicts
+    assert klingen_criterion(G2, 2)
+    assert len(computed) == 2 and computed[1] is G2
+    assert G1._verdicts is not G2._verdicts
+
+    ext = random_descriptor(random.Random(7))
+    twins = [_over_fresh_group(ext) for _ in range(2)]
+    outcomes = [certify(twin) for twin in twins]
+    assert [c.digest() for c in outcomes[0]] == [c.digest() for c in outcomes[1]]
+    keys = [set(twin.group._verdicts) for twin in twins]
+    assert keys[0] == keys[1] and {key[0] for key in keys[0]} == {"odd", "fixed_dim", "undecomposed"}
+    for key in keys[0]:
+        stored = [twin.group._verdicts[key] for twin in twins]
+        if isinstance(stored[0], tuple):  # odd rows: each group holds its own rows
+            assert all(a is not b for a, b in zip(*stored))
+            assert all(ch.group is twin.group for twin, rows in zip(twins, stored) for ch in rows)
