@@ -23,7 +23,6 @@ from .extensions import (
     BUILTIN_PIECES,
     Compositum,
     CyclotomicComponent,
-    Disjointness,
     ExtensionDescriptor,
     PrimeRecord,
     QuadraticComponent,

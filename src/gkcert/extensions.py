@@ -3,10 +3,12 @@
 A descriptor carries exactly the data the vanishing-order and certificate
 machinery consumes: the totally real base field R, the Galois group
 G = Gal(K/R) with its central complex conjugation tau, the working prime p,
-and one PrimeRecord per prime v of R above p (local degrees e(v/p), f(v/p)
-and the decomposition subgroup G_w of a prime w | v of K, stored as an
-explicit subgroup up to conjugacy).  K itself is never represented by a
-polynomial; every formula in scope consumes only (G, tau, G_w, e, f).
+and one PrimeRecord per class of primes v of R above p that share their
+local data (local degrees e(v/p), f(v/p) and the decomposition subgroup G_w
+of a prime w | v of K, stored as an explicit subgroup up to conjugacy),
+with the number of primes in the class.  K itself is never represented by a
+polynomial; every formula in scope consumes only (G, tau, G_w, e, f) and
+the counts.
 
 Two construction routes:
 
@@ -19,13 +21,12 @@ Two construction routes:
   R is a ``MultiquadraticField``, described by its discriminants.
 * ``ingest_extension`` -- JSON documents for extensions built by external
   systems (e.g. ray-class constructions); every group-theoretic invariant is
-  re-validated, and the records are marked ingested.  The base is a
-  ``base_poly`` polynomial or a ``base.multiquadratic`` discriminant list.
+  re-validated.  The base is a ``base_poly`` polynomial or a
+  ``base.multiquadratic`` discriminant list.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 from dataclasses import dataclass
@@ -81,30 +82,17 @@ def _require_bounded(d: int) -> None:
 
 @dataclass(frozen=True)
 class PrimeRecord:
-    """Local data at one prime v of R above p."""
+    """Local data shared by ``count`` primes v of R above p."""
 
     label: str
     e_base: int  # e(v/p)
     f_base: int  # f(v/p)
     decomposition: frozenset[int]  # G_w, a subgroup of G (fixed representative)
-    provenance: str  # "computed" | "ingested"
+    count: int = 1  # primes v of R with these local data
 
     @property
     def base_is_qp(self) -> bool:
         return self.e_base == 1 and self.f_base == 1
-
-
-class Disjointness(enum.Enum):
-    GUARANTEED = "guaranteed"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class CompositumProvenance:
-    """How a compositum descriptor was built; consumed by the Leopoldt rules."""
-
-    cm_label: str
-    cm_assertion: str = ""
 
 
 @dataclass(frozen=True)
@@ -116,7 +104,8 @@ class ExtensionDescriptor:
     primes: tuple[PrimeRecord, ...]
     assertions: tuple[str, ...] = ()
     label: str = ""
-    construction: CompositumProvenance | None = None
+    # the CM piece of a built compositum, read by the Klingen rules
+    construction: QuadraticComponent | CyclotomicComponent | RadicalCMPiece | None = None
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -125,19 +114,16 @@ class ExtensionDescriptor:
             raise InvariantViolation("base not totally real", str(self.base))
         if not self.group.is_central_involution(self.tau):
             raise InvariantViolation("tau not central")
-        total = sum(rec.e_base * rec.f_base for rec in self.primes)
+        total = sum(rec.e_base * rec.f_base * rec.count for rec in self.primes)
         if total != self.base.degree:
             raise InvariantViolation(
                 "base degree", f"sum e(v/p)f(v/p) = {total} != [R:Q] = {self.base.degree}"
             )
-        subgroups = set()  # the distinct G_w checked so far
         for rec in self.primes:
-            if rec.e_base < 1 or rec.f_base < 1:
-                raise InvariantViolation("local degrees", rec.label)
-            if rec.decomposition not in subgroups:
-                if not self.group.is_subgroup(rec.decomposition):
-                    raise InvariantViolation("decomposition subgroup", rec.label)
-                subgroups.add(rec.decomposition)
+            if min(rec.e_base, rec.f_base, rec.count) < 1:
+                raise InvariantViolation("local degrees and count", rec.label)
+            if not self.group.is_subgroup(rec.decomposition):
+                raise InvariantViolation("decomposition subgroup", rec.label)
 
     def tau_in(self, rec: PrimeRecord) -> bool:
         return self.tau in rec.decomposition
@@ -172,11 +158,11 @@ def classify_primes(ext: ExtensionDescriptor) -> PrimeSummary:
             tau_inert.append(rec.label)
         else:
             # each of the [G:G_w]/2 primes of K+ below a split pair splits in K
-            r += n // len(rec.decomposition) // 2
+            r += rec.count * (n // len(rec.decomposition) // 2)
         if ext.totally_split(rec) and rec.base_is_qp:
             split_qp.append(rec.label)
     return PrimeSummary(
-        t=len(ext.primes),
+        t=sum(rec.count for rec in ext.primes),
         s=n // 2,
         r=r,
         split_qp_labels=tuple(split_qp),
@@ -184,10 +170,11 @@ def classify_primes(ext: ExtensionDescriptor) -> PrimeSummary:
     )
 
 
-def check_tower_disjointness(ext: ExtensionDescriptor) -> Disjointness:
-    """K and the cyclotomic Z_p-tower of R are linearly disjoint when
-    p does not divide |G|; anything else needs a caller assertion."""
-    return Disjointness.GUARANTEED if ext.group.order % ext.p != 0 else Disjointness.UNKNOWN
+def check_tower_disjointness(ext: ExtensionDescriptor) -> bool:
+    """True when K and the cyclotomic Z_p-tower of R are guaranteed linearly
+    disjoint, which holds when p does not divide |G|; False means unknown,
+    and the disjointness needs a caller assertion."""
+    return ext.group.order % ext.p != 0
 
 
 # -- compositum components -------------------------------------------------------
@@ -519,8 +506,6 @@ class Compositum:
         self.real_quads = tuple(real_quads)
         self.notes = tuple(notes)
         self.label = "K=" + "*".join([cm.label] + [q.label for q in real_quads])
-        self.construction = CompositumProvenance(cm_label=cm.label, cm_assertion=cm.assertion)
-        self._records: dict[tuple[int, frozenset[int]], tuple[PrimeRecord, ...]] = {}
 
     def at(self, p: int, frob: int | None = None) -> ExtensionDescriptor:
         """The descriptor of K/R at p; raises RamifiedPrime if p ramifies in
@@ -528,10 +513,8 @@ class Compositum:
         ``self.cm.frobenius(p)``, for a caller that has computed it already;
         left out, it is computed here.
 
-        The prime records depend only on the Frobenius order ord_r in R and
-        on G_w, so each (ord_r, G_w) gets one tuple of frozen records, kept
-        on this Compositum and shared by every descriptor that has them; the
-        descriptor still checks them when it is built."""
+        The 2^k/ord_r primes of R above p share ord_r and G_w, so they are
+        one record with that count, labelled "v1-v<count>"."""
         require_prime(p)
         for comp in self.real_quads + (self.cm,):
             if p in comp.support:
@@ -547,28 +530,17 @@ class Compositum:
                 break
         G = self.group
         g_w = G.subgroup_generated_by([G.power(frob, ord_r)])
-        records = self._records.get((ord_r, g_w))
-        if records is None:
-            t = 2 ** len(self.real_quads) // ord_r
-            records = self._records[ord_r, g_w] = tuple(
-                PrimeRecord(
-                    label=f"v{i+1}",
-                    e_base=1,
-                    f_base=ord_r,
-                    decomposition=g_w,
-                    provenance="computed",
-                )
-                for i in range(t)
-            )
+        t = 2 ** len(self.real_quads) // ord_r
+        record = PrimeRecord("v1" if t == 1 else f"v1-v{t}", 1, ord_r, g_w, t)
         return ExtensionDescriptor(
             base=self.base,
             group=G,
             tau=self.tau,
             p=p,
-            primes=records,
+            primes=(record,),
             assertions=self.notes,
             label=f"{self.label}/R,p={p}",
-            construction=self.construction,
+            construction=self.cm,
         )
 
 
@@ -632,20 +604,23 @@ def ingest_extension(document) -> ExtensionDescriptor:
                 raise InvariantViolation(
                     "local-global degree", f"primes[{i}]: e*f = {e*f} != |G_w| = {len(sub)}"
                 )
+        count = entry.get("count", 1)
+        if count.integer() < 1:
+            raise SchemaViolation(f"{count.path}: expected a positive integer, got {count.value}")
         records.append(
             PrimeRecord(
                 label=entry.get("label", f"v{i+1}").string(),
                 e_base=entry["e_base"].integer(),
                 f_base=entry["f_base"].integer(),
                 decomposition=sub,
-                provenance="ingested",
+                count=count.value,
             )
         )
     return ExtensionDescriptor(
         base=base,
         group=group,
         tau=doc["tau"].integer(),
-        p=doc["p"].integer(),
+        p=doc["p"].prime_candidate(),
         primes=tuple(records),
         assertions=tuple(doc.get("assertions", []).strings()),
         label=doc.get("label", "").string(),
@@ -676,6 +651,7 @@ def to_document(ext: ExtensionDescriptor) -> dict:
                 "e_base": rec.e_base,
                 "f_base": rec.f_base,
                 "decomposition_subgroup": sorted(rec.decomposition),
+                **({"count": rec.count} if rec.count != 1 else {}),
             }
             for rec in ext.primes
         ],

@@ -118,9 +118,6 @@ class FiniteGroup:
             raise TauNotCentralInvolution(f"element {t} is not a central involution")
         return t
 
-    def central_involutions(self) -> list[int]:
-        return [t for t in range(self.order) if self.is_central_involution(t)]
-
     # -- subgroups --
 
     def is_subgroup(self, elements) -> bool:

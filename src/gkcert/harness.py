@@ -153,7 +153,7 @@ def search_theoremB(
     equivalence).  Hits come back in ascending prime order.
 
     The ``Compositum`` is built once per search, before the prime loop; each
-    prime adds only its Frobenius and prime records.  The candidates come
+    prime adds only its Frobenius and one prime record.  The candidates come
     from one residue sieve (``split_primes_upto``) over the pool
     discriminants and the discriminants of the CM piece's real biquadratic
     base L, so only primes split in R and L reach the CM Frobenius, which
@@ -208,7 +208,7 @@ class RowVerdict:
 
 
 # the fields of a row, in the order of the equivalent 5-element list
-_ROW_FIELDS = {"p": Node.integer, "poly": Node.integers, "modulus": Node.string,
+_ROW_FIELDS = {"p": Node.prime_candidate, "poly": Node.integers, "modulus": Node.string,
                "degree_k": Node.integer, "r_bound": Node.integer}
 
 

@@ -49,13 +49,6 @@ class SplittingType:
     def is_totally_split(self) -> bool:
         return all(ef == (1, 1) for ef in self.entries)
 
-    @property
-    def is_unramified(self) -> bool:
-        return all(e == 1 for e, _ in self.entries)
-
-    @property
-    def residue_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(f for _, f in self.entries))
 
 
 @dataclass(frozen=True)

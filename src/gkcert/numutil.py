@@ -2,9 +2,10 @@
 integers, Kronecker symbols, square roots and primitive roots mod p.
 
 Everything here is exact integer arithmetic.  Primality is a deterministic
-Miller-Rabin (the 13-base certificate, valid far beyond any input this
-package meets); factorization is trial division, which is all the artifact
-needs (discriminants, conductors and group orders stay small).
+Miller-Rabin (the 13-base test, proven below MR_BOUND; outside input at or
+above it is refused where it is read); factorization is trial division,
+which is all the artifact needs (discriminants, conductors and group orders
+stay small).
 """
 
 from __future__ import annotations
@@ -15,11 +16,16 @@ from math import gcd, isqrt
 
 from .errors import NotPrime
 
-# Deterministic Miller-Rabin bases for n < 3.3 * 10^24.
+# Deterministic Miller-Rabin bases for n < MR_BOUND.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The smallest strong pseudoprime to every base in _MR_BASES (Sorenson and
+# Webster, Math. Comp. 86 (2017)); is_prime calls it prime.
+MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Primality of n, proven for n < MR_BOUND."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):

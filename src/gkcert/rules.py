@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import SCALE_BOUND, Character, character_table, odd_characters
+from .characters import SCALE_BOUND, character_table, is_odd, odd_characters
 from .certificates import (
     Certificate,
     Conclusion,
+    Hypothesis,
     asserted,
     make_certificate,
     verified,
@@ -44,7 +45,6 @@ from .errors import (
     TauNotCentralInvolution,
 )
 from .extensions import (
-    Disjointness,
     ExtensionDescriptor,
     PrimeSummary,
     check_tower_disjointness,
@@ -86,6 +86,15 @@ def _klingen_verdict(G: FiniteGroup, tau: int) -> bool:
 
 def _subject(ext: ExtensionDescriptor) -> str:
     return ext.label or ext.digest()
+
+
+def _cite(statement: str, cert: Certificate) -> Hypothesis:
+    """The hypothesis that ``statement`` holds by the certificate ``cert``:
+    verified when cert is unconditional, else asserted, so that a
+    certificate resting on a conditional one is conditional too."""
+    if cert.conditional:
+        return asserted(statement, f"conditional certificate {cert.rule} [{cert.digest()}]")
+    return verified(statement, f"rule {cert.rule} [{cert.digest()}]")
 
 
 def rank_bound(ext: ExtensionDescriptor, summary: PrimeSummary | None = None) -> Certificate:
@@ -148,8 +157,8 @@ def _klingen_rule(ext: ExtensionDescriptor):
     con = ext.construction
     if ext.base.degree == 1:
         galois_hyp = verified("K is an imaginary Galois extension of Q", "R = Q, tau central")
-        if con is not None and con.cm_assertion:
-            galois_hyp = asserted("K is an imaginary Galois extension of Q", con.cm_assertion)
+        if con is not None and con.assertion:
+            galois_hyp = asserted("K is an imaginary Galois extension of Q", con.assertion)
         return (
             "klingen-character-bound",
             [galois_hyp, verified("chi(1) + chi(tau) <= 2 for every irreducible chi")],
@@ -158,24 +167,24 @@ def _klingen_rule(ext: ExtensionDescriptor):
         )
     if con is None:
         return None
-    if con.cm_assertion:
-        galois_hyp = asserted("M is an imaginary Galois extension of Q", con.cm_assertion)
+    if con.assertion:
+        galois_hyp = asserted("M is an imaginary Galois extension of Q", con.assertion)
     else:
-        galois_hyp = verified("M is an imaginary Galois extension of Q", con.cm_label)
+        galois_hyp = verified("M is an imaginary Galois extension of Q", con.label)
     return (
         "klingen-abelian-compositum",
         [
             galois_hyp,
             verified(
                 "chi(1) + chi(tau) <= 2 for every irreducible chi of Gal(M/Q)",
-                f"CM piece {con.cm_label}",
+                f"CM piece {con.label}",
             ),
             verified(
                 "R is a compositum of real quadratic fields (abelian over Q)",
                 f"discriminants {list(ext.base.discs)}",
             ),
         ],
-        {"group_order": ext.group.order, "cm_piece": con.cm_label},
+        {"group_order": ext.group.order, "cm_piece": con.label},
         "the CM piece fails the character bound",
     )
 
@@ -206,7 +215,6 @@ def _rem_4_9_detail(ext: ExtensionDescriptor) -> str:
 
 def certify(
     ext: ExtensionDescriptor,
-    chi: Character | None = None,
     assumptions=(),
     tower: TowerData | None = None,
 ) -> CertifyOutcome:
@@ -294,17 +302,12 @@ def certify(
             "undecomposed-subfield-reduction: no proper CM-subfield with p undecomposed"
         )
 
-    # Leopoldt + totally split in K/Q
-    split_kq = (
-        len(ext.primes) == ext.base.degree
-        and all(rec.base_is_qp for rec in ext.primes)
-        and all(len(rec.decomposition) == 1 for rec in ext.primes)
-    )
+    # Leopoldt + totally split in K/Q; with e = f = 1 everywhere the degree
+    # check on the descriptor makes the count of primes [R:Q]
+    split_kq = all(rec.base_is_qp and ext.totally_split(rec) for rec in ext.primes)
     leopoldt_hyp = None
     if leopoldt_cert is not None:
-        leopoldt_hyp = verified(
-            "Leopoldt's conjecture holds for K", f"rule {leopoldt_cert.rule}"
-        )
+        leopoldt_hyp = _cite("Leopoldt's conjecture holds for K", leopoldt_cert)
     elif ASSUME_LEOPOLDT in assumptions:
         leopoldt_hyp = asserted("Leopoldt's conjecture holds for K", "caller assumption")
     if split_kq and leopoldt_hyp is not None:
@@ -316,11 +319,11 @@ def certify(
                 [
                     verified(
                         "p is totally split in K/Q",
-                        f"{len(ext.primes)} primes of R, all with e = f = 1 and trivial G_w",
+                        f"{summary.t} primes of R, all with e = f = 1 and trivial G_w",
                     ),
                     leopoldt_hyp,
                 ],
-                {"primes_of_r": len(ext.primes)},
+                {"primes_of_r": summary.t},
                 digest,
             )
         )
@@ -428,8 +431,7 @@ def certify(
             )
 
     # ---- GVC propagation through the equivalence ----
-    disjoint = check_tower_disjointness(ext)
-    if disjoint is Disjointness.GUARANTEED:
+    if check_tower_disjointness(ext):
         disjoint_hyp = verified("K and the cyclotomic Z_p-tower of R are linearly disjoint",
                                 f"p = {ext.p} does not divide |G| = {G.order}")
     elif ASSUME_TOWER_DISJOINT in assumptions:
@@ -451,19 +453,12 @@ def certify(
             out.diagnostics.append("gkc-gvc-equivalence: |G| exceeds the character-table bound")
         else:
             if gkc_source is not None:
-                source_hyp = Certificate.digest(gkc_source)
-                gkc_hyp = verified("GKC-(K) holds", f"rule {gkc_source.rule} [{source_hyp}]")
-                if gkc_source.conditional:
-                    gkc_hyp = asserted(
-                        "GKC-(K) holds", f"conditional certificate {gkc_source.rule} [{source_hyp}]"
-                    )
+                gkc_hyp = _cite("GKC-(K) holds", gkc_source)
             else:
                 gkc_hyp = asserted("GKC-(K) holds", "caller assumption")
-            table = character_table(G)
-            odd = odd_characters(table, ext.tau)
-            targets = odd if chi is None else [chi]
-            for one in targets:
-                idx = next(i for i, ch in enumerate(table) if ch is one or ch == one)
+            for idx, one in enumerate(character_table(G)):
+                if not is_odd(one, ext.tau):
+                    continue
                 ledger = t_order_ledger(ext, one, GKC_ASSUMED)
                 out.certificates.append(
                     make_certificate(

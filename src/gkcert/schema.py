@@ -12,6 +12,7 @@ import json
 import reprlib
 
 from .errors import SchemaViolation
+from .numutil import MR_BOUND
 
 
 def read_text(path) -> str:
@@ -66,6 +67,16 @@ class Node:
 
     def integer(self) -> int:
         return self._expect(_is_integer(self.value), "an integer")
+
+    def prime_candidate(self) -> int:
+        """An integer below MR_BOUND, where ``is_prime`` is proven; whether
+        it is prime is left to the caller."""
+        value = self.integer()
+        if value >= MR_BOUND:
+            raise SchemaViolation(
+                f"{self.path}: {value} is at or above {MR_BOUND}, where primality is not proven"
+            )
+        return value
 
     def nullable(self, read):
         """None for a null value, else ``read(self)``, as in ``node.nullable(Node.integer)``."""

@@ -206,7 +206,7 @@ def tower_from_document(document) -> TowerData:
     try:
         return TowerData(
             label=doc["label"].string(),
-            p=doc["p"].integer(),
+            p=doc["p"].prime_candidate(),
             r=doc["r"].integer(),
             layers=layers,
             provenance=doc.get("provenance", "").string(),

@@ -51,7 +51,7 @@ class BvComponent:
 class VanishingReport:
     chi_degree: int
     r_s: int
-    contributions: tuple[tuple[str, int], ...]  # per-prime dim V_chi^{G_w}
+    contributions: tuple[tuple[str, int], ...]  # per record: dim V_chi^{G_w} of each of its primes
     ord_a_prime: int | None = None  # ord_T f_{A',chi}; None = unknown
     ord_a: int | None = None  # ord_T f_{A,chi} = ord_T f_{X,chi}
     predicted_lp_order: int | None = None
@@ -69,19 +69,17 @@ def _require_odd(ext: ExtensionDescriptor, chi: Character) -> None:
 def tate_order(ext: ExtensionDescriptor, chi: Character) -> VanishingReport:
     """r_{S,chi} for S = S_infty(R) u S_p(R); rejects even characters."""
     _require_odd(ext, chi)
-    # records repeat few distinct G_w (a search hit has one): one fixed_dim each
-    dims = {H: fixed_dim(chi, H) for H in dict.fromkeys(rec.decomposition for rec in ext.primes)}
-    contribs = tuple((rec.label, dims[rec.decomposition]) for rec in ext.primes)
+    contribs = tuple((rec.label, fixed_dim(chi, rec.decomposition)) for rec in ext.primes)
     return VanishingReport(
         chi_degree=chi.degree,
-        r_s=sum(d for _, d in contribs),
+        r_s=sum(rec.count * d for rec, (_, d) in zip(ext.primes, contribs)),
         contributions=contribs,
     )
 
 
 def bv_component(ext: ExtensionDescriptor, chi: Character, label: str, n: int = 0) -> BvComponent:
-    """Local chi-component at the prime record ``label``; n is the ingested
-    tower depth n(v) and never changes the T-order contribution."""
+    """Local chi-component at each prime of the record ``label``; n is the
+    ingested tower depth n(v) and never changes the T-order contribution."""
     _require_odd(ext, chi)
     rec = next((r for r in ext.primes if r.label == label), None)
     if rec is None:
@@ -148,7 +146,7 @@ def lifted_order(ext: ExtensionDescriptor, subfield_gal) -> int:
                 f"prime {rec.label} of R is not totally split in R~"
             )
     index = G.order // len(h)
-    claimed = index * len(ext.primes)
+    claimed = index * sum(rec.count for rec in ext.primes)
 
     # exact per-character validation on the restricted data
     H, emb = subgroup_embedding(G, h)
@@ -156,7 +154,7 @@ def lifted_order(ext: ExtensionDescriptor, subfield_gal) -> int:
     tau_h = position[ext.tau]
     for chi in odd_characters(character_table(H), tau_h):
         r = index * sum(
-            fixed_dim(chi, frozenset(position[g] for g in rec.decomposition))
+            rec.count * fixed_dim(chi, frozenset(position[g] for g in rec.decomposition))
             for rec in ext.primes
         )
         if r != claimed:

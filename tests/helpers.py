@@ -156,7 +156,7 @@ def _subgroups_of(group_key, group):
 def groups_with_central_involution(bound: int = 24):
     out = []
     for G in supported_groups(bound):
-        for tau in G.central_involutions():
+        for tau in filter(G.is_central_involution, range(G.order)):
             out.append((G, tau))
     return out
 
@@ -179,7 +179,6 @@ def random_descriptor(rng, bound: int = 24):
             e_base=e,
             f_base=f,
             decomposition=subgroups[rng.randrange(len(subgroups))],
-            provenance="ingested",
         )
         for i, (e, f) in enumerate(efs)
     )

@@ -15,6 +15,7 @@ from gkcert.characters import (
     verify_character_table,
 )
 from gkcert.errors import NonPPower
+from gkcert.extensions import to_document
 from gkcert.groups import dihedral_group, subgroup_embedding
 from gkcert.harness import EXAMPLE_ROWS, check_example_table, search_theoremB
 from gkcert.intpoly import IntPoly
@@ -79,7 +80,7 @@ def test_criterion_2_splitting_reciprocity_suite():
                 continue
             st = splitting_type(F, p)
             f = multiplicative_order(p, m)
-            ok = st.residue_degrees == tuple([f] * (euler_phi(m) // f)) and st.is_unramified
+            ok = st.entries == ((1, f),) * (euler_phi(m) // f)
             mismatches += 0 if ok else 1
             assert st.degree_sum == F.degree
     assert mismatches == 0
@@ -108,7 +109,7 @@ def test_criterion_3_tate_oracle_equivalence():
                 triv = [c for c in character_table(H) if all(v == 1 for v in c.values)][0]
                 induced_cache[key] = induced_character(ext.group, emb, triv)
             value = inner_product(induced_cache[key], chi)
-            total += int(value.as_fraction())
+            total += rec.count * int(value.as_fraction())
         assert tate_order(ext, chi).r_s == total
         checked += 1
     _report(3, "100 randomized descriptors, Frobenius-reciprocity brute force", started)
@@ -219,6 +220,9 @@ def test_criterion_6c_theorem_b_past_4096():
     assert hit.p == 940319 and hit.achieved_r == 4096
     assert hit.descriptor.base.degree == 2048
     elapsed = time.monotonic() - started
+    # the 2048 primes of R above p are one record, r_S = 2 * 2048
+    (entry,) = to_document(hit.descriptor)["primes"]
+    assert entry["count"] == 2048 and entry["label"] == "v1-v2048"
     assert elapsed < 2.0, f"search took {elapsed:.2f}s (budget 2s)"
     _report("6c", f"p = {hit.p}, r_S = {hit.achieved_r}", started)
 

@@ -20,7 +20,6 @@ from gkcert.extensions import (
     Compositum,
     CyclotomicComponent,
     MAX_DISCRIMINANT,
-    Disjointness,
     ExtensionDescriptor,
     PrimeRecord,
     QuadraticComponent,
@@ -64,8 +63,8 @@ def test_builder_two_components():
     assert kronecker(-4, 29) == 1 and kronecker(5, 29) == 1
     ext = build_compositum_over_Q([QuadraticComponent(-4), QuadraticComponent(5)], 29)
     assert ext.group.order == 2 and ext.base.degree == 2
-    assert len(ext.primes) == 2
-    assert all(ext.totally_split(rec) for rec in ext.primes)
+    assert ext.primes == (PrimeRecord("v1-v2", 1, 1, frozenset({0}), 2),)
+    assert classify_primes(ext).t == 2
 
 
 def test_builder_ramified():
@@ -99,7 +98,7 @@ def test_cyclotomic_component_frobenius():
             f = multiplicative_order(p, m)
             assert len(ext.primes[0].decomposition) == f
             st = splitting_type(field, p)
-            assert st.residue_degrees[0] == f
+            assert st.entries[0] == (1, f)
 
 
 def test_unit_group_structure():
@@ -144,8 +143,8 @@ def test_theorem_b_shape():
     assert ext.group.spec == ("quaternion8",) and ext.tau == 1
     summary = classify_primes(ext)
     assert summary.t == 2 and summary.s == 4 and summary.r == 8
-    assert summary.split_qp_labels == ("v1", "v2")
-    assert check_tower_disjointness(ext) is Disjointness.GUARANTEED
+    assert summary.split_qp_labels == ("v1-v2",)
+    assert check_tower_disjointness(ext)
 
 
 def test_disjointness_checks():
@@ -180,7 +179,7 @@ def test_classify_primes_tau_invariance():
                 decomposition=frozenset(
                     ext.group.conjugate(x, g) for x in rec.decomposition
                 ),
-                provenance=rec.provenance,
+                count=rec.count,
             )
             for rec in ext.primes
         )
@@ -275,7 +274,6 @@ def test_ingested_d4_descriptor():
     }
     ext = ingest_extension(doc)
     assert ext.group.order == 8
-    assert ext.primes[0].provenance == "ingested"
     assert classify_primes(ext).split_qp_labels == ("v1",)
 
 
@@ -379,8 +377,63 @@ def test_descriptor_invariants_enforced():
             group=dihedral_group(4),
             tau=2,
             p=5,
-            primes=(PrimeRecord("v1", 1, 2, frozenset({0}), "ingested"),),
+            primes=(PrimeRecord("v1", 1, 2, frozenset({0})),),
         )
+    with pytest.raises(InvariantViolation, match="count"):
+        ExtensionDescriptor(
+            base=make_field(IntPoly([0, 1])),  # Q: counts 2 and -1 sum to [R:Q] = 1
+            group=dihedral_group(4),
+            tau=2,
+            p=5,
+            primes=(
+                PrimeRecord("v1-v2", 1, 1, frozenset({0}), 2),
+                PrimeRecord("v3", 1, 1, frozenset({0}), -1),
+            ),
+        )
+
+
+@pytest.mark.parametrize("count", [0, -1, True, "2", 1.5])
+def test_ingest_refuses_a_count_that_is_not_a_positive_integer(count):
+    doc = to_document(build_compositum_over_Q([QuadraticComponent(-4), QuadraticComponent(5)], 29))
+    assert doc["primes"][0]["count"] == 2
+    doc["primes"][0]["count"] = count
+    with pytest.raises(SchemaViolation, match=r"^primes\[0\]\.count: "):
+        ingest_extension(doc)
+
+
+@pytest.mark.parametrize(
+    "group, tau, classes, assumptions",
+    [
+        ({"kind": "quaternion8"}, 1, [([0], 16)], ("leopoldt",)),
+        ({"kind": "quaternion8"}, 1, [([0, 1], 16)], ()),
+        ({"kind": "abelian", "data": [2, 4]}, 4, [([0], 16)], ()),
+        ({"kind": "abelian", "data": [2, 4]}, 4, [([0], 1), ([0, 4], 15)], ()),
+        ({"kind": "dihedral", "data": 6}, 3, [([0], 1), ([0, 3], 15)], ()),
+    ],
+    ids=["q8-split", "q8-tau-inert", "c2xc4-split", "c2xc4-mixed", "d6-mixed"],
+)
+def test_a_counted_record_certifies_like_its_primes_listed_one_by_one(group, tau, classes, assumptions):
+    from gkcert.rules import certify
+
+    shared = {"base": {"multiquadratic": [5, 13, 17, 29]}, "p": 2089, "group": group, "tau": tau}
+    counted = [
+        {"e_base": 1, "f_base": 1, "decomposition_subgroup": g_w, "count": n} for g_w, n in classes
+    ]
+    listed = [
+        {"e_base": 1, "f_base": 1, "decomposition_subgroup": g_w}
+        for g_w, n in classes
+        for _ in range(n)
+    ]
+    outcomes = [
+        certify(ingest_extension({**shared, "primes": primes}), assumptions)
+        for primes in (counted, listed)
+    ]
+
+    def seen(outcome):
+        return [(c.conclusion, c.rule, c.payload_dict(), c.conditional) for c in outcome]
+
+    assert outcomes[0].certificates and seen(outcomes[0]) == seen(outcomes[1])
+    assert outcomes[0].diagnostics == outcomes[1].diagnostics
 
 
 # The first prime = 1 mod 4 above 10^30: a fundamental discriminant that

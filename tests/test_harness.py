@@ -135,16 +135,17 @@ def test_search_computes_each_cm_frobenius_once(monkeypatch):
 
 
 def test_search_certificate_digests_pinned():
-    # recorded when the base became a discriminant list with no polynomial
+    # recorded when the 16 primes of R became one record with a count, and a
+    # certificate citing a conditional one became conditional
     (hit,) = search_theoremB(pool=POOL, target_r=16, prime_bound=2100, cm_piece="q8", max_hits=1)
     assert (hit.p, hit.discs, hit.achieved_r) == (2089, (5, 13, 17, 29), 32)
     doc = to_document(hit.descriptor)
     assert doc["base"] == {"multiquadratic": [5, 13, 17, 29]} and "base_poly" not in doc
-    assert hit.descriptor.digest() == "36fea968f6f60cd6"
+    assert hit.descriptor.digest() == "a426618f48f722ce"
     assert [c.digest() for c in hit.outcome.certificates] == [
-        "78d8017600aedc6e",
-        "77eb1fe9ac60816a",
-        "8a8deba63e25a04e",
+        "f5db9c30e35c7bc1",
+        "9a74cba34454c623",
+        "3011fc0154073641",
     ]
 
 

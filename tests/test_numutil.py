@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from gkcert.errors import SchemaViolation
 from gkcert.numutil import (
+    MR_BOUND,
     discriminant_symbol,
     euler_phi,
     factorint,
@@ -15,6 +17,7 @@ from gkcert.numutil import (
     split_primes_upto,
     sqrt_mod_p,
 )
+from gkcert.schema import Node
 
 
 def test_primality_small():
@@ -32,6 +35,31 @@ def test_primality_carmichael_and_large():
     assert not is_prime(561) and not is_prime(41041)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+
+
+def test_primality_matches_sympy_and_input_at_the_bound_is_refused():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    samples = [rng.randrange(2, 10**k) for k in (6, 12, 18, 24) for _ in range(200)]
+    samples += [MR_BOUND + rng.randrange(-(10**6), 10**6) for _ in range(400)]
+    # primes and products of two primes, which random odd n seldom are
+    samples += [sympy.nextprime(rng.randrange(10**k)) for k in (8, 12, 24) for _ in range(30)]
+    samples += [
+        sympy.nextprime(rng.randrange(10**11)) * sympy.nextprime(rng.randrange(10**12))
+        for _ in range(30)
+    ]
+    refused = 0
+    for n in samples + [MR_BOUND - 1, MR_BOUND]:
+        if n < MR_BOUND:
+            assert Node(n, "p").prime_candidate() == n
+            assert is_prime(n) == sympy.isprime(n), n
+        else:
+            with pytest.raises(SchemaViolation, match="^p: "):
+                Node(n, "p").prime_candidate()
+            refused += 1
+    assert refused > 100
+    # the bound is tight: is_prime is wrong at MR_BOUND itself
+    assert is_prime(MR_BOUND) and not sympy.isprime(MR_BOUND)
 
 
 def test_factorint():

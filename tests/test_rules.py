@@ -2,6 +2,7 @@ import glob
 import json
 import os
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -121,8 +122,8 @@ def test_certify_dihedral_counting():
         tau=3,
         p=11,
         primes=(
-            PrimeRecord("v1", 1, 1, frozenset({0}), "ingested"),
-            PrimeRecord("v2", 1, 1, frozenset({0, 3}), "ingested"),
+            PrimeRecord("v1", 1, 1, frozenset({0})),
+            PrimeRecord("v2", 1, 1, frozenset({0, 3})),
         ),
         label="d6-demo",
     )
@@ -149,7 +150,7 @@ def test_certify_undecomposed_subfield():
         group=G,
         tau=tau,
         p=5,
-        primes=(PrimeRecord("v1", 1, 1, g_w, "ingested"),),
+        primes=(PrimeRecord("v1", 1, 1, g_w),),
         label="c2xc4-demo",
     )
     out = certify(ext)
@@ -216,7 +217,7 @@ def test_no_applicable_rule_diagnostics():
         group=d6,
         tau=3,
         p=7,
-        primes=(PrimeRecord("v1", 1, 1, frozenset({0, 6}), "ingested"),),
+        primes=(PrimeRecord("v1", 1, 1, frozenset({0, 6})),),
         label="d6-no-rule",
     )
     out = certify(ext)
@@ -354,3 +355,44 @@ def test_equal_groups_never_share_stored_verdicts(monkeypatch):
         if isinstance(stored[0], tuple):  # odd rows: each group holds its own rows
             assert all(a is not b for a, b in zip(*stored))
             assert all(ch.group is twin.group for twin, rows in zip(twins, stored) for ch in rows)
+
+
+_CITED = re.compile(r"\[([0-9a-f]{16})\]")
+
+
+def test_a_certificate_citing_a_conditional_certificate_is_conditional():
+    """Every certificate of a q8 search, a d4 search and the shipped
+    descriptors (the d6 demo with the shipped tower): a Leopoldt or GKC-(K)
+    hypothesis not assumed by the caller names the rule and digest of a
+    certificate of the same run, and citing a conditional one makes the
+    hypothesis asserted and the certificate conditional."""
+    from gkcert.harness import search_theoremB
+    from gkcert.towers import tower_from_document
+
+    outcomes = [
+        hit.outcome
+        for piece in ("q8", "d4")
+        for hit in search_theoremB(pool=[5, 13], target_r=4, prime_bound=3000, cm_piece=piece)
+    ]
+    with open(os.path.join(DESCRIPTOR_DIR, "tower_demo.json")) as fh:
+        tower = tower_from_document(json.load(fh))
+    for name in ("gaussian_p13.json", "d4_split_demo.json", "d6_counting_demo.json"):
+        with open(os.path.join(DESCRIPTOR_DIR, name)) as fh:
+            ext = ingest_extension(json.load(fh))
+        outcomes.append(certify(ext, tower=tower if tower.p == ext.p else None))
+
+    citations = {True: 0, False: 0}  # by whether the cited certificate is conditional
+    for outcome in outcomes:
+        by_digest = {c.digest(): c for c in outcome}
+        for cert in outcome:
+            for hyp in cert.hypotheses:
+                cited = _CITED.findall(hyp.detail)
+                if hyp.statement in ("Leopoldt's conjecture holds for K", "GKC-(K) holds"):
+                    assert cited or hyp.detail == "caller assumption", hyp
+                for digest in cited:
+                    source = by_digest[digest]
+                    assert source.rule in hyp.detail
+                    citations[source.conditional] += 1
+                    if source.conditional:
+                        assert hyp.status is Status.ASSERTED and cert.conditional, cert
+    assert citations[True] > 10 and citations[False] >= 2

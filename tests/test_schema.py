@@ -12,7 +12,9 @@ import pytest
 from gkcert.errors import SchemaViolation
 from gkcert.extensions import ingest_extension
 from gkcert.groups import MAX_INGESTED_ORDER
-from gkcert.harness import config_from_dict, run
+from gkcert.harness import EXAMPLE_ROWS, check_example_table, config_from_dict, run
+from gkcert.numutil import MR_BOUND, is_prime
+from gkcert.towers import tower_from_document
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 DATA = os.path.join(ROOT, "src", "gkcert", "data", "descriptors")
@@ -146,3 +148,19 @@ def test_group_order_is_bounded_before_the_group_is_built(tmp_path, group, tau, 
         assert [row["group_order"] for row in result.rows] == [BOUND]
     else:
         assert result.violations == [f"certify: {path}: group: order {order} exceeds the bound {BOUND}"]
+
+
+def test_a_p_at_the_primality_bound_is_refused_on_every_input_path():
+    # MR_BOUND is composite, yet Miller-Rabin to the bases 2..41 calls it prime
+    assert is_prime(MR_BOUND)
+    gaussian = _load(os.path.join(DATA, "gaussian_p13.json"))
+    for read, doc in (
+        (ingest_extension, _replaced(gaussian, ["p"], MR_BOUND)),
+        (tower_from_document, _replaced(_load(TOWER), ["p"], MR_BOUND)),
+        (lambda row: check_example_table([row]), {**EXAMPLE_ROWS[1], "p": MR_BOUND}),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(SchemaViolation, match=rf"^p: {MR_BOUND} is at or above"):
+            read(doc)
+        assert time.perf_counter() - started < 0.1
+    assert ingest_extension(_replaced(gaussian, ["p"], 13)).p == 13

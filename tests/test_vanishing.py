@@ -18,6 +18,7 @@ from gkcert.extensions import (
     PrimeRecord,
     QuadraticComponent,
     build_compositum_over_Q,
+    classify_primes,
 )
 from gkcert.groups import abelian_group, dihedral_group, quaternion_group, subgroup_embedding
 from gkcert.rules import certify
@@ -62,8 +63,8 @@ def test_q8_totally_split_order():
     odd = _odd(ext)
     assert len(odd) == 1 and odd[0].degree == 2
     report = tate_order(ext, odd[0])
-    assert report.r_s == 2 * len(ext.primes) == 4
-    assert report.contributions == (("v1", 2), ("v2", 2))
+    assert report.r_s == 2 * classify_primes(ext).t == 4
+    assert report.contributions == (("v1-v2", 2),)
 
 
 def test_oracle_equivalence_frobenius_route():
@@ -82,7 +83,7 @@ def test_oracle_equivalence_frobenius_route():
             H, emb = subgroup_embedding(ext.group, rec.decomposition)
             triv = [c for c in character_table(H) if all(v == 1 for v in c.values)][0]
             ind = induced_character_cached(ext.group, emb, triv)
-            total += int(inner_product(ind, chi).as_fraction())
+            total += rec.count * int(inner_product(ind, chi).as_fraction())
         assert total == report.r_s
         checked += 1
 
@@ -127,11 +128,11 @@ def test_bv_component():
     p0 = next(p for p in q8_split_primes(600) if kronecker(5, p) == 1)
     ext = build_compositum_over_Q([Q8_PIECE, QuadraticComponent(5)], p0)
     chi = _odd(ext)[0]
-    bv = bv_component(ext, chi, "v1", n=3)
+    bv = bv_component(ext, chi, "v1-v2", n=3)
     assert bv.chi_multiplicity == chi.degree * 2 == 4
     assert bv.t_order_contribution == bv.chi_multiplicity  # independent of n
     assert bv.omega_level == 3
-    assert bv_component(ext, chi, "v1", n=0).t_order_contribution == 4
+    assert bv_component(ext, chi, "v1-v2", n=0).t_order_contribution == 4
 
 
 def test_ledger():
@@ -166,9 +167,10 @@ def test_ledger_identity_property():
         led = t_order_ledger(ext, chi, supplied)
         assert led.ord_a - led.ord_a_prime == chi.degree * led.r_s
         assert led.predicted_lp_order >= led.r_s  # the unconditional inequality
-        # per-prime contributions assemble the same total
+        # per-record contributions, each for count primes, assemble the same total
         total = sum(
-            bv_component(ext, chi, rec.label).t_order_contribution for rec in ext.primes
+            rec.count * bv_component(ext, chi, rec.label).t_order_contribution
+            for rec in ext.primes
         )
         assert total == chi.degree * led.r_s
         checked += 1
@@ -201,7 +203,7 @@ def test_lifted_order_mismatch_detected():
         group=G,
         tau=ext.tau,
         p=11,
-        primes=(PrimeRecord("v1", 1, 1, G.subgroup_generated_by([ext.tau]), "ingested"),),
+        primes=(PrimeRecord("v1", 1, 1, G.subgroup_generated_by([ext.tau])),),
     )
     with pytest.raises(LiftedOrderMismatch):
         lifted_order(ext_bad, frozenset(range(G.order)))
@@ -210,13 +212,13 @@ def test_lifted_order_mismatch_detected():
 def _repeating_descriptors():
     """Descriptors whose records repeat one G_w or mix two or three distinct
     G_w: six records over a sextic base for D4, Q8, C2 x C4 and the raw
-    Q8 x (Z/2)^3, plus search hits whose 16 records share one G_w."""
+    Q8 x (Z/2)^3, plus search hits whose one record stands for 16 or 8 primes."""
     rng = random.Random(211)
     exts = []
     groups = (dihedral_group(4), quaternion_group(), abelian_group([2, 4]), order64_raw_groups()[1])
     for G in groups:
         subgroups = sorted(G.all_subgroups(), key=lambda h: (len(h), sorted(h)))
-        taus = G.central_involutions()
+        taus = [t for t in range(G.order) if G.is_central_involution(t)]
         for tau in rng.sample(taus, min(2, len(taus))):
             for distinct in (1, 2, 3):
                 for _ in range(4):
@@ -224,7 +226,7 @@ def _repeating_descriptors():
                     picks += [rng.choice(picks) for _ in range(6 - distinct)]
                     rng.shuffle(picks)
                     records = tuple(
-                        PrimeRecord(f"v{i+1}", 1, 1, H, "ingested") for i, H in enumerate(picks)
+                        PrimeRecord(f"v{i+1}", 1, 1, H) for i, H in enumerate(picks)
                     )
                     exts.append(
                         ExtensionDescriptor(
@@ -255,7 +257,7 @@ def test_distinct_decomposition_groups_match_per_record_oracle():
             want = tuple((rec.label, fixed_dim(chi, rec.decomposition)) for rec in ext.primes)
             report = tate_order(ext, chi)
             assert report.contributions == want
-            assert report.r_s == sum(d for _, d in want)
+            assert report.r_s == sum(rec.count * d for rec, (_, d) in zip(ext.primes, want))
             nonzero += report.r_s > 0
             for label, dim in want:
                 bv = bv_component(ext, chi, label)
