@@ -140,10 +140,10 @@ class CertificateStore:
     """Append-only, content-addressed JSON-lines store.
 
     Loading rejects, with the path and line, any line that is not a
-    certificate or whose stored digest is not its own (an edited entry).  An
-    unparsable final line with no newline is a write cut short: its bytes go
-    to ``<path>.torn``, the store keeps the complete lines, and
-    ``diagnostics`` says so.
+    certificate or whose stored digest or ``conditional`` flag is not its
+    own (an edited entry).  An unparsable final line with no newline is a
+    write cut short: its bytes go to ``<path>.torn``, the store keeps the
+    complete lines, and ``diagnostics`` says so.
     """
 
     def __init__(self, path):
@@ -192,6 +192,12 @@ class CertificateStore:
         d, stored = cert.digest(), obj.get("digest")
         if stored != d:
             raise SchemaViolation(f"{where}: stored digest {stored!r} is not {d}; edited entry")
+        # the digest leaves the flag out, as it follows from the hypotheses
+        flag = obj.get("conditional")
+        if flag is not cert.conditional:
+            raise SchemaViolation(
+                f"{where}: stored conditional {flag!r} is not {cert.conditional}; edited entry"
+            )
         self._by_digest[d] = cert
 
     def __len__(self):

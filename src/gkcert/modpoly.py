@@ -12,8 +12,14 @@ The hot kernel is ``pow_mod``, the Frobenius powers X^(p^d) mod (g, p) of
 distinct-degree splitting, of Rabin's test and of the total-splitting test.
 It works on a fixed modulus: residues are packed into one integer each
 (Kronecker substitution, von zur Gathen-Gerhard, Modern Computer Algebra,
-ch. 8), so a product is one big-int multiply, and a product is reduced
-through rows X^(n+k) mod g computed once per call.
+ch. 8), so a product is one big-int multiply.  The product is reduced mod g
+by polynomial Barrett reduction (Barrett, CRYPTO '86; von zur Gathen-Gerhard
+9.1) through the inverse ``barrett_mu`` of g, and every slot is reduced
+mod p at once by multiplying with a precomputed ceil(2^t / p)
+(Granlund-Montgomery, PLDI '94).  So a product costs a fixed handful of
+big-int operations whatever the degree, with no loop over slots.  A number
+field keeps its defining polynomial's inverse over Z, which reduced mod p is
+the inverse mod p (``numberfield.NumberField.barrett_mu``).
 """
 
 from __future__ import annotations
@@ -97,17 +103,47 @@ def monic(a, p):
     return scale(a, pow(a[-1], p - 2, p), p)
 
 
-def pow_mod(base, e: int, mod, p):
+def barrett_mu(m, p: int = 0) -> tuple[int, ...]:
+    """mu = floor(X^(2n-2) / m) for monic m of degree n >= 1, constant first,
+    over Z, or mod p when p is given.
+
+    mu has degree n - 2 (it is () when n = 1) and its reversal is the power
+    series 1 / rev(m) mod X^(n-1), whose coefficients satisfy g_0 = 1 and
+    g_k = -sum_(j=1..k) m_(n-j) g_(k-j).  As m is monic, mu is integral, and
+    mu over Z reduced mod p is mu of m mod p.
+    """
+    n = len(m) - 1
+    g = [1] if n > 1 else []
+    for k in range(1, n - 1):
+        c = -sum(m[n - j] * g[k - j] for j in range(1, k + 1))
+        g.append(c % p if p else c)
+    return tuple(reversed(g))
+
+
+def pow_mod(base, e: int, mod, p, mu=None):
     """base^e mod (mod, p) by square and multiply, for any base and e >= 0.
 
     The modulus is made monic, m of degree n, which leaves remainders
-    unchanged.  A residue c_0 + ... + c_(n-1) X^(n-1) is packed into the
-    integer sum c_i 2^(s i) (Kronecker substitution), so each product is one
-    big-int multiply.  The n - 1 high slots of a product are folded back
-    through the precomputed rows X^(n+k) mod m, k = 0..n-2, and each slot is
-    then reduced mod p.  A slot of s bits holds n^2 (p-1)^2, which bounds
-    every slot of a product and of a folded sum, so no slot carries into
-    the next.
+    unchanged; ``mu`` is ``barrett_mu(m, p)`` when the caller holds it.  A
+    residue c_0 + ... + c_(n-1) X^(n-1) is packed into the integer
+    sum c_i 2^(w i) (Kronecker substitution), so a product is one big-int
+    multiply and is reduced in a fixed number of big-int operations:
+
+    - Barrett reduction: with a = a_0 + X^n a_1, deg a_0 < n, the quotient
+      of a by m is q = floor(a_1 mu / X^(n-2)), exact over a field with no
+      correction, and the remainder is a_0 + (q (X^n - m) mod X^n).
+    - every slot is reduced mod p at once: for a slot value v < 2^u,
+      floor(v / p) = floor(v c / 2^t) with c = ceil(2^t / p) and
+      t = u + bitlen(p), as then v c / 2^t exceeds v / p by less than 1 / p
+      (Granlund-Montgomery).  v c < 2^(2u+1) fits a slot of w = 2u + 2 bits,
+      so the floors sit in the low w - t bits of each slot of (A c) >> t,
+      one mask keeps them, and A - p * floors is A reduced slot by slot.
+
+    Every slot reduced holds at most (2n - 1)(p - 1)^2 < 2^u: a product of
+    two residues has at most n terms (p - 1)^2 per slot, the products of the
+    reduced a_1 with mu and of q with X^n - m at most n - 1, and the
+    remainder sums a_0 and the latter.  So no slot ever carries into the
+    next or borrows from it.
     """
     if not mod:
         raise ZeroDivisionError
@@ -117,44 +153,48 @@ def pow_mod(base, e: int, mod, p):
     n = deg(m)
     if n == 0:
         return ()
-    s = (n * n * (p - 1) ** 2).bit_length()
-    mask = (1 << s) - 1
-    low_mask = (1 << (s * n)) - 1
-    shifts = [s * i for i in range(n)]
+    if mu is None:
+        mu = barrett_mu(m, p)
+    u = ((2 * n - 1) * (p - 1) ** 2).bit_length()
+    w = 2 * u + 2
+    t = u + p.bit_length()
+    c = -(-(1 << t) // p)
+    high = w * n
+    low = (1 << high) - 1
+    # w - t one bits in each of n slots, a geometric series in 2^w
+    floor_mask = ((1 << (w - t)) - 1) * low // ((1 << w) - 1)
+    q_shift = w * max(n - 2, 0)  # mu = 0 when n = 1
 
     def pack(a):
-        return sum(c << sh for c, sh in zip(a, shifts))
+        out = 0
+        for ci in reversed(a):
+            out = (out << w) | ci
+        return out
 
-    rows = []
-    row = [-c % p for c in m[:-1]]  # X^n mod m
-    for _ in range(n - 1):
-        rows.append(pack(row))
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [(r - top * c) % p for r, c in zip(row, m)]
+    mu_packed = pack(mu)
+    neg_m = pack([-ci % p for ci in m[:-1]])  # X^n - m mod p, so X^n = neg_m mod m
 
     def mulmod(x, y):
         prod = x * y
-        acc = prod & low_mask
-        prod >>= s * n
-        for r in rows:
-            h = (prod & mask) % p
-            if h:
-                acc += h * r
-            prod >>= s
-        return sum(((acc >> sh) & mask) % p << sh for sh in shifts)
+        a1 = prod >> high
+        a1 -= p * (((a1 * c) >> t) & floor_mask)
+        q = (a1 * mu_packed) >> q_shift
+        q -= p * (((q * c) >> t) & floor_mask)
+        r = (prod & low) + (q * neg_m & low)
+        return r - p * (((r * c) >> t) & floor_mask)
 
-    b = pack(rem(tuple(c % p for c in base), m, p))
-    result = None
-    while True:
-        if e & 1:
-            result = b if result is None else mulmod(result, b)
-        e >>= 1
-        if not e:
-            break
-        b = mulmod(b, b)
-    return _trim([(result >> sh) & mask for sh in shifts])
+    b = pack(rem(tuple(ci % p for ci in base), m, p))
+    result = b
+    for bit in bin(e)[3:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(result, b)
+    slot = (1 << w) - 1
+    out = []
+    for _ in range(n):
+        out.append(result & slot)
+        result >>= w
+    return _trim(out)
 
 
 def derivative(a, p):

@@ -7,7 +7,8 @@ off (e, f) pairs -- but only after certifying that p does not divide the
 index [O_F : Z[theta]] (p^2 does not divide disc(f), or Dedekind's index
 criterion passes).  Unsafe primes raise UnsafePrime; splitting data for
 them must be ingested, never guessed.  Total splitting at p not dividing
-disc(f) needs no factorization: it is one Frobenius power X^p mod (f, p).
+disc(f) needs no factorization: it is one Frobenius power X^p mod (f, p),
+reduced through the Barrett inverse of f that the field computes once.
 
 Irreducibility over Q is *certified*, never assumed: a prime p coprime to
 disc(f) with f irreducible mod p, or a cross-prime factorization-pattern
@@ -19,7 +20,7 @@ caller passes a proof it holds by construction, which the field records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import modpoly
 from .cyclotomic import cyclotomic_poly
@@ -59,6 +60,8 @@ class NumberField:
     r2: int
     poly_disc: int
     irreducibility: str  # "certified", or the proof or assertion it was built with
+    # floor(X^(2n-2) / f) over Z: reduced mod p, the Barrett inverse of f mod p
+    barrett_mu: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def signature(self) -> tuple[int, int]:
@@ -141,6 +144,7 @@ def make_field(f: IntPoly, proof: str = "") -> NumberField:
         r2=(f.degree - r1) // 2,
         poly_disc=disc,
         irreducibility=proof or "certified",
+        barrett_mu=modpoly.barrett_mu(f.coeffs),
     )
 
 
@@ -194,7 +198,8 @@ def is_totally_split(F: NumberField, p: int) -> bool:
 
     When p does not divide disc(f), f mod p is squarefree, so p is
     Dedekind-safe, and p splits completely exactly when X^p = X mod
-    (f, p): one Frobenius power, with no factorization.  At p | disc(f) the
+    (f, p): one Frobenius power, with no factorization, whose Barrett
+    inverse is the field's ``barrett_mu`` reduced mod p.  At p | disc(f) the
     answer comes from ``splitting_type``, which raises UnsafePrime when p
     divides the index.
     """
@@ -203,6 +208,7 @@ def is_totally_split(F: NumberField, p: int) -> bool:
         fbar = modpoly.reduce_intpoly(F.defining_poly, p)  # monic, as f is
         # X mod fbar rather than X, so that a linear fbar compares right
         x = modpoly.rem(modpoly.X_P, fbar, p)
-        return modpoly.pow_mod(modpoly.X_P, p, fbar, p) == x
+        mu = tuple(c % p for c in F.barrett_mu)
+        return modpoly.pow_mod(modpoly.X_P, p, fbar, p, mu) == x
     # splitting_type checks that e * f sums to [F:Q]
     return splitting_type(F, p).is_totally_split

@@ -1,11 +1,12 @@
 """Elementary number-theoretic utilities: primality, factorization of small
 integers, Kronecker symbols, square roots and primitive roots mod p.
 
-Everything here is exact integer arithmetic.  Primality is a deterministic
-Miller-Rabin (the 13-base test, proven below MR_BOUND; outside input at or
-above it is refused where it is read); factorization is trial division,
-which is all the artifact needs (discriminants, conductors and group orders
-stay small).
+Everything here is exact integer arithmetic.  Primality is trial division
+below 43^2, then a deterministic Miller-Rabin (four bases, proven below
+3 215 031 751, and 13 bases, proven below MR_BOUND; outside input at or
+above MR_BOUND is refused where it is read); factorization is trial
+division, which is all the artifact needs (discriminants, conductors and
+group orders stay small).
 """
 
 from __future__ import annotations
@@ -16,27 +17,35 @@ from math import gcd, isqrt
 
 from .errors import NotPrime
 
-# Deterministic Miller-Rabin bases for n < MR_BOUND.
+# Deterministic Miller-Rabin bases for n < MR_BOUND; trial division by the
+# same primes decides every n < 43^2.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_TRIAL_BOUND = 43 * 43
 
 # The smallest strong pseudoprime to every base in _MR_BASES (Sorenson and
 # Webster, Math. Comp. 86 (2017)); is_prime calls it prime.
 MR_BOUND = 3317044064679887385961981
+
+# The smallest strong pseudoprime to the bases 2, 3, 5 and 7, 151 * 751 *
+# 28351 (Jaeschke, Math. Comp. 61 (1993)): below it those four bases suffice.
+_FOUR_BASE_BOUND = 3215031751
 
 
 def is_prime(n: int) -> bool:
     """Primality of n, proven for n < MR_BOUND."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < _TRIAL_BOUND:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _FOUR_BASE_BOUND else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

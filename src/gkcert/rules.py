@@ -17,8 +17,10 @@ explicit.  Rule keys are fixed strings:
 * ``split-rank-bound``                -- abelian K/R with a totally split
   Q_p-prime: rank bound r - s on the minus coinvariants.
 * ``abelian-split-rank-zero``         -- the r = s case upgrades to GKC-(K).
-* ``dihedral-odd-character-counting`` -- D_n, n = 2 mod 4: the odd-degree sum
-  n/2 + 1 beats the rank bound n/2, so some odd chi satisfies GKC(K/R,chi).
+* ``dihedral-odd-character-counting`` -- D_n, n = 2 mod 4, exactly one
+  totally split Q_p-prime of R and tau in G_w at the others: the odd-degree
+  sum n/2 + 1 beats the rank bound n/2, so some odd chi satisfies
+  GKC(K/R,chi).
 * ``chevalley-stabilization``         -- ingested tower data with stabilized
   minus-part orders.
 * ``gkc-gvc-equivalence``             -- with K and the cyclotomic tower of R
@@ -393,7 +395,9 @@ def certify(
     # ---- dihedral counting (existential GKC(K/R, chi)) ----
     if G.spec[0] == "dihedral" and G.spec[1] % 4 == 2:
         n = G.spec[1]
-        split_ok = bool(summary.split_qp_labels)
+        # the count r = n needs exactly one totally split prime of R: with t
+        # of them r = t * n, and "every other prime" would be vacuous at t > 1
+        split_ok = sum(rec.count for rec in ext.primes if rec.label in summary.split_qp_labels) == 1
         others_inert = all(
             ext.tau_in(rec) for rec in ext.primes if rec.label not in summary.split_qp_labels
         )

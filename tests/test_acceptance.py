@@ -85,7 +85,7 @@ def test_criterion_2_splitting_reciprocity_suite():
             assert st.degree_sum == F.degree
     assert mismatches == 0
     elapsed = time.monotonic() - started
-    assert elapsed < 20.0, f"splitting suite took {elapsed:.2f}s (budget 20s)"
+    assert elapsed < 4.0, f"splitting suite took {elapsed:.2f}s (budget 4s)"
     _report(2, "quadratic |d| <= 50 and cyclotomic m <= 40 vs oracles, 0 mismatches", started)
 
 

@@ -64,3 +64,23 @@ def test_store_still_rejects_a_line_edited_after_it_was_written(tmp_path):
     path.write_text(first + "\n" + second.replace('"r_S":32', '"r_S":33') + "\n")
     with pytest.raises(SchemaViolation, match=f"{path}:2: stored digest"):
         CertificateStore(path)
+
+
+@pytest.mark.parametrize("flag", ["false", "null", "1"])
+def test_store_rejects_an_edited_conditional_flag(tmp_path, flag):
+    # the digest leaves the flag out, so only the flag check sees this edit
+    path = tmp_path / "certificates.jsonl"
+    CertificateStore(path).add_all([_cert(0), _cert(1)])
+    first, second = path.read_text().splitlines()
+    assert '"conditional":true' in first
+    path.write_text(first.replace('"conditional":true', f'"conditional":{flag}') + "\n" + second + "\n")
+    with pytest.raises(SchemaViolation, match=f"{path}:1: stored conditional"):
+        CertificateStore(path)
+    # an unconditional certificate must be stored with false
+    path.write_text("")
+    plain = make_certificate(Conclusion.RANK_BOUND, "K", "rule", [verified("x")], {}, "inputs")
+    CertificateStore(path).add(plain)
+    assert len(CertificateStore(path)) == 1
+    path.write_text(path.read_text().replace('"conditional":false', '"conditional":true'))
+    with pytest.raises(SchemaViolation, match=f"{path}:1: stored conditional True is not False"):
+        CertificateStore(path)

@@ -1,20 +1,29 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from gkcert.errors import NotPrime, ZeroPolynomial
+from gkcert.cyclotomic import cyclotomic_poly
+from gkcert.errors import IrreducibilityUndecided, NotPrime, Reducible, ZeroPolynomial
 from gkcert.intpoly import IntPoly, from_vector
 from gkcert.modpoly import (
+    barrett_mu,
     deg,
+    divmod_p,
     factor_mod_p,
     gcd_p,
     is_irreducible_mod_p,
     mul,
     pow_mod,
     reduce_intpoly,
+    rem,
     sub,
     X_P,
 )
+from gkcert.numberfield import make_field
+from gkcert.numutil import MR_BOUND, is_prime
 
 X2_PLUS_1 = IntPoly([1, 0, 1])
 
@@ -181,3 +190,108 @@ def test_pow_mod_against_sympy():
         assert pow_mod(base, e, mod, p) == oracle(base, e, mod, p), (base, e, mod, p)
     with pytest.raises(ZeroDivisionError):
         pow_mod(X_P, 3, (), 5)
+
+
+# 2 and 3, primes just below and above 2^8, 2^16, 2^31 (above only), 2^32 and
+# 2^64, the Mersenne prime 2^61 - 1, 10^12 + 39, and the largest prime below
+# MR_BOUND: slot widths and the reduction constants change at these sizes
+EDGE_PRIMES = [
+    2, 3, 251, 257, 65521, 65537, 2147483659, 4294967291, 4294967311, 2**61 - 1,
+    18446744073709551557, 18446744073709551629, 10**12 + 39, 3317044064679887385961813,
+]
+
+
+def _naive_pow_mod(base, e, mod, p):
+    """Right-to-left square and multiply with schoolbook ``mul`` and ``rem``."""
+    out, b = rem((1,), mod, p), rem(base, mod, p)
+    while e:
+        if e & 1:
+            out = rem(mul(out, b, p), mod, p)
+        b = rem(mul(b, b, p), mod, p)
+        e >>= 1
+    return out
+
+
+def _sympy_pow_mod(base, e, mod, p):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    out = gf_pow_mod([ZZ(c) for c in reversed(base)], e, [ZZ(c) for c in reversed(mod)], p, ZZ)
+    return tuple(int(c) for c in reversed(out))
+
+
+def _slot_bound_cases(p):
+    """(base, e, mod) with every coefficient p - 1, for n = 1..24: the largest
+    slot values a product can hold.  Moduli X^n + (p-1)(X^(n-1) + ... + 1) and
+    X^n + X^(n-1) + ... + 1 make X^n mod m all 1 or all p - 1.  e = p^n while
+    its n * bitlen(p) bits stay affordable for the schoolbook oracle, else
+    p and p^2 at n <= 4; e = 2 and 3 at every n."""
+    for n in range(1, 25):
+        full = (p - 1,) * (n + 1)
+        for mod in ((p - 1,) * n + (1,), (1,) * (n + 1), full):
+            exps = [2, 3]
+            if n * p.bit_length() <= 128:
+                exps.append(p**n)
+            elif n <= 4:
+                exps += [p, p * p]
+            for e in exps:
+                yield full[:n], e, mod
+                yield full, e, mod  # a base of degree n, reduced first
+
+
+def test_edge_primes_are_prime():
+    sympy = pytest.importorskip("sympy")
+    assert EDGE_PRIMES[-1] == sympy.prevprime(MR_BOUND)
+    assert all(is_prime(p) and sympy.isprime(p) for p in EDGE_PRIMES)
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_pow_mod_at_the_slot_bounds(p):
+    pytest.importorskip("sympy")
+    for base, e, mod in _slot_bound_cases(p):
+        want = _naive_pow_mod(base, e, mod, p)
+        assert pow_mod(base, e, mod, p) == want, (base, e, mod, p)
+        assert _sympy_pow_mod(base, e, mod, p) == want, (base, e, mod, p)
+
+
+def test_pow_mod_at_the_slot_bounds_under_optimize():
+    """One worst case of every edge prime under ``python -O``, where no
+    assert statement runs: the kernel has none to lose."""
+    here = os.path.dirname(__file__)
+    script = (
+        "from gkcert.modpoly import pow_mod\n"
+        "from test_modpoly import EDGE_PRIMES, _naive_pow_mod\n"
+        "for p in EDGE_PRIMES:\n"
+        "    full = (p - 1,) * 17\n"
+        "    m = (p - 1,) * 16 + (1,)\n"
+        "    print(pow_mod(full, p, m, p) == _naive_pow_mod(full, p, m, p))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(here, "..", "src"), here])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * len(EDGE_PRIMES), proc.stdout
+
+
+def test_barrett_mu_is_the_quotient_and_a_fields_mu_reduces_to_it():
+    """barrett_mu(m, p) is floor(X^(2n-2) / m) mod p, and a field's stored mu
+    over Z, reduced mod p, is the same polynomial."""
+    rng = random.Random(17)
+    fields = [make_field(cyclotomic_poly(m), "cyclotomic") for m in (3, 13, 17)]
+    fields += [make_field(IntPoly([10**7 + 3, 5, -6, -2, 1])), make_field(IntPoly([-2, 1]))]
+    while len(fields) < 8:
+        n = rng.choice([7, 10, 14, 16])
+        f = IntPoly([rng.randrange(-9, 10)] + [rng.randrange(-5, 6) for _ in range(n - 1)] + [1])
+        try:
+            fields.append(make_field(f))
+        except (Reducible, IrreducibilityUndecided):
+            continue
+    for F in fields:
+        assert len(F.barrett_mu) == max(F.degree - 1, 0)
+        for p in EDGE_PRIMES + [5, 7, 797]:
+            m = reduce_intpoly(F.defining_poly, p)
+            mu = barrett_mu(m, p)
+            assert tuple(c % p for c in F.barrett_mu) == mu, (F, p)
+            top = (0,) * (2 * F.degree - 2) + (1,)
+            assert divmod_p(top, m, p)[0] == mu, (F, p)

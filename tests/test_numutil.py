@@ -37,6 +37,27 @@ def test_primality_carmichael_and_large():
     assert not is_prime(2**32 + 1)
 
 
+# 151 * 751 * 28351, the smallest strong pseudoprime to the bases 2, 3, 5 and 7
+FOUR_BASE_SPSP = 3215031751
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+def test_four_base_strong_pseudoprime_is_rejected():
+    assert FOUR_BASE_SPSP == 151 * 751 * 28351
+    assert all(_strong_probable_prime(FOUR_BASE_SPSP, a) for a in (2, 3, 5, 7))
+    assert not _strong_probable_prime(FOUR_BASE_SPSP, 11)
+    assert not is_prime(FOUR_BASE_SPSP)
+    # 43^2 is the first composite that no base divides: Miller-Rabin decides it
+    assert is_prime(1847) and not is_prime(43 * 43) and is_prime(1861)
+
+
 def test_primality_matches_sympy_and_input_at_the_bound_is_refused():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(5)
@@ -48,6 +69,12 @@ def test_primality_matches_sympy_and_input_at_the_bound_is_refused():
         sympy.nextprime(rng.randrange(10**11)) * sympy.nextprime(rng.randrange(10**12))
         for _ in range(30)
     ]
+    # across the trial-division bound 43^2 and the four-base bound, with the
+    # smallest strong pseudoprimes to 2 and 3, to 2, 3 and 5, to 2, 3, 5 and
+    # 7, and to 2, 3, 5, 7 and 11
+    samples += list(range(1700, 2000))
+    samples += [FOUR_BASE_SPSP + rng.randrange(-(10**6), 10**6) for _ in range(400)]
+    samples += [1373653, 25326001, FOUR_BASE_SPSP - 2, FOUR_BASE_SPSP, 2152302898747]
     refused = 0
     for n in samples + [MR_BOUND - 1, MR_BOUND]:
         if n < MR_BOUND:
