@@ -135,30 +135,29 @@ def test_certify_dihedral_counting():
     assert pd["odd_degree_sum"] - pd["rank_bound"] == 1
 
 
-@pytest.mark.parametrize("listed", [False, True])
-def test_dihedral_counting_needs_exactly_one_split_prime(listed):
+def test_dihedral_counting_needs_exactly_one_split_prime():
     """D6 over R = Q(sqrt5, sqrt13, sqrt17, sqrt29) at p = 2089, where all 16
     primes of R are totally split: r = 16 * 6, not n = 6, so the counting
     rule must not fire, whether the primes are one record of count 16 or 16
     records.  The shipped demo, with exactly one split prime, still fires."""
-    primes = (
-        [{"label": f"v{i}", "e_base": 1, "f_base": 1, "decomposition_subgroup": [0]} for i in range(1, 17)]
-        if listed
-        else [{"label": "v1-v16", "e_base": 1, "f_base": 1, "decomposition_subgroup": [0], "count": 16}]
-    )
-    doc = {
-        "schema": "gkcert/extension-descriptor/v1",
-        "label": "d6-sixteen-split",
-        "base": {"multiquadratic": [5, 13, 17, 29]},
-        "group": {"kind": "dihedral", "data": 6},
-        "tau": 3,
-        "p": 2089,
-        "primes": primes,
-    }
     assert all(kronecker(d, 2089) == 1 for d in (5, 13, 17, 29))
-    out = certify(ingest_extension(doc))
-    assert not out.by_rule("dihedral-odd-character-counting")
-    assert "dihedral-odd-character-counting: hypotheses (a)/(b) not satisfied" in out.diagnostics
+    split = {"e_base": 1, "f_base": 1, "decomposition_subgroup": [0]}
+    for primes in (
+        [{"label": "v1-v16", "count": 16, **split}],
+        [{"label": f"v{i}", **split} for i in range(1, 17)],
+    ):
+        doc = {
+            "schema": "gkcert/extension-descriptor/v1",
+            "label": "d6-sixteen-split",
+            "base": {"multiquadratic": [5, 13, 17, 29]},
+            "group": {"kind": "dihedral", "data": 6},
+            "tau": 3,
+            "p": 2089,
+            "primes": primes,
+        }
+        out = certify(ingest_extension(doc))
+        assert not out.by_rule("dihedral-odd-character-counting")
+        assert "dihedral-odd-character-counting: hypotheses (a)/(b) not satisfied" in out.diagnostics
     with open(os.path.join(DESCRIPTOR_DIR, "d6_counting_demo.json")) as fh:
         demo = certify(ingest_extension(json.load(fh)))
     assert [c.payload_dict()["r"] for c in demo.by_rule("dihedral-odd-character-counting")] == [6]
