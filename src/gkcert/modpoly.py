@@ -183,7 +183,8 @@ def pow_mod(base, e: int, mod, p, mu=None):
         r = (prod & low) + (q * neg_m & low)
         return r - p * (((r * c) >> t) & floor_mask)
 
-    b = pack(rem(tuple(ci % p for ci in base), m, p))
+    b = [ci % p for ci in base]
+    b = pack(rem(b, m, p) if len(b) > n else b)  # pack ignores trailing zeros
     result = b
     for bit in bin(e)[3:]:
         result = mulmod(result, result)

@@ -7,8 +7,12 @@ off (e, f) pairs -- but only after certifying that p does not divide the
 index [O_F : Z[theta]] (p^2 does not divide disc(f), or Dedekind's index
 criterion passes).  Unsafe primes raise UnsafePrime; splitting data for
 them must be ingested, never guessed.  Total splitting at p not dividing
-disc(f) needs no factorization: it is one Frobenius power X^p mod (f, p),
-reduced through the Barrett inverse of f that the field computes once.
+disc(f) needs no factorization.  For odd p, Stickelberger's theorem
+(Swan, Pacific J. Math. 12 (1962), Cor. 1) gives (disc(f) | p) = (-1)^(n - r),
+where r is the number of irreducible factors of f mod p, so a non-residue
+disc(f) mod p rules total splitting out at the cost of one integer power.
+Otherwise the answer is one Frobenius power X^p mod (f, p), reduced through
+the Barrett inverse of f that the field computes once.
 
 Irreducibility over Q is *certified*, never assumed: a prime p coprime to
 disc(f) with f irreducible mod p, or a cross-prime factorization-pattern
@@ -199,15 +203,21 @@ def is_totally_split(F: NumberField, p: int) -> bool:
     When p does not divide disc(f), f mod p is squarefree, so p is
     Dedekind-safe, and p splits completely exactly when X^p = X mod
     (f, p): one Frobenius power, with no factorization, whose Barrett
-    inverse is the field's ``barrett_mu`` reduced mod p.  At p | disc(f) the
-    answer comes from ``splitting_type``, which raises UnsafePrime when p
-    divides the index.
+    inverse is the field's ``barrett_mu`` reduced mod p.  For odd p the
+    power is taken only when disc(f) is a square mod p: by Stickelberger's
+    theorem f mod p has r irreducible factors with (disc(f) | p) =
+    (-1)^(n - r), so a non-residue means r < n.  At p = 2 the power is always
+    taken.  At p | disc(f) the answer comes from ``splitting_type``, which
+    raises UnsafePrime when p divides the index.
     """
     require_prime(p)
     if F.poly_disc % p:
+        # Euler's criterion: r = n needs disc(f) to be a square mod p
+        if p > 2 and pow(F.poly_disc % p, (p - 1) // 2, p) != 1:
+            return False
         fbar = modpoly.reduce_intpoly(F.defining_poly, p)  # monic, as f is
-        # X mod fbar rather than X, so that a linear fbar compares right
-        x = modpoly.rem(modpoly.X_P, fbar, p)
+        # X mod fbar is X itself unless fbar is linear
+        x = modpoly.X_P if F.degree > 1 else modpoly.rem(modpoly.X_P, fbar, p)
         mu = tuple(c % p for c in F.barrett_mu)
         return modpoly.pow_mod(modpoly.X_P, p, fbar, p, mu) == x
     # splitting_type checks that e * f sums to [F:Q]

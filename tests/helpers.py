@@ -9,8 +9,10 @@ from functools import lru_cache
 
 from gkcert import (
     ExtensionDescriptor,
+    IntPoly,
     PrimeRecord,
     abelian_group,
+    cyclotomic_poly,
     dihedral_group,
     group_from_table,
     make_field,
@@ -34,6 +36,21 @@ def totally_real_field(degree: int):
     F = make_field(from_vector(TOTALLY_REAL_VECTORS[degree]))
     assert F.is_totally_real
     return F
+
+
+def real_cyclotomic_poly(m):
+    """Minimal polynomial of 2 cos(2 pi / m): Phi_m(X) = X^d g(X + 1/X), and
+    X^k + X^-k = D_k(X + 1/X) for the Dickson polynomials D_k."""
+    phi = cyclotomic_poly(m).coeffs
+    d = len(phi) // 2
+    y = IntPoly([0, 1])
+    dickson = [IntPoly([2]), y]
+    while len(dickson) <= d:
+        dickson.append(y * dickson[-1] - dickson[-2])
+    g = IntPoly([phi[d]])
+    for k in range(1, d + 1):
+        g = g + phi[d + k] * dickson[k]
+    return g
 
 
 def invariant_chains(n, max_d=None):

@@ -6,7 +6,9 @@ stated runtimes."""
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
+from gkcert import modpoly, numberfield
 from gkcert.characters import (
     character_table,
     induced_character,
@@ -14,17 +16,22 @@ from gkcert.characters import (
     odd_characters,
     verify_character_table,
 )
-from gkcert.errors import NonPPower
+from gkcert.errors import IrreducibilityUndecided, NonPPower, Reducible, UnsafePrime
 from gkcert.extensions import to_document
 from gkcert.groups import dihedral_group, subgroup_embedding
-from gkcert.harness import EXAMPLE_ROWS, check_example_table, search_theoremB
-from gkcert.intpoly import IntPoly
+from gkcert.harness import EXAMPLE_ROWS, check_example_table, scan_split_primes, search_theoremB
+from gkcert.intpoly import IntPoly, from_vector
 from gkcert.numberfield import cyclotomic_field, make_field, splitting_type
 from gkcert.numutil import euler_phi, is_squarefree, kronecker, multiplicative_order, primes_upto
 from gkcert.rules import klingen_criterion
 from gkcert.towers import TowerData, TowerLayer, chevalley_eval, p_power_exponent
 from gkcert.vanishing import t_order_ledger, tate_order
-from helpers import groups_with_central_involution, random_descriptor, supported_groups
+from helpers import (
+    groups_with_central_involution,
+    random_descriptor,
+    real_cyclotomic_poly,
+    supported_groups,
+)
 
 
 def _report(criterion, detail, started):
@@ -87,6 +94,62 @@ def test_criterion_2_splitting_reciprocity_suite():
     elapsed = time.monotonic() - started
     assert elapsed < 4.0, f"splitting suite took {elapsed:.2f}s (budget 4s)"
     _report(2, "quadratic |d| <= 50 and cyclotomic m <= 40 vs oracles, 0 mismatches", started)
+
+
+def test_criterion_2b_scan_at_scale(monkeypatch):
+    # scan_split_primes to 20 000 over Phi_17, Q(zeta_17)^+ and a random
+    # degree-14 field, against congruence oracles and splitting_type; the
+    # Frobenius powers taken are exactly the pairs Stickelberger's sign
+    # lets through: odd p not dividing disc f with (disc f | p) = +1
+    bound = 20_000
+    rng = random.Random(20261019)
+    while True:
+        f = from_vector([rng.randint(-9, 9) or 1] + [rng.randint(-5, 5) for _ in range(13)])
+        try:
+            random14 = make_field(f)
+            break
+        except (Reducible, IrreducibilityUndecided):
+            pass
+    fields = {
+        "phi17": cyclotomic_field(17),
+        "zeta17plus": make_field(real_cyclotomic_poly(17), "certified: real cyclotomic"),
+        "random14": random14,
+    }
+    powers = []
+
+    def counting_pow_mod(*args):
+        powers.append(args)
+        return modpoly.pow_mod(*args)
+
+    # only is_totally_split's powers: factor_mod_p calls pow_mod unpatched
+    counting = SimpleNamespace(**{**vars(modpoly), "pow_mod": counting_pow_mod})
+    monkeypatch.setattr(numberfield, "modpoly", counting)
+    started = time.monotonic()
+    skipped = []
+    found = {name: scan_split_primes([F], bound, skipped) for name, F in fields.items()}
+    elapsed = time.monotonic() - started
+    monkeypatch.undo()
+    odd = primes_upto(bound)[1:]
+    assert found["phi17"] == [p for p in odd if p % 17 == 1]
+    assert found["zeta17plus"] == [p for p in odd if p % 17 in (1, 16)]
+    want, unsafe = [], []
+    for p in odd:
+        try:
+            if splitting_type(random14, p).is_totally_split:
+                want.append(p)
+        except UnsafePrime:
+            unsafe.append(p)
+    assert found["random14"] == want and len(skipped) == len(unsafe)
+    assert len(powers) == sum(
+        F.poly_disc % p != 0 and kronecker(F.poly_disc, p) == 1 for F in fields.values() for p in odd
+    )
+    assert elapsed < 0.6, f"scans took {elapsed:.2f}s (budget 0.6s)"
+    _report(
+        "2b",
+        f"{len(odd)} odd primes x 3 fields, {len(powers)} Frobenius powers, "
+        f"{sum(map(len, found.values()))} split pairs, scans {elapsed:.3f}s",
+        started,
+    )
 
 
 def test_criterion_3_tate_oracle_equivalence():

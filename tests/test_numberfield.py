@@ -1,10 +1,12 @@
 import random
+from functools import lru_cache
+from math import isqrt
 
 import pytest
 
-from gkcert.cyclotomic import cyclotomic_poly
 from gkcert.errors import IrreducibilityUndecided, NotPrime, NotSquarefree, Reducible, UnsafePrime
 from gkcert.intpoly import IntPoly, count_real_roots, from_vector, poly_discriminant
+from gkcert.modpoly import factor_mod_p
 from gkcert.numberfield import (
     SplittingType,
     cyclotomic_field,
@@ -13,6 +15,7 @@ from gkcert.numberfield import (
     splitting_type,
 )
 from gkcert.numutil import euler_phi, kronecker, multiplicative_order, primes_upto
+from helpers import real_cyclotomic_poly
 
 GAUSSIAN = make_field(IntPoly([1, 0, 1]))
 
@@ -65,21 +68,6 @@ def test_totally_split():
     assert is_totally_split(cyclotomic_field(5), 11)
 
 
-def _real_cyclotomic_poly(m):
-    """Minimal polynomial of 2 cos(2 pi / m): Phi_m(X) = X^d g(X + 1/X), and
-    X^k + X^-k = D_k(X + 1/X) for the Dickson polynomials D_k."""
-    phi = cyclotomic_poly(m).coeffs
-    d = len(phi) // 2
-    y = IntPoly([0, 1])
-    dickson = [IntPoly([2]), y]
-    while len(dickson) <= d:
-        dickson.append(y * dickson[-1] - dickson[-2])
-    g = IntPoly([phi[d]])
-    for k in range(1, d + 1):
-        g = g + phi[d + k] * dickson[k]
-    return g
-
-
 def _split_or_unsafe(is_split, F, p):
     try:
         return is_split(F, p)
@@ -87,15 +75,14 @@ def _split_or_unsafe(is_split, F, p):
         return "unsafe"
 
 
-def test_total_splitting_fast_path_matches_factorization():
-    # is_totally_split (one Frobenius power when p does not divide disc f)
-    # against the full factorization at every odd p <= 2000, on fields of
-    # every degree 1-16: cyclotomic of degree 1, 2, 4, 6, 8, 10, 12, 16, real
-    # cyclotomic of degree 3, 5, 6, 14, 15, random monic of degree 2, 3, 7,
-    # 9, 11, 13
+@lru_cache(maxsize=None)
+def _splitting_fields():
+    """Fields of every degree 1-16: cyclotomic of degree 1, 2, 4, 6, 8, 10,
+    12, 16, real cyclotomic of degree 3, 5, 6, 14, 15, random monic of
+    degree 2, 3, 7, 9, 11, 13."""
     fields = [cyclotomic_field(m) for m in (1, 3, 5, 7, 15, 11, 13, 17)]
     fields += [
-        make_field(_real_cyclotomic_poly(m), "certified: real cyclotomic")
+        make_field(real_cyclotomic_poly(m), "certified: real cyclotomic")
         for m in (7, 11, 13, 29, 31)
     ]
     rng = random.Random(20261018)
@@ -107,12 +94,20 @@ def test_total_splitting_fast_path_matches_factorization():
                 break
             except (Reducible, IrreducibilityUndecided):
                 pass
-    orders = [make_field(IntPoly([-45, 0, 1])), make_field(IntPoly([-63, 0, 1]))]
     assert {F.degree for F in fields} == set(range(1, 17))
+    return tuple(fields)
+
+
+def test_total_splitting_fast_path_matches_factorization():
+    # is_totally_split (Stickelberger's sign, then one Frobenius power, when
+    # p does not divide disc f) against the full factorization at every
+    # p <= 2000, p = 2 included, on fields of every degree 1-16
+    fields = list(_splitting_fields())
+    orders = [make_field(IntPoly([-45, 0, 1])), make_field(IntPoly([-63, 0, 1]))]
     seen = {True: 0, False: 0, "unsafe": 0}
     ramified = 0
     for F in fields + orders:
-        for p in primes_upto(2000)[1:]:
+        for p in primes_upto(2000):
             fast = _split_or_unsafe(is_totally_split, F, p)
             slow = _split_or_unsafe(lambda F, p: splitting_type(F, p).is_totally_split, F, p)
             assert fast == slow, (F, p)
@@ -123,6 +118,50 @@ def test_total_splitting_fast_path_matches_factorization():
     assert all(seen.values()) and ramified
     for F in orders:
         assert _split_or_unsafe(is_totally_split, F, 3) == "unsafe"
+    # at p = 2 the Frobenius power decides: 2 splits in Q(sqrt 17) and is
+    # inert in Q(sqrt 5), with disc f = 17 and 5
+    assert is_totally_split(make_field(IntPoly([-4, -1, 1])), 2)
+    assert not is_totally_split(make_field(IntPoly([-1, -1, 1])), 2)
+
+
+def test_stickelberger_sign_matches_factor_count():
+    # the theorem is_totally_split skips the Frobenius power by: at odd p
+    # not dividing disc f, (disc f | p) = (-1)^(n - r) with r the number of
+    # irreducible factors of f mod p
+    rejected = {}
+    for F in _splitting_fields():
+        rejected[F] = 0
+        for p in primes_upto(2000)[1:]:
+            if F.poly_disc % p:
+                r = len(factor_mod_p(F.defining_poly, p).degrees())
+                symbol = kronecker(F.poly_disc, p)
+                assert symbol == (-1) ** (F.degree - r), (F, p)
+                rejected[F] += symbol == -1
+    # a square discriminant (Galois group inside A_n) never rejects a prime,
+    # a non-square one rejects some; both kinds are present, among the
+    # squares the real cyclotomic fields of degree 3 and 15 (m = 7, 31)
+    squares = {F.defining_poly for F, count in rejected.items() if count == 0}
+    for F, count in rejected.items():
+        assert (count == 0) == (F.poly_disc > 0 and isqrt(F.poly_disc) ** 2 == F.poly_disc), F
+    assert {real_cyclotomic_poly(7), real_cyclotomic_poly(31)} <= squares
+    assert len(squares) < len(rejected)
+
+
+def test_stickelberger_factor_counts_against_sympy():
+    # factor_mod_p's factor degrees, which the theorem test reads r from,
+    # against sympy's gf_factor at every odd p < 200 not dividing disc f
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
+
+    for F in _splitting_fields():
+        for p in primes_upto(200)[1:]:
+            if F.poly_disc % p:
+                f = [c % p for c in reversed(F.defining_poly.coeffs)]
+                theirs = sorted(len(g) - 1 for g, _ in gf_factor(f, p, ZZ)[1])
+                ours = [d for d, _ in factor_mod_p(F.defining_poly, p).degrees()]
+                assert ours == theirs, (F, p)
+                assert kronecker(F.poly_disc, p) == (-1) ** (F.degree - len(theirs)), (F, p)
 
 
 def test_quadratic_reciprocity_small():
