@@ -16,13 +16,16 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .errors import GkcertError
 from .harness import PIPELINES, config_from_dict, run
 from .schema import read_json
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gkcert",
         description=(
@@ -43,10 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig does nothing once the root logger has a handler, so the
+    # level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log = logging.getLogger("gkcert")
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     overrides = {"pipelines": (args.command,)}
     if args.prime_bound is not None:
         # one bound for every pipeline: the search falls back to prime_bound
@@ -69,7 +73,7 @@ def main(argv=None) -> int:
     for line in result.diagnostics:
         # a store repair changed a file on disk, so it shows without -v
         level = logging.WARNING if line.startswith("store: ") else logging.INFO
-        logging.getLogger("gkcert").log(level, "%s", line)
+        log.log(level, "%s", line)
     for line in result.violations:
         print(f"violation: {line}", file=sys.stderr)
     for path in result.outputs:

@@ -40,8 +40,8 @@ from .extensions import (
     ingest_extension,
 )
 from .intpoly import IntPoly, from_vector
-from .numberfield import NumberField, is_totally_split, make_field, splitting_type
-from .numutil import is_prime, primes_upto, split_primes_upto
+from .numberfield import NumberField, make_field, scan_split_primes, splitting_type
+from .numutil import is_prime, split_primes_upto
 from .rules import CertifyOutcome, certify
 from .schema import Node, parse_json, read_json, read_text
 from .towers import tower_from_document
@@ -55,34 +55,6 @@ EXAMPLE_ROWS = (
     {"p": 7, "poly": [7, 5, -6, -2], "modulus": "p_37", "degree_k": 16, "r_bound": 2},
     {"p": 23, "poly": [4, 8, -9, -2], "modulus": "p_31", "degree_k": 24, "r_bound": 3},
 )
-
-
-# -- prime scanning ---------------------------------------------------------------
-
-
-def scan_split_primes(fields, bound: int, skipped: list | None = None) -> list[int]:
-    """Ascending odd primes p <= bound, unramified and totally split in every
-    listed field.  A prime at which any field is Dedekind-unsafe is skipped,
-    never treated as split, and noted in ``skipped`` when it is given."""
-    if bound < 3:
-        raise ValueError("prime bound must be >= 3")
-    out = []
-    for p in primes_upto(bound):
-        if p == 2:
-            continue
-        for F in fields:
-            try:
-                if not is_totally_split(F, p):
-                    break
-            except UnsafePrime:
-                if skipped is not None:
-                    skipped.append(
-                        f"skipping p = {p}; Dedekind-unsafe for {F} (splitting not certified)"
-                    )
-                break
-        else:
-            out.append(p)
-    return out
 
 
 # -- the Theorem-B style search ----------------------------------------------------

@@ -15,20 +15,29 @@ It works on a fixed modulus: residues are packed into one integer each
 ch. 8), so a product is one big-int multiply.  The product is reduced mod g
 by polynomial Barrett reduction (Barrett, CRYPTO '86; von zur Gathen-Gerhard
 9.1) through the inverse ``barrett_mu`` of g, and every slot is reduced
-mod p at once by multiplying with a precomputed ceil(2^t / p)
-(Granlund-Montgomery, PLDI '94).  So a product costs a fixed handful of
-big-int operations whatever the degree, with no loop over slots.  A number
-field keeps its defining polynomial's inverse over Z, which reduced mod p is
-the inverse mod p (``numberfield.NumberField.barrett_mu``).
+mod p at once by multiplying with ceil(2^t / p) (Granlund-Montgomery,
+PLDI '94).  So a product costs a fixed handful of big-int operations
+whatever the degree, with no loop over slots.  The slot widths and masks
+depend only on the degree n and the bit length b of p, so they are computed
+once per (n, b) and sized for the widest p of b bits.  For the base X the
+ladder starts at a monomial and multiplies by X with a shift and one fold.
+A number field keeps its defining polynomial's inverse over Z, which reduced
+mod p is the inverse mod p (``numberfield.NumberField.barrett_mu``); the
+total-splitting test ``frobenius_fixes_x`` reduces it and the polynomial as
+it packs them and compares the packed power with X.  Both entries share one
+ladder, ``_pow_packed``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import NotPrime, ZeroPolynomial
 from .intpoly import IntPoly
 from .numutil import is_prime
+
+X_P = (0, 1)
 
 
 def _trim(a: list[int]) -> tuple[int, ...]:
@@ -120,6 +129,70 @@ def barrett_mu(m, p: int = 0) -> tuple[int, ...]:
     return tuple(reversed(g))
 
 
+@cache
+def _slot_constants(n: int, b: int) -> tuple[int, int, int, int, int, int]:
+    """(w, t, high, low, floor_mask, q_shift) for moduli of degree n >= 1 and
+    primes p of bit length b, sized for the widest such p, 2^b - 1."""
+    u = ((2 * n - 1) * ((1 << b) - 2) ** 2).bit_length()
+    w = 2 * u + 2
+    t = u + b
+    high = w * n
+    low = (1 << high) - 1
+    # w - t one bits in each of n slots, a geometric series in 2^w
+    floor_mask = ((1 << (w - t)) - 1) * low // ((1 << w) - 1)
+    q_shift = w * max(n - 2, 0)  # mu = 0 when n = 1
+    return w, t, high, low, floor_mask, q_shift
+
+
+def _pack(a, w: int, p: int, sign: int = 1) -> int:
+    """sum (sign * a_i mod p) 2^(w i): a residue as one integer; trailing
+    zeros add nothing."""
+    out = 0
+    for ci in reversed(a):
+        out = (out << w) | sign * ci % p
+    return out
+
+
+def _pow_packed(base, e: int, m, p: int, mu) -> tuple[int, int]:
+    """(base^e mod (m, p), w), the power packed into slots of w bits.
+
+    m is monic of degree n >= 1 and mu is ``barrett_mu(m)``, both over Z or
+    mod p: coefficients are reduced mod p as they are packed.  base is a
+    residue of degree < n, or None for X.  e >= 1.  This is the one
+    square-and-multiply ladder of the module; see ``pow_mod``.
+    """
+    n = len(m) - 1
+    w, t, high, low, floor_mask, q_shift = _slot_constants(n, p.bit_length())
+    c = -(-(1 << t) // p)
+    mu = _pack(mu, w, p)
+    neg_m = _pack(m[:-1], w, p, -1)  # X^n - m mod p, so X^n = neg_m mod m
+    bits = bin(e)[2:]
+    if base is None:
+        # start at X^(e >> k), the least k with e >> k < n: a residue as it stands
+        k = max(len(bits) - n.bit_length(), 0)
+        k += e >> k >= n
+        result = 1 << w * (e >> k)
+        ops = bits[len(bits) - k :].replace("0", "s").replace("1", "sx")
+    else:
+        base = result = _pack(base, w, p)
+        ops = bits[1:].replace("0", "s").replace("1", "sb")
+    # one op per step of the ladder: s squares, x multiplies by X, b by the base
+    for op in ops:
+        if op == "x":
+            # times X: one slot up, the top slot folded back through X^n = neg_m
+            result <<= w
+            result = (result & low) + (result >> high) * neg_m
+        else:
+            prod = result * (result if op == "s" else base)
+            a1 = prod >> high
+            a1 -= p * (((a1 * c) >> t) & floor_mask)
+            q = (a1 * mu) >> q_shift
+            q -= p * (((q * c) >> t) & floor_mask)
+            result = (prod & low) + (q * neg_m & low)
+        result -= p * (((result * c) >> t) & floor_mask)
+    return result, w
+
+
 def pow_mod(base, e: int, mod, p, mu=None):
     """base^e mod (mod, p) by square and multiply, for any base and e >= 0.
 
@@ -134,16 +207,26 @@ def pow_mod(base, e: int, mod, p, mu=None):
       correction, and the remainder is a_0 + (q (X^n - m) mod X^n).
     - every slot is reduced mod p at once: for a slot value v < 2^u,
       floor(v / p) = floor(v c / 2^t) with c = ceil(2^t / p) and
-      t = u + bitlen(p), as then v c / 2^t exceeds v / p by less than 1 / p
-      (Granlund-Montgomery).  v c < 2^(2u+1) fits a slot of w = 2u + 2 bits,
-      so the floors sit in the low w - t bits of each slot of (A c) >> t,
-      one mask keeps them, and A - p * floors is A reduced slot by slot.
+      t = u + b, b = bitlen(p), as then v c / 2^t exceeds v / p by less
+      than 2^-b < 1 / p (Granlund-Montgomery).  v c < 2^(2u+1) fits a slot
+      of w = 2u + 2 bits, so the floors sit in the low w - t bits of each
+      slot of (A c) >> t, one mask keeps them, and A - p * floors is A
+      reduced slot by slot.
 
     Every slot reduced holds at most (2n - 1)(p - 1)^2 < 2^u: a product of
     two residues has at most n terms (p - 1)^2 per slot, the products of the
     reduced a_1 with mu and of q with X^n - m at most n - 1, and the
     remainder sums a_0 and the latter.  So no slot ever carries into the
-    next or borrows from it.
+    next or borrows from it.  u, w, t and the masks depend only on n and b:
+    they are computed once per (n, b) for p = 2^b - 1, and
+    (2n - 1)(2^b - 2)^2 bounds (2n - 1)(p - 1)^2 for every p of b bits.
+    Only c is computed per call.
+
+    For the base X the ladder starts at the monomial X^(e >> k), with k
+    chosen so that e >> k < n, and multiplies by X as a shift by one slot
+    whose top slot, below p, is folded back through X^n = X^n - m.  That
+    leaves at most (p - 1) + (p - 1)^2 per slot, within the bound above
+    (for n = 1 the shifted residue has no slot below the top).
     """
     if not mod:
         raise ZeroDivisionError
@@ -155,41 +238,11 @@ def pow_mod(base, e: int, mod, p, mu=None):
         return ()
     if mu is None:
         mu = barrett_mu(m, p)
-    u = ((2 * n - 1) * (p - 1) ** 2).bit_length()
-    w = 2 * u + 2
-    t = u + p.bit_length()
-    c = -(-(1 << t) // p)
-    high = w * n
-    low = (1 << high) - 1
-    # w - t one bits in each of n slots, a geometric series in 2^w
-    floor_mask = ((1 << (w - t)) - 1) * low // ((1 << w) - 1)
-    q_shift = w * max(n - 2, 0)  # mu = 0 when n = 1
-
-    def pack(a):
-        out = 0
-        for ci in reversed(a):
-            out = (out << w) | ci
-        return out
-
-    mu_packed = pack(mu)
-    neg_m = pack([-ci % p for ci in m[:-1]])  # X^n - m mod p, so X^n = neg_m mod m
-
-    def mulmod(x, y):
-        prod = x * y
-        a1 = prod >> high
-        a1 -= p * (((a1 * c) >> t) & floor_mask)
-        q = (a1 * mu_packed) >> q_shift
-        q -= p * (((q * c) >> t) & floor_mask)
-        r = (prod & low) + (q * neg_m & low)
-        return r - p * (((r * c) >> t) & floor_mask)
-
-    b = [ci % p for ci in base]
-    b = pack(rem(b, m, p) if len(b) > n else b)  # pack ignores trailing zeros
-    result = b
-    for bit in bin(e)[3:]:
-        result = mulmod(result, result)
-        if bit == "1":
-            result = mulmod(result, b)
+    if base == X_P:
+        base = None
+    elif len(base) > n:
+        base = rem([ci % p for ci in base], m, p)
+    result, w = _pow_packed(base, e, m, p, mu)
     slot = (1 << w) - 1
     out = []
     for _ in range(n):
@@ -198,11 +251,16 @@ def pow_mod(base, e: int, mod, p, mu=None):
     return _trim(out)
 
 
+def frobenius_fixes_x(m, p: int, mu) -> bool:
+    """Whether X^p = X mod (m, p), for monic m of degree n >= 1 and its
+    ``barrett_mu``, both over Z or mod p: the power compared packed."""
+    result, w = _pow_packed(None, p, m, p, mu)
+    # X mod m is X, or -m_0 when m is linear
+    return result == (1 << w if len(m) > 2 else -m[0] % p)
+
+
 def derivative(a, p):
     return _trim([i * c % p for i, c in enumerate(a)][1:])
-
-
-X_P = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -267,15 +325,19 @@ def _distinct_degree(f, p):
     out = []
     h = X_P
     g = f
+    mu = None  # barrett_mu(g, p), recomputed only when g shrinks
     d = 0
     while deg(g) >= 2 * (d + 1):
         d += 1
-        h = pow_mod(h, p, g, p)
+        if mu is None:
+            mu = barrett_mu(g, p)
+        h = pow_mod(h, p, g, p, mu)
         gd = gcd_p(sub(h, X_P, p), g, p)
         if deg(gd) > 0:
             out.append((gd, d))
             g = divmod_p(g, gd, p)[0]
             h = rem(h, g, p)
+            mu = None
     if deg(g) > 0:
         out.append((g, deg(g)))
     return out

@@ -31,7 +31,7 @@ from .cyclotomic import cyclotomic_poly
 from .errors import InternalCheckError, IrreducibilityUndecided, Reducible, UnsafePrime
 from .intpoly import IntPoly, count_real_roots, poly_discriminant
 from .modpoly import factor_mod_p
-from .numutil import divisors, is_prime, require_prime
+from .numutil import divisors, is_prime, primes_upto, require_prime
 
 _CERT_PRIME_COUNT = 25
 
@@ -202,8 +202,9 @@ def is_totally_split(F: NumberField, p: int) -> bool:
 
     When p does not divide disc(f), f mod p is squarefree, so p is
     Dedekind-safe, and p splits completely exactly when X^p = X mod
-    (f, p): one Frobenius power, with no factorization, whose Barrett
-    inverse is the field's ``barrett_mu`` reduced mod p.  For odd p the
+    (f, p): one Frobenius power, with no factorization, taken on packed
+    residues (``modpoly.frobenius_fixes_x``), which reduce f and the
+    field's ``barrett_mu`` mod p as they pack them.  For odd p the
     power is taken only when disc(f) is a square mod p: by Stickelberger's
     theorem f mod p has r irreducible factors with (disc(f) | p) =
     (-1)^(n - r), so a non-residue means r < n.  At p = 2 the power is always
@@ -211,14 +212,40 @@ def is_totally_split(F: NumberField, p: int) -> bool:
     raises UnsafePrime when p divides the index.
     """
     require_prime(p)
-    if F.poly_disc % p:
+    return _is_totally_split(F, p)
+
+
+def _is_totally_split(F: NumberField, p: int) -> bool:
+    """``is_totally_split`` for a p known to be prime."""
+    d = F.poly_disc % p
+    if d:
         # Euler's criterion: r = n needs disc(f) to be a square mod p
-        if p > 2 and pow(F.poly_disc % p, (p - 1) // 2, p) != 1:
+        if p > 2 and pow(d, (p - 1) // 2, p) != 1:
             return False
-        fbar = modpoly.reduce_intpoly(F.defining_poly, p)  # monic, as f is
-        # X mod fbar is X itself unless fbar is linear
-        x = modpoly.X_P if F.degree > 1 else modpoly.rem(modpoly.X_P, fbar, p)
-        mu = tuple(c % p for c in F.barrett_mu)
-        return modpoly.pow_mod(modpoly.X_P, p, fbar, p, mu) == x
+        return modpoly.frobenius_fixes_x(F.defining_poly.coeffs, p, F.barrett_mu)
     # splitting_type checks that e * f sums to [F:Q]
     return splitting_type(F, p).is_totally_split
+
+
+def scan_split_primes(fields, bound: int, skipped: list | None = None) -> list[int]:
+    """Ascending odd primes p <= bound, unramified and totally split in every
+    listed field.  A prime at which any field is Dedekind-unsafe is skipped,
+    never treated as split, and noted in ``skipped`` when it is given.  The
+    primes come from a sieve, so none is tested for primality again."""
+    if bound < 3:
+        raise ValueError("prime bound must be >= 3")
+    out = []
+    for p in primes_upto(bound)[1:]:
+        for F in fields:
+            try:
+                if not _is_totally_split(F, p):
+                    break
+            except UnsafePrime:
+                if skipped is not None:
+                    skipped.append(
+                        f"skipping p = {p}; Dedekind-unsafe for {F} (splitting not certified)"
+                    )
+                break
+        else:
+            out.append(p)
+    return out

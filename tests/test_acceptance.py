@@ -117,12 +117,12 @@ def test_criterion_2b_scan_at_scale(monkeypatch):
     }
     powers = []
 
-    def counting_pow_mod(*args):
+    def counting_frobenius(*args):
         powers.append(args)
-        return modpoly.pow_mod(*args)
+        return modpoly.frobenius_fixes_x(*args)
 
-    # only is_totally_split's powers: factor_mod_p calls pow_mod unpatched
-    counting = SimpleNamespace(**{**vars(modpoly), "pow_mod": counting_pow_mod})
+    # the scan's one Frobenius power per pair; factor_mod_p's go unpatched
+    counting = SimpleNamespace(**{**vars(modpoly), "frobenius_fixes_x": counting_frobenius})
     monkeypatch.setattr(numberfield, "modpoly", counting)
     started = time.monotonic()
     skipped = []

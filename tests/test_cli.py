@@ -6,11 +6,23 @@ import sys
 import pytest
 
 from gkcert.certificates import CertificateStore, Conclusion, asserted, make_certificate
-from gkcert.cli import main
+from gkcert.cli import build_parser, main
+
+D6_DEMO = os.path.abspath(os.path.join(
+    os.path.dirname(__file__), "..", "src", "gkcert", "data", "descriptors", "d6_counting_demo.json",
+))
 
 
 def run_cli(args):
     return main(args)
+
+
+def _cli_env():
+    """The environment of a fresh interpreter that imports gkcert from src/."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_check_table_default(tmp_path, capsys):
@@ -32,12 +44,8 @@ def test_csv_report_shape(tmp_path):
 
 
 def test_certify_subcommand(tmp_path):
-    desc = os.path.join(
-        os.path.dirname(__file__), "..", "src", "gkcert", "data", "descriptors",
-        "d6_counting_demo.json",
-    )
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"certify": {"descriptors": [os.path.abspath(desc)]}}))
+    cfg.write_text(json.dumps({"certify": {"descriptors": [D6_DEMO]}}))
     rc = run_cli(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     report = json.load(open(tmp_path / "out" / "report.json"))
@@ -69,14 +77,11 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gkcert.cli", "check-table", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_cli_env(),
     )
     assert proc.returncode == 0
     assert "5 report rows" in proc.stdout
@@ -169,15 +174,72 @@ def test_store_repair_is_shown_without_verbose(tmp_path):
         )
     )
     path.write_bytes(path.read_bytes()[:-40])  # a write cut short
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gkcert.cli", "report", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_cli_env(),
     )
     assert proc.returncode == 0
     assert f"store: {path}: moved a torn final line" in proc.stderr
     assert f"{path}.torn" in proc.stderr
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_calls_in_one_process_write_what_they_write_alone(tmp_path):
+    """Three calls share one interpreter and one parser.  Each writes the same
+    bytes as in a fresh interpreter, so no flag carries over to the next."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scan": {"field_vectors": [[1, 0]]},
+        "certify": {"descriptors": [D6_DEMO]},
+    }))
+    calls = [["scan", "--format", "json", "--prime-bound", "50"], ["scan"], ["certify"]]
+
+    def outputs(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    shared = []
+    for i, argv in enumerate(calls):
+        out = tmp_path / "shared" / str(i)
+        assert run_cli([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        shared.append(outputs(out))
+    for i, argv in enumerate(calls):
+        out = tmp_path / "alone" / str(i)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gkcert.cli", *argv, "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            env=_cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert outputs(out) == shared[i], argv
+    assert "report.csv" not in shared[0] and "report.csv" in shared[1]
+    rows = [len(json.loads(files["report.json"])["rows"]) for files in shared[:2]]
+    assert rows[0] < rows[1]
+
+
+def test_verbose_flag_holds_for_each_call_in_one_process(tmp_path):
+    """-v logs the scan's diagnostics and its absence silences them, quiet
+    then verbose and verbose then quiet, although ``logging.basicConfig``
+    configures the root logger only once per process."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prime_bound": 3, "scan": {"field_vectors": [[1, 0]]}}))
+    script = (
+        "import sys\n"
+        "from gkcert.cli import main\n"
+        "for flags in ([], ['-v'], []):\n"
+        "    print('call', flags, file=sys.stderr)\n"
+        "    main([*flags, 'scan', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = "INFO gkcert: scan: no totally split prime within the bound"
+    assert [line in call for call in proc.stderr.split("call ")[1:]] == [False, True, False]

@@ -9,6 +9,7 @@ from gkcert.cyclotomic import cyclotomic_poly
 from gkcert.errors import IrreducibilityUndecided, NotPrime, Reducible, ZeroPolynomial
 from gkcert.intpoly import IntPoly, from_vector
 from gkcert.modpoly import (
+    _slot_constants,
     barrett_mu,
     deg,
     divmod_p,
@@ -194,10 +195,13 @@ def test_pow_mod_against_sympy():
 
 # 2 and 3, primes just below and above 2^8, 2^16, 2^31 (above only), 2^32 and
 # 2^64, the Mersenne prime 2^61 - 1, 10^12 + 39, and the largest prime below
-# MR_BOUND: slot widths and the reduction constants change at these sizes
+# MR_BOUND: slot widths and the reduction constants change at these sizes.
+# 257 and 509, and 2^60 + 33 and 2^61 - 1, are the least and the greatest
+# prime of their bit length, which share one set of slot constants
 EDGE_PRIMES = [
-    2, 3, 251, 257, 65521, 65537, 2147483659, 4294967291, 4294967311, 2**61 - 1,
-    18446744073709551557, 18446744073709551629, 10**12 + 39, 3317044064679887385961813,
+    2, 3, 251, 257, 509, 65521, 65537, 2147483659, 4294967291, 4294967311,
+    2**60 + 33, 2**61 - 1, 18446744073709551557, 18446744073709551629, 10**12 + 39,
+    3317044064679887385961813,
 ]
 
 
@@ -225,7 +229,12 @@ def _slot_bound_cases(p):
     slot values a product can hold.  Moduli X^n + (p-1)(X^(n-1) + ... + 1) and
     X^n + X^(n-1) + ... + 1 make X^n mod m all 1 or all p - 1.  e = p^n while
     its n * bitlen(p) bits stay affordable for the schoolbook oracle, else
-    p and p^2 at n <= 4; e = 2 and 3 at every n."""
+    p and p^2 at n <= 4; e = 2 and 3 at every n.  The base X, whose ladder
+    starts at the monomial X^(e >> k) and folds the top slot back at each
+    multiplication by X, takes every e < 2n (k = 0 below n, one step above),
+    e = p, and e = p^n where affordable.  At even n, e = n + 1 multiplies the
+    all-(p - 1) residue X^n mod X^n + ... + 1 by X: the largest slot values,
+    (p - 1) + (p - 1)^2, that the fold can leave."""
     for n in range(1, 25):
         full = (p - 1,) * (n + 1)
         for mod in ((p - 1,) * n + (1,), (1,) * (n + 1), full):
@@ -237,6 +246,11 @@ def _slot_bound_cases(p):
             for e in exps:
                 yield full[:n], e, mod
                 yield full, e, mod  # a base of degree n, reduced first
+            x_exps = [*range(2 * n), p]
+            if n * p.bit_length() <= 128:
+                x_exps.append(p**n)
+            for e in x_exps:
+                yield X_P, e, mod
 
 
 def test_edge_primes_are_prime():
@@ -259,19 +273,36 @@ def test_pow_mod_at_the_slot_bounds_under_optimize():
     assert statement runs: the kernel has none to lose."""
     here = os.path.dirname(__file__)
     script = (
-        "from gkcert.modpoly import pow_mod\n"
+        "from gkcert.modpoly import X_P, pow_mod\n"
         "from test_modpoly import EDGE_PRIMES, _naive_pow_mod\n"
         "for p in EDGE_PRIMES:\n"
         "    full = (p - 1,) * 17\n"
         "    m = (p - 1,) * 16 + (1,)\n"
         "    print(pow_mod(full, p, m, p) == _naive_pow_mod(full, p, m, p))\n"
+        "    ones = (1,) * 17\n"  # X^16 = -(1 + ... + X^15): every slot p - 1
+        "    print(pow_mod(X_P, 17, ones, p) == _naive_pow_mod(X_P, 17, ones, p))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(here, "..", "src"), here])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * len(EDGE_PRIMES), proc.stdout
+    assert proc.stdout.split() == ["True"] * (2 * len(EDGE_PRIMES)), proc.stdout
+
+
+def test_primes_of_one_bit_length_share_one_set_of_slot_constants():
+    """The slot constants are sized for the widest prime of a bit length, so
+    the least prime of that length reuses them; both meet the slot bounds in
+    ``test_pow_mod_at_the_slot_bounds``."""
+    for small, large in ((257, 509), (2**60 + 33, 2**61 - 1)):
+        assert small.bit_length() == large.bit_length()
+        assert {small, large} <= set(EDGE_PRIMES)
+        m = (1,) * 9
+        pow_mod(X_P, small, m, small)
+        before = _slot_constants.cache_info()
+        assert pow_mod(X_P, large, m, large) == _naive_pow_mod(X_P, large, m, large)
+        after = _slot_constants.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_barrett_mu_is_the_quotient_and_a_fields_mu_reduces_to_it():
