@@ -3,14 +3,22 @@
 Character values live in Q(zeta_e), e = exponent(G), always (uniform equality
 semantics; no conductor minimization).  Tables come from:
 
-* the dual-group construction for abelian groups,
+* the dual group, built along a generating sequence, for abelian groups,
+  spec'd or raw,
 * closed-form families for dihedral groups and Q8,
-* the Burnside-Dixon method for raw multiplication tables: simultaneous
-  eigenvectors of the class-multiplication matrices over F_q for the
-  smallest prime q = 1 (mod e) with q > 2*sqrt(|G|), lifted to exact
-  cyclotomic values through the eigenvalue-multiplicity transform and then
-  *verified* by exact orthogonality -- the modular step cannot silently
-  corrupt a table.
+* for a raw non-abelian G with a central cyclic direct factor,
+  G = N x <c>: the tensor product of N's table and C_m's, where N is the
+  kernel of a linear character (a character of G/G') that is injective on
+  <c>; N's table comes by the same route (GAP's direct-product tables take
+  this way),
+* the Burnside-Dixon method for every other raw multiplication table:
+  simultaneous eigenvectors of the class-multiplication matrices over F_q
+  for the smallest prime q = 1 (mod e) with q > 2*sqrt(|G|), lifted to
+  exact cyclotomic values through the eigenvalue-multiplicity transform.
+
+Every raw group's table, whichever way it was built, is then *verified* by
+exact orthogonality -- neither the modular step nor a structural split can
+silently corrupt a table.
 
 Rows are ordered by (degree, lexicographic value key), so tables are
 deterministic.
@@ -20,12 +28,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from operator import is_, itemgetter, mul
 
 from .cyclotomic import CycNumber, _reduce_exponents
 from .errors import InternalCheckError, NonIntegralDimension, ScaleExceeded
-from .groups import FiniteGroup
+from .groups import FiniteGroup, subgroup_embedding
 from .numutil import is_prime, primitive_root
 
 SCALE_BOUND = 64
@@ -80,18 +88,25 @@ def _integral_coordinates(table: list[Character], e: int):
     That basis is integral, so a value with den != 1 is not an algebraic
     integer and cannot be a character value: InternalCheckError."""
     values, conjugates = [], []
-    conjugate_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # a table has few distinct values
+    # a table has few distinct values, and its rows share most value objects:
+    # id(value) -> (coordinates, coordinates of the conjugate); the table
+    # keeps every value alive, so no id is reused during the call
+    coordinates: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    conjugate_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     for chi in table:
         row, row_conj = [], []
         for v in chi.values:
-            x = v.embed(e)
-            if x.den != 1:
-                raise InternalCheckError(f"character value {v!r} is not an algebraic integer")
-            if x.num not in conjugate_of:
-                flipped = {-k % e: c for k, c in enumerate(x.num) if c}
-                conjugate_of[x.num] = _reduce_exponents(e, flipped)
-            row.append(x.num)
-            row_conj.append(conjugate_of[x.num])
+            if id(v) not in coordinates:
+                x = v.embed(e)
+                if x.den != 1:
+                    raise InternalCheckError(f"character value {v!r} is not an algebraic integer")
+                if x.num not in conjugate_of:
+                    flipped = {-k % e: c for k, c in enumerate(x.num) if c}
+                    conjugate_of[x.num] = _reduce_exponents(e, flipped)
+                coordinates[id(v)] = (x.num, conjugate_of[x.num])
+            x, x_conj = coordinates[id(v)]
+            row.append(x)
+            row_conj.append(x_conj)
         values.append(row)
         conjugates.append(row_conj)
     return values, conjugates
@@ -147,11 +162,10 @@ def verify_character_table(table: list[Character]) -> None:
     sizes = [len(c) for c in G.classes]
     # every coefficient of a product x * y has absolute value <= |x|_1 |y|_1,
     # and both relations sum at most n = sum |C| >= r products
-    norm = max(sum(map(abs, x)) for row in values + conjugates for x in row)
+    distinct = {x for row in values + conjugates for x in row}
+    norm = max(sum(map(abs, x)) for x in distinct)
     width = _digit_width(n * norm * norm)
-    packed: dict[tuple[int, ...], int] = {}
-    for x in {x for row in values + conjugates for x in row}:
-        packed[x] = _pack(x, width)
+    packed = {x: _pack(x, width) for x in distinct}
     values = [[packed[x] for x in row] for row in values]
     conjugates = [[packed[x] for x in row] for row in conjugates]
     zero = _reduce_exponents(e, {})
@@ -187,42 +201,157 @@ def character_table(G: FiniteGroup) -> list[Character]:
     if G._characters is None:
         kind = G.spec[0]
         if kind == "abelian":
-            table = _abelian_table(G)
+            table = _dual_group_table(G)
         elif kind == "dihedral":
             table = _dihedral_table(G)
         elif kind == "quaternion8":
             table = _q8_table(G)
         else:
-            table = _dixon_table(G)
+            table = _raw_table(G)
             verify_character_table(table)
         table.sort(key=Character.sort_key)
         object.__setattr__(G, "_characters", tuple(table))
     return list(G._characters)
 
 
-def _abelian_table(G: FiniteGroup) -> list[Character]:
-    invs = G.spec[1]
+# -- structural route for raw tables --------------------------------------------
+
+
+def _raw_table(G: FiniteGroup) -> list[Character]:
+    """The table of a raw group, unsorted and unverified: the dual group when
+    G is abelian, the tensor product of N's table with C_m's when
+    G = N x C_m for a central cyclic C_m (N's table by this same function),
+    and the Burnside-Dixon method for every other group."""
+    if len(G.classes) == G.order:  # every class a singleton: G is abelian
+        return _dual_group_table(G)
+    split = _central_split(G)
+    if split is None:
+        return _dixon_table(G)
+    N, embedding, lam, c, m = split
+    return _tensor_with_cyclic(G, _raw_table(N), embedding, lam, c, m)
+
+
+def _linear_characters(G: FiniteGroup, kernel) -> list[list[int]]:
+    """The linear characters of G trivial on ``kernel``, a normal subgroup
+    with G/kernel abelian, as exponent rows: chi(g) = zeta_e^row[g] with
+    e = exponent(G).
+
+    H grows from ``kernel`` one element g at a time.  If m is the order of g
+    modulo H, each character of H extends to <H, g> in exactly m ways:
+    chi(g) = zeta_e^b with m b = a (mod e), where chi(g^m) = zeta_e^a, and
+    chi(g^j h) = chi(g)^j chi(h).  m divides ord(g), which divides e, and
+    chi(g^m)^(ord(g)/m) = 1, so m divides a and the m solutions are
+    b = (a + s e) / m for s < m."""
+    n, e, t = G.order, G.exponent(), G.table
+    members = sorted(kernel)
+    inside = [False] * n
+    for h in members:
+        inside[h] = True
+    rows = [[0] * n]
+    for g in range(n):
+        if inside[g]:
+            continue
+        cosets = []  # g^j H for j = 1 .. m-1
+        x = g
+        while not inside[x]:
+            cosets.append([t[x][h] for h in members])
+            x = t[x][g]
+        m = len(cosets) + 1
+        extended = []
+        for row in rows:
+            a = row[x]  # x = g^m
+            for s in range(m):
+                b = (a + s * e) // m
+                new = row[:]
+                for j, coset in enumerate(cosets, 1):
+                    for h, y in zip(members, coset):
+                        new[y] = (j * b + row[h]) % e
+                extended.append(new)
+        rows = extended
+        for coset in cosets:
+            members += coset
+            for y in coset:
+                inside[y] = True
+    return rows
+
+
+def _dual_group_table(G: FiniteGroup) -> list[Character]:
+    """The table of an abelian G: its linear characters, each value one of e
+    shared CycNumbers zeta_e^k, e = exponent(G).  Every class is a
+    singleton."""
     e = G.exponent()
-    n = G.order
+    roots = [CycNumber.from_exponents(e, {k: 1}) for k in range(e)]
+    elements = [cls[0] for cls in G.classes]
+    return [
+        Character(group=G, values=tuple(roots[row[g]] for g in elements), degree=1)
+        for row in _linear_characters(G, [G.identity])
+    ]
 
-    def decode(i):
-        out = []
-        for d in invs:
-            out.append(i % d)
-            i //= d
-        return out
 
-    elements = [decode(g) for g in range(n)]
-    table = []
-    for a in range(n):
-        av = decode(a)
-        # classes are singletons in element order
-        values = []
-        for gv in elements:
-            k = sum(ai * gi * (e // d) for ai, gi, d in zip(av, gv, invs)) % e
-            values.append(CycNumber.from_exponents(e, {k: 1}))
-        table.append(Character(group=G, values=tuple(values), degree=1))
-    return table
+def _central_split(G: FiniteGroup):
+    """(N, embedding, lam, c, m) with G = N x <c>, or None when no central
+    cyclic subgroup splits off.
+
+    c is central of order m and lam a linear character of order m that is
+    injective on <c>, an exponent row as from _linear_characters.  Then
+    N = ker lam is normal of index m and meets <c> trivially, so
+    G = N x <c>.  N is returned as a validated group with its embedding into
+    G, as from subgroup_embedding.  Every lam is a character of G/G', and G'
+    is generated by the commutators of non-central elements."""
+    n, e, t, inv = G.order, G.exponent(), G.table, G.inverse
+    central = [cls[0] for cls in G.classes if len(cls) == 1 and cls[0] != G.identity]
+    if not central:
+        return None
+    moving = [g for cls in G.classes if len(cls) > 1 for g in cls]
+    derived = G.subgroup_generated_by({t[t[t[a][b]][inv[a]]][inv[b]] for a in moving for b in moving})
+    linear = [(e // gcd(e, *row), row) for row in _linear_characters(G, derived)]
+    for c in central:
+        m = G._orders[c]
+        for order, lam in linear:
+            if order == m and e // gcd(e, lam[c]) == m:
+                N, embedding = subgroup_embedding(G, [g for g in range(n) if lam[g] == 0])
+                return N, embedding, lam, c, m
+    return None
+
+
+def _tensor_with_cyclic(G: FiniteGroup, n_table, embedding, lam, c: int, m: int) -> list[Character]:
+    """The table of G = N x <c> from N's table (rows on the validated copy of
+    N that ``embedding`` maps into G) and C_m's: the row (chi, s) takes
+    chi(x) zeta_m^(s j) at g = x c^j.  j is read off lam, which is injective
+    on <c> and trivial on N.  A table has few distinct values, so each
+    product is made once."""
+    e, t, inv = G.exponent(), G.table, G.inverse
+    N = n_table[0].group
+    position = {g: i for i, g in enumerate(embedding)}
+    power_of = {}  # lam exponent -> (j, c^j)
+    x = G.identity
+    for j in range(m):
+        power_of[lam[x]] = (j, x)
+        x = t[x][c]
+    columns = []  # per class of G: (class of x in N, exponent of zeta_m^j in Q(zeta_e))
+    for cls in G.classes:
+        g = cls[0]
+        j, cj = power_of[lam[g]]
+        columns.append((N.class_of[position[t[g][inv[cj]]]], j * (e // m)))
+    products: dict[tuple, CycNumber] = {}
+
+    def times_root(v: CycNumber, k: int) -> CycNumber:
+        key = (v.m, v.num, v.den, k)
+        if key not in products:
+            step = e // v.m
+            coeffs = {i * step + k: a for i, a in enumerate(v.num) if a}
+            products[key] = CycNumber(e, _reduce_exponents(e, coeffs), v.den)
+        return products[key]
+
+    return [
+        Character(
+            group=G,
+            values=tuple(times_root(chi.values[i], s * k % e) for i, k in columns),
+            degree=chi.degree,
+        )
+        for chi in n_table
+        for s in range(m)
+    ]
 
 
 def _dihedral_table(G: FiniteGroup) -> list[Character]:

@@ -90,6 +90,17 @@ def _subset_sums(degrees: list[int]) -> set[int]:
     return sums
 
 
+def _factor_degrees(f: IntPoly, p: int) -> list[int]:
+    """The degrees of the irreducible factors of monic f mod a prime p that
+    does not divide disc(f), ascending.  There f mod p is squarefree, so its
+    distinct-degree factorization alone gives them."""
+    return [
+        d
+        for g, d in modpoly._distinct_degree(modpoly.reduce_intpoly(f, p), p)
+        for _ in range(modpoly.deg(g) // d)
+    ]
+
+
 def _certify_irreducible(f: IntPoly, disc: int) -> None:
     """Raise Reducible/IrreducibilityUndecided unless f is provably irreducible."""
     n = f.degree
@@ -109,11 +120,8 @@ def _certify_irreducible(f: IntPoly, disc: int) -> None:
     while used < _CERT_PRIME_COUNT:
         if is_prime(p) and disc % p != 0:
             used += 1
-            fac = factor_mod_p(f, p)
-            if fac.is_irreducible:
-                return
-            pattern = [d for d, _ in fac.degrees()]
-            proper = {s for s in _subset_sums(pattern) if 0 < s < n}
+            # f irreducible mod p leaves no proper subset sum
+            proper = {s for s in _subset_sums(_factor_degrees(f, p)) if 0 < s < n}
             candidate_degrees = proper if candidate_degrees is None else candidate_degrees & proper
             if not candidate_degrees:
                 return

@@ -18,7 +18,7 @@ from gkcert.characters import (
 )
 from gkcert.errors import IrreducibilityUndecided, NonPPower, Reducible, UnsafePrime
 from gkcert.extensions import to_document
-from gkcert.groups import dihedral_group, subgroup_embedding
+from gkcert.groups import abelian_group, dihedral_group, group_from_table, quaternion_group, subgroup_embedding
 from gkcert.harness import EXAMPLE_ROWS, check_example_table, scan_split_primes, search_theoremB
 from gkcert.intpoly import IntPoly, from_vector
 from gkcert.numberfield import cyclotomic_field, make_field, splitting_type
@@ -27,6 +27,7 @@ from gkcert.rules import klingen_criterion
 from gkcert.towers import TowerData, TowerLayer, chevalley_eval, p_power_exponent
 from gkcert.vanishing import t_order_ledger, tate_order
 from helpers import (
+    direct_product,
     groups_with_central_involution,
     random_descriptor,
     real_cyclotomic_poly,
@@ -56,6 +57,21 @@ def test_criterion_1_character_theory_suite():
     elapsed = time.monotonic() - started
     assert elapsed < 1.5, f"character suite took {elapsed:.2f}s (budget 1.5s)"
     _report(1, f"{len(groups)} groups verified exactly + dihedral counting", started)
+
+
+def test_criterion_1b_raw_tables_by_structure():
+    # the five raw tables of the certify bench: (Z/2)^6 by its dual group,
+    # Q8 and D4 times (Z/2)^3 and C6 by tensor products down to Q8 or D4;
+    # each table passes the exact orthogonality check inside character_table
+    Q8, D4 = quaternion_group(), dihedral_group(4)
+    groups = [group_from_table(abelian_group([2] * 6).table)]
+    groups += [direct_product(A, B) for A in (Q8, D4) for B in (abelian_group([2, 2, 2]), abelian_group([6]))]
+    started = time.monotonic()
+    for G in groups:
+        assert len(character_table(G)) == len(G.classes)
+    elapsed = time.monotonic() - started
+    assert elapsed < 0.1, f"raw tables took {elapsed:.3f}s (budget 0.1s)"
+    _report("1b", "five order-48/64 raw tables", started)
 
 
 def test_criterion_2_splitting_reciprocity_suite():

@@ -4,9 +4,11 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from operator import is_
 
 import pytest
 
+import gkcert.characters as characters
 from gkcert.characters import (
     Parity,
     _digit_width,
@@ -38,6 +40,7 @@ from gkcert.groups import (
 )
 from helpers import (
     dicyclic12_group,
+    direct_product,
     order64_raw_groups,
     permutation_group,
     sl23_group,
@@ -91,18 +94,94 @@ def test_deterministic_row_order():
     assert [ch.degree for ch in t1] == [1, 1, 1, 1, 2]
 
 
+def sorted_rows(table):
+    """The rows as (degree, value keys), sorted as character_table sorts them."""
+    e = table[0].group.exponent()
+    return sorted((ch.degree, tuple(v.sort_key(e) for v in ch.values)) for ch in table)
+
+
 def test_dixon_matches_closed_forms():
     # the modular route on a raw copy of every abelian, dihedral and Q8 group
-    # of order <= 24 must agree with its closed form
+    # of order <= 24 must agree with its closed form; character_table sends
+    # raw abelian groups and D_n with n = 2 (mod 4) the structural way, so
+    # Dixon and its check are called directly
     closed_groups = [G for G in supported_groups(24) if G.spec[0] != "table"]
     assert {G.spec[0] for G in closed_groups} == {"abelian", "dihedral", "quaternion8"}
     for G in closed_groups:
         raw = group_from_table(G.table)
         assert raw.classes == G.classes
-        e = G.exponent()
-        raw_keys = [[v.sort_key(e) for v in ch.values] for ch in character_table(raw)]
-        closed_keys = [[v.sort_key(e) for v in ch.values] for ch in character_table(G)]
-        assert raw_keys == closed_keys, G.spec
+        table = characters._dixon_table(raw)
+        verify_character_table(table)
+        assert sorted_rows(table) == sorted_rows(character_table(G)), G.spec
+
+
+def relabelled(G, rng):
+    """A raw copy of G under a random relabelling of its elements that keeps
+    the identity at 0."""
+    labels = [0] + rng.sample(range(1, G.order), G.order - 1)
+    rows = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            rows[labels[a]][labels[b]] = labels[G.op(a, b)]
+    return group_from_table(rows)
+
+
+def counting_dixon(monkeypatch):
+    """The groups _dixon_table is called on, in order, from now on."""
+    runs = []
+    dixon = characters._dixon_table
+
+    def counted(G):
+        runs.append(G)
+        return dixon(G)
+
+    monkeypatch.setattr(characters, "_dixon_table", counted)
+    return runs
+
+
+def test_structural_route_matches_dixon(monkeypatch):
+    # the route character_table takes for a raw group against Dixon on the
+    # same group, row for row after sorting; Dixon runs inside the route only
+    # on the indecomposable factor Q8 or D4, never on an abelian group
+    rng = random.Random(21)
+    Q8, D4 = quaternion_group(), dihedral_group(4)
+    E3, C6 = abelian_group([2, 2, 2]), abelian_group([6])
+    bench_shaped = [direct_product(A, B) for A in (Q8, D4) for B in (E3, C6)]
+    bench_shaped.append(group_from_table(abelian_group([2] * 6).table))
+    products = [
+        direct_product(dihedral_group(n), abelian_group([m]))
+        for n, m in ((3, 2), (3, 4), (4, 3), (5, 6), (6, 5), (7, 4), (8, 4), (10, 3), (15, 2), (16, 2))
+    ]
+    closed_copies = [group_from_table(G.table) for G in supported_groups(24) if G.spec[0] != "table"]
+    for G in [relabelled(G, rng) for G in bench_shaped] + products + closed_copies:
+        dixon = characters._dixon_table(G)
+        runs = counting_dixon(monkeypatch)
+        table = character_table(G)
+        monkeypatch.undo()
+        assert sorted_rows(table) == sorted_rows(dixon), (G.order, G.exponent())
+        assert all(not H.is_abelian and H.order <= G.order for H in runs)
+    # the bench-shaped groups split down to one factor of order 8 or none
+    for G in [relabelled(G, rng) for G in bench_shaped]:
+        runs = counting_dixon(monkeypatch)
+        character_table(G)
+        monkeypatch.undo()
+        assert [H.order for H in runs] == ([] if G.is_abelian else [8])
+
+
+def test_indecomposable_groups_reach_dixon(monkeypatch):
+    # no central element of prime order splits off these, so Dixon builds
+    # each table, once, on the group itself
+    groups = [
+        group_from_table(quaternion_group().table),
+        group_from_table(dihedral_group(4).table),
+        sl23_group(),
+        dicyclic12_group(),
+        permutation_group(4, even_only=True),
+    ]
+    runs = counting_dixon(monkeypatch)
+    for G in groups:
+        verify_character_table(character_table(G))
+    assert len(runs) == len(groups) and all(map(is_, runs, groups))
 
 
 def test_dixon_bigger_groups():
@@ -178,27 +257,37 @@ def test_builtin_groups_built_once():
 
 
 def test_character_table_computed_once_per_group(monkeypatch):
-    import gkcert.characters as characters
+    # raw D4 goes to Dixon; raw D4 x C6 splits off its central C6 in one
+    # tensor step and sends the D4 factor to Dixon; raw (Z/2)^3 takes the
+    # dual group; each route runs once per group object
+    runs = {"_dixon_table": [], "_tensor_with_cyclic": [], "_dual_group_table": []}
+    for name, found in runs.items():
+        original = getattr(characters, name)
 
-    runs = []
-    dixon = characters._dixon_table
+        def counted(G, *args, found=found, original=original):
+            found.append(G)
+            return original(G, *args)
 
-    def counted(G):
-        runs.append(G)
-        return dixon(G)
-
-    monkeypatch.setattr(characters, "_dixon_table", counted)
-    G = group_from_table(dihedral_group(4).table)
-    first = character_table(G)
-    second = character_table(G)
-    assert len(runs) == 1
-    assert second == first and all(a is b for a, b in zip(first, second))
-    assert all(ch.group is G for ch in second)
-    # an equal group built separately gets its own table, bound to itself
-    H = group_from_table(dihedral_group(4).table)
-    assert H == G and H is not G
-    assert all(ch.group is H for ch in character_table(H))
-    assert len(runs) == 2
+        monkeypatch.setattr(characters, name, counted)
+    for rows, route in (
+        (dihedral_group(4).table, "_dixon_table"),
+        (direct_product(dihedral_group(4), abelian_group([6])).table, "_tensor_with_cyclic"),
+        (abelian_group([2, 2, 2]).table, "_dual_group_table"),
+    ):
+        for found in runs.values():
+            found.clear()
+        G = group_from_table(rows)
+        first = character_table(G)
+        second = character_table(G)
+        assert runs[route] == [G]
+        assert second == first and all(a is b for a, b in zip(first, second))
+        assert all(ch.group is G for ch in second)
+        # an equal group built separately gets its own table, bound to itself
+        H = group_from_table(rows)
+        assert H == G and H is not G
+        assert all(ch.group is H for ch in character_table(H))
+        assert len(runs[route]) == 2 and runs[route][1] is H
+        assert sum(map(len, runs.values())) == (4 if route == "_tensor_with_cyclic" else 2)
 
 
 def sampled_pairs(r, rng, limit=40):
@@ -361,6 +450,49 @@ def test_corrupted_tables_are_rejected_under_optimize():
     lines = proc.stdout.splitlines()
     assert len(lines) == len(REJECTION) * len(CORRUPTION_GROUPS)
     assert all(line.startswith("rejected ") for line in lines), proc.stdout
+
+
+def _corrupted_structural_tables():
+    """character_table on raw groups whose top tensor step returns its table
+    with one value changed: per group, the error class name and message
+    start, or 'accepted', and whether a table was stored."""
+    tensor = characters._tensor_with_cyclic
+    out = []
+    for G in (
+        direct_product(quaternion_group(), abelian_group([6])),
+        direct_product(dihedral_group(4), abelian_group([2, 2, 2])),
+        group_from_table(dihedral_group(6).table),
+    ):
+
+        def corrupted(H, *args, G=G):
+            rows = tensor(H, *args)
+            if H is G:
+                rows = _with_value(rows, len(rows) - 1, 1, rows[-1].values[1] + 1)
+            return rows
+
+        characters._tensor_with_cyclic = corrupted
+        try:
+            character_table(G)
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc).split(" at ")[0], G._characters))
+        else:
+            out.append(("accepted", "", G._characters))
+        finally:
+            characters._tensor_with_cyclic = tensor
+    return out
+
+
+def test_corrupted_structural_table_is_rejected_also_under_optimize():
+    want = [("InternalCheckError", "row orthogonality fails", None)] * 3
+    assert _corrupted_structural_tables() == want
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = "from test_characters import _corrupted_structural_tables\nprint(_corrupted_structural_tables())\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(here, "..", "src"), here])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(want)
 
 
 def _parity_violators():

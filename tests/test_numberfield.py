@@ -9,12 +9,15 @@ from gkcert.intpoly import IntPoly, count_real_roots, from_vector, poly_discrimi
 from gkcert.modpoly import factor_mod_p
 from gkcert.numberfield import (
     SplittingType,
+    _certify_irreducible,
+    _factor_degrees,
+    _subset_sums,
     cyclotomic_field,
     is_totally_split,
     make_field,
     splitting_type,
 )
-from gkcert.numutil import euler_phi, kronecker, multiplicative_order, primes_upto
+from gkcert.numutil import divisors, euler_phi, is_prime, kronecker, multiplicative_order, primes_upto
 from helpers import real_cyclotomic_poly
 
 GAUSSIAN = make_field(IntPoly([1, 0, 1]))
@@ -51,6 +54,70 @@ def test_undecided_for_biquadratic():
         ]))
     # the cyclotomic constructor covers that family soundly
     assert cyclotomic_field(8).degree == 4
+
+
+def _certify_by_factor_mod_p(f, disc):
+    """The irreducibility certificate on full factor_mod_p factorizations:
+    the verdict and exception message _certify_irreducible must give."""
+    n = f.degree
+    if n == 1:
+        return None
+    a0 = f.coeffs[0]
+    if a0 == 0:
+        return Reducible, f"{f} has root 0"
+    for d in divisors(a0):
+        for r in (d, -d):
+            if f(r) == 0:
+                return Reducible, f"{f} has root {r}"
+    candidates = None
+    p, used = 2, 0
+    while used < 25:
+        if is_prime(p) and disc % p != 0:
+            used += 1
+            fac = factor_mod_p(f, p)
+            if fac.is_irreducible:
+                return None
+            proper = {s for s in _subset_sums([d for d, _ in fac.degrees()]) if 0 < s < n}
+            candidates = proper if candidates is None else candidates & proper
+            if not candidates:
+                return None
+        p += 1
+    return IrreducibilityUndecided, (
+        f"cannot certify irreducibility of {f} from factorization patterns; "
+        f"surviving factor degrees {sorted(candidates or set())}"
+    )
+
+
+def test_irreducibility_patterns_match_factor_mod_p():
+    # random monic f, a third of them a product of two monic factors, and
+    # x^4 + 1 and the A4 quartic: the distinct-degree patterns equal
+    # factor_mod_p's at every prime coprime to disc(f), and the verdicts and
+    # messages equal those of the certificate built on factor_mod_p
+    rng = random.Random(2021)
+    polys = [IntPoly([1, 0, 0, 0, 1]), IntPoly([12, 8, 0, 0, 1])]
+    while len(polys) < 150:
+        if rng.random() < 1 / 3:
+            f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1])
+            f = f * IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1])
+        else:
+            f = IntPoly([rng.randint(-20, 20) for _ in range(rng.randint(2, 10))] + [1])
+        if f.degree >= 2 and poly_discriminant(f) != 0:
+            polys.append(f)
+    verdicts = set()
+    for f in polys:
+        disc = poly_discriminant(f)
+        for p in [p for p in primes_upto(60) if disc % p][:8]:
+            assert _factor_degrees(f, p) == [d for d, _ in factor_mod_p(f, p).degrees()], (f, p)
+        want = _certify_by_factor_mod_p(f, disc)
+        try:
+            _certify_irreducible(f, disc)
+        except (Reducible, IrreducibilityUndecided) as exc:
+            got = (type(exc), str(exc))
+        else:
+            got = None
+        assert got == want, f
+        verdicts.add(want[0] if want else None)
+    assert verdicts == {None, Reducible, IrreducibilityUndecided}
 
 
 def test_splitting_examples():

@@ -30,7 +30,7 @@ from gkcert.rules import (
     rank_bound,
 )
 from gkcert.towers import TOWER_SCHEMA_ID, TowerData, TowerLayer
-from helpers import groups_with_central_involution, random_descriptor
+from helpers import direct_product, groups_with_central_involution, random_descriptor
 from test_extensions import q8_split_primes
 
 
@@ -257,28 +257,40 @@ def test_certify_raw_table_runs_dixon_once(monkeypatch):
     import gkcert.characters as characters
     from gkcert.extensions import ingest_extension
 
-    runs = []
-    dixon = characters._dixon_table
+    runs = {"_dixon_table": [], "_tensor_with_cyclic": []}
+    for name, found in runs.items():
+        original = getattr(characters, name)
 
-    def counted(G):
-        runs.append(G)
-        return dixon(G)
+        def counted(G, *args, found=found, original=original):
+            found.append(G)
+            return original(G, *args)
 
-    monkeypatch.setattr(characters, "_dixon_table", counted)
-    ext = ingest_extension(
-        {
-            "base_poly": [0],
-            "p": 5,
-            "group": {"kind": "table", "data": [list(r) for r in dihedral_group(4).table]},
-            "tau": 2,
-            "primes": [{"e_base": 1, "f_base": 1, "decomposition_subgroup": [0, 2]}],
-        }
-    )
+        monkeypatch.setattr(characters, name, counted)
+
+    def ingest(G, tau):
+        return ingest_extension(
+            {
+                "base_poly": [0],
+                "p": 5,
+                "group": {"kind": "table", "data": [list(r) for r in G.table]},
+                "tau": tau,
+                "primes": [{"e_base": 1, "f_base": 1, "decomposition_subgroup": [0, tau]}],
+            }
+        )
+
+    ext = ingest(dihedral_group(4), 2)
     out = certify(ext)
     # Klingen's bound and the GVC propagation both read the table
     assert out.by_rule("klingen-character-bound")
     assert out.by_rule("gkc-gvc-equivalence")
-    assert runs == [ext.group]
+    assert runs == {"_dixon_table": [ext.group], "_tensor_with_cyclic": []}
+    # raw D4 x C3 (tau = (a^2, 1)) splits off C3 once; Dixon runs on its D4 factor
+    ext = ingest(direct_product(dihedral_group(4), abelian_group([3])), 6)
+    runs["_dixon_table"].clear()
+    out = certify(ext)
+    assert out.by_rule("gkc-gvc-equivalence")
+    assert runs["_tensor_with_cyclic"] == [ext.group]
+    assert [G.order for G in runs["_dixon_table"]] == [8]
 
 
 DESCRIPTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "gkcert", "data", "descriptors")
