@@ -126,23 +126,24 @@ def relabelled(G, rng):
     return group_from_table(rows)
 
 
-def counting_dixon(monkeypatch):
-    """The groups _dixon_table is called on, in order, from now on."""
+def counting(monkeypatch, name="_dixon_table"):
+    """The groups characters.<name> is called on, in order, from now on."""
     runs = []
-    dixon = characters._dixon_table
+    original = getattr(characters, name)
 
-    def counted(G):
+    def counted(G, *args):
         runs.append(G)
-        return dixon(G)
+        return original(G, *args)
 
-    monkeypatch.setattr(characters, "_dixon_table", counted)
+    monkeypatch.setattr(characters, name, counted)
     return runs
 
 
 def test_structural_route_matches_dixon(monkeypatch):
     # the route character_table takes for a raw group against Dixon on the
-    # same group, row for row after sorting; Dixon runs inside the route only
-    # on the indecomposable factor Q8 or D4, never on an abelian group
+    # same group, row for row after sorting; inside the route Dixon never
+    # runs on an abelian group, and the bench-shaped groups reach it only on
+    # their factor Q8 or D4
     rng = random.Random(21)
     Q8, D4 = quaternion_group(), dihedral_group(4)
     E3, C6 = abelian_group([2, 2, 2]), abelian_group([6])
@@ -153,23 +154,21 @@ def test_structural_route_matches_dixon(monkeypatch):
         for n, m in ((3, 2), (3, 4), (4, 3), (5, 6), (6, 5), (7, 4), (8, 4), (10, 3), (15, 2), (16, 2))
     ]
     closed_copies = [group_from_table(G.table) for G in supported_groups(24) if G.spec[0] != "table"]
-    for G in [relabelled(G, rng) for G in bench_shaped] + products + closed_copies:
+    cases = [(relabelled(G, rng), [] if G.is_abelian else [8]) for G in bench_shaped]
+    cases += [(G, None) for G in products + closed_copies]
+    for G, dixon_orders in cases:
         dixon = characters._dixon_table(G)
-        runs = counting_dixon(monkeypatch)
+        runs = counting(monkeypatch)
         table = character_table(G)
         monkeypatch.undo()
         assert sorted_rows(table) == sorted_rows(dixon), (G.order, G.exponent())
-        assert all(not H.is_abelian and H.order <= G.order for H in runs)
-    # the bench-shaped groups split down to one factor of order 8 or none
-    for G in [relabelled(G, rng) for G in bench_shaped]:
-        runs = counting_dixon(monkeypatch)
-        character_table(G)
-        monkeypatch.undo()
-        assert [H.order for H in runs] == ([] if G.is_abelian else [8])
+        assert not any(H.is_abelian for H in runs)
+        if dixon_orders is not None:
+            assert [H.order for H in runs] == dixon_orders
 
 
 def test_indecomposable_groups_reach_dixon(monkeypatch):
-    # no central element of prime order splits off these, so Dixon builds
+    # no central cyclic subgroup splits off these, so Dixon builds
     # each table, once, on the group itself
     groups = [
         group_from_table(quaternion_group().table),
@@ -178,7 +177,7 @@ def test_indecomposable_groups_reach_dixon(monkeypatch):
         dicyclic12_group(),
         permutation_group(4, even_only=True),
     ]
-    runs = counting_dixon(monkeypatch)
+    runs = counting(monkeypatch)
     for G in groups:
         verify_character_table(character_table(G))
     assert len(runs) == len(groups) and all(map(is_, runs, groups))
@@ -260,15 +259,10 @@ def test_character_table_computed_once_per_group(monkeypatch):
     # raw D4 goes to Dixon; raw D4 x C6 splits off its central C6 in one
     # tensor step and sends the D4 factor to Dixon; raw (Z/2)^3 takes the
     # dual group; each route runs once per group object
-    runs = {"_dixon_table": [], "_tensor_with_cyclic": [], "_dual_group_table": []}
-    for name, found in runs.items():
-        original = getattr(characters, name)
-
-        def counted(G, *args, found=found, original=original):
-            found.append(G)
-            return original(G, *args)
-
-        monkeypatch.setattr(characters, name, counted)
+    runs = {
+        name: counting(monkeypatch, name)
+        for name in ("_dixon_table", "_tensor_with_cyclic", "_dual_group_table")
+    }
     for rows, route in (
         (dihedral_group(4).table, "_dixon_table"),
         (direct_product(dihedral_group(4), abelian_group([6])).table, "_tensor_with_cyclic"),

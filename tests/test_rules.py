@@ -31,6 +31,7 @@ from gkcert.rules import (
 )
 from gkcert.towers import TOWER_SCHEMA_ID, TowerData, TowerLayer
 from helpers import direct_product, groups_with_central_involution, random_descriptor
+from test_characters import counting
 from test_extensions import q8_split_primes
 
 
@@ -254,18 +255,9 @@ def test_no_applicable_rule_diagnostics():
 
 
 def test_certify_raw_table_runs_dixon_once(monkeypatch):
-    import gkcert.characters as characters
     from gkcert.extensions import ingest_extension
 
-    runs = {"_dixon_table": [], "_tensor_with_cyclic": []}
-    for name, found in runs.items():
-        original = getattr(characters, name)
-
-        def counted(G, *args, found=found, original=original):
-            found.append(G)
-            return original(G, *args)
-
-        monkeypatch.setattr(characters, name, counted)
+    runs = {name: counting(monkeypatch, name) for name in ("_dixon_table", "_tensor_with_cyclic")}
 
     def ingest(G, tau):
         return ingest_extension(
