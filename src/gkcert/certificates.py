@@ -20,6 +20,14 @@ from dataclasses import dataclass
 from .errors import SchemaViolation
 
 
+def content_digest(obj) -> str:
+    """The first 16 hex digits of the SHA-256 of ``obj`` as canonical JSON
+    (sorted keys, no spaces): the one recipe behind every digest gkcert
+    writes (certificates, extension descriptors, run configs)."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 class Status(enum.Enum):
     VERIFIED = "verified"
     ASSERTED = "asserted"
@@ -79,17 +87,20 @@ class Certificate:
     def payload_dict(self) -> dict:
         return dict(self.payload)
 
-    def to_json(self) -> dict:
+    def _content(self) -> dict:
+        """What the digest hashes: every field, and not ``conditional``, which
+        follows from the hypotheses."""
         return {
             "conclusion": self.conclusion.value,
             "subject": self.subject,
             "rule": self.rule,
-            "conditional": self.conditional,
             "hypotheses": [h.to_json() for h in self.hypotheses],
-            "payload": {k: v for k, v in self.payload},
+            "payload": dict(self.payload),
             "inputs_digest": self.inputs_digest,
-            "digest": self.digest(),
         }
+
+    def to_json(self) -> dict:
+        return {**self._content(), "conditional": self.conditional, "digest": self.digest()}
 
     @staticmethod
     def from_json(obj: dict) -> "Certificate":
@@ -107,21 +118,8 @@ class Certificate:
         kept in the instance ``__dict__``, outside the dataclass fields (so
         outside ``to_json``, ``__eq__`` and ``__hash__``)."""
         memo = self.__dict__.get("_digest")
-        if memo is not None:
-            return memo
-        blob = json.dumps(
-            {
-                "conclusion": self.conclusion.value,
-                "subject": self.subject,
-                "rule": self.rule,
-                "hypotheses": [h.to_json() for h in self.hypotheses],
-                "payload": {k: v for k, v in self.payload},
-                "inputs_digest": self.inputs_digest,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
-        memo = self.__dict__["_digest"] = hashlib.sha256(blob).hexdigest()[:16]
+        if memo is None:
+            memo = self.__dict__["_digest"] = content_digest(self._content())
         return memo
 
 

@@ -1,24 +1,24 @@
 """Exact character tables and the character-theoretic operations built on them.
 
 Character values live in Q(zeta_e), e = exponent(G), always (uniform equality
-semantics; no conductor minimization).  Tables come from:
+semantics; no conductor minimization).  Dihedral groups and Q8 take closed
+forms.  Every other group, spec'd abelian or raw, takes ``_raw_table``:
 
-* the dual group, built along a generating sequence, for abelian groups,
-  spec'd or raw,
-* closed-form families for dihedral groups and Q8,
-* for a raw non-abelian G with a central cyclic direct factor,
-  G = N x <c>: the tensor product of N's table and C_m's, where N is the
-  kernel of a linear character (a character of G/G') that is injective on
-  <c>; N's table comes by the same route (GAP's direct-product tables take
-  this way),
-* the Burnside-Dixon method for every other raw multiplication table:
-  simultaneous eigenvectors of the class-multiplication matrices over F_q
-  for the smallest prime q = 1 (mod e) with q > 2*sqrt(|G|), lifted to
-  exact cyclotomic values through the eigenvalue-multiplicity transform.
+* the dual group, built along a generating sequence, when G is abelian,
+* for a non-abelian G with a central cyclic direct factor, G = N x <c>:
+  the tensor product of N's table and C_m's, where N is the kernel of a
+  linear character (a character of G/G') that is injective on <c>; N's
+  table comes by the same route (GAP's direct-product tables take this
+  way),
+* the Burnside-Dixon method for every other group: simultaneous
+  eigenvectors of the class-multiplication matrices over F_q for the
+  smallest prime q = 1 (mod e) with q > 2*sqrt(|G|), lifted to exact
+  cyclotomic values through the eigenvalue-multiplicity transform.
 
-Every raw group's table, whichever way it was built, is then *verified* by
-exact orthogonality -- neither the modular step nor a structural split can
-silently corrupt a table.
+Every table ``_raw_table`` builds, whichever way, is then *verified* by
+exact row orthonormality, which for a square table also gives the column
+relations (``verify_character_table``) -- neither the modular step nor a
+structural split can silently corrupt a table.
 
 Rows are ordered by (degree, lexicographic value key), so tables are
 deterministic.
@@ -142,9 +142,17 @@ def _packed_dot(e: int, width: int, xs, ys) -> tuple[int, ...]:
 
 
 def verify_character_table(table: list[Character]) -> None:
-    """Exact first and second orthogonality plus the degree-sum identity, in
-    integer arithmetic on Z[zeta_e] coordinates; raises InternalCheckError on
-    any failure."""
+    """Exact row orthonormality plus the shape checks (row count, values per
+    row, degree sum, value at the identity), in integer arithmetic on
+    Z[zeta_e] coordinates; raises InternalCheckError on any failure.
+
+    The column relations need no pass of their own.  Let X be the r x r
+    table over Q(zeta_e), D = diag(|C|) and Y the conjugate transpose of X.
+    The row pass proves X D Y = n I.  X is square, so D Y / n, a right
+    inverse of X, is also a left inverse: D Y X = n I, that is
+    Y X = n D^-1, which is sum_chi conj(chi(C_i)) chi(C_j) = |C_G(g_i)| delta_ij
+    (the second orthogonality relation; Isaacs, *Character Theory of Finite
+    Groups*, 2.18)."""
     if not table:
         raise InternalCheckError("empty character table")
     G = table[0].group
@@ -161,7 +169,7 @@ def verify_character_table(table: list[Character]) -> None:
     values, conjugates = _integral_coordinates(table, e)
     sizes = [len(c) for c in G.classes]
     # every coefficient of a product x * y has absolute value <= |x|_1 |y|_1,
-    # and both relations sum at most n = sum |C| >= r products
+    # and a row sum weighs r such products by class sizes that add up to n
     distinct = {x for row in values + conjugates for x in row}
     norm = max(sum(map(abs, x)) for x in distinct)
     width = _digit_width(n * norm * norm)
@@ -176,15 +184,6 @@ def verify_character_table(table: list[Character]) -> None:
             total = _packed_dot(e, width, weighted, conjugates[j])
             if total != ((n,) + zero[1:] if i == j else zero):
                 raise InternalCheckError(f"row orthogonality fails at ({i},{j}): {total!r}")
-    # column orthogonality follows from row orthonormality, but check it anyway:
-    # sum_chi chi(C_i) conj(chi(C_j)) = |C_G(g_i)| delta_ij
-    columns = list(zip(*values))
-    conjugate_columns = list(zip(*conjugates))
-    for i in range(r):
-        for j in range(i + 1):
-            total = _packed_dot(e, width, columns[i], conjugate_columns[j])
-            if total != ((n // sizes[i],) + zero[1:] if i == j else zero):
-                raise InternalCheckError(f"column orthogonality fails at ({i},{j})")
 
 
 # -- table construction -------------------------------------------------------
@@ -200,9 +199,7 @@ def character_table(G: FiniteGroup) -> list[Character]:
         raise ScaleExceeded(f"|G| = {G.order} exceeds the supported bound {SCALE_BOUND}")
     if G._characters is None:
         kind = G.spec[0]
-        if kind == "abelian":
-            table = _dual_group_table(G)
-        elif kind == "dihedral":
+        if kind == "dihedral":
             table = _dihedral_table(G)
         elif kind == "quaternion8":
             table = _q8_table(G)
@@ -214,15 +211,16 @@ def character_table(G: FiniteGroup) -> list[Character]:
     return list(G._characters)
 
 
-# -- structural route for raw tables --------------------------------------------
+# -- every table but the closed forms: by structure, or else by Dixon ---------
 
 
 def _raw_table(G: FiniteGroup) -> list[Character]:
-    """The table of a raw group, unsorted and unverified: the dual group when
-    G is abelian, the tensor product of N's table with C_m's when
-    G = N x C_m for a central cyclic C_m (N's table by this same function),
-    and the Burnside-Dixon method for every other group."""
-    if len(G.classes) == G.order:  # every class a singleton: G is abelian
+    """The table of any group but a dihedral one or Q8, unsorted and
+    unverified: the dual group when G is abelian, the tensor product of N's
+    table with C_m's when G = N x C_m for a central cyclic C_m (N's table by
+    this same function), and the Burnside-Dixon method for every other
+    group."""
+    if G.is_abelian:
         return _dual_group_table(G)
     split = _central_split(G)
     if split is None:

@@ -27,12 +27,11 @@ Two construction routes:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 
+from .certificates import content_digest
 from .errors import (
     AmbiguousDecomposition,
     InvalidTable,
@@ -132,9 +131,7 @@ class ExtensionDescriptor:
         return len(rec.decomposition) == 1
 
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(to_document(self), sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()[:16]
+        return content_digest(to_document(self))
 
 
 @dataclass(frozen=True)
@@ -201,8 +198,10 @@ class QuadraticComponent:
     def label(self) -> str:
         return f"quadratic({self.disc})"
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
+        """The primes dividing disc, factored on first use (by trial
+        division, so up to 10^6 steps at MAX_DISCRIMINANT) and kept."""
         return prime_support(self.disc)
 
     def group(self) -> FiniteGroup:

@@ -11,8 +11,9 @@ built-in families; ``table[a][b]`` is the product a*b.  Builders:
 * ``group_from_table(rows)`` -- arbitrary table, fully validated
   (associativity included, by Light's test on a greedy generating set).
 
-Conjugacy classes are computed eagerly and ordered by smallest member, so
-the identity class is always class 0.  ``dihedral_group(n)`` and
+Conjugacy classes are computed eagerly and ordered by smallest member, but
+with the identity's class first, wherever the identity sits, so the
+identity class is always class 0.  ``dihedral_group(n)`` and
 ``quaternion_group()`` build each group once per process and return that
 shared instance; a group's character table, and each verdict the rules read
 from G and tau alone, is computed once and kept on the group object.
@@ -103,8 +104,7 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+        return len(self.classes) == self.order  # every class a singleton
 
     def is_central_involution(self, t: int) -> bool:
         if not 0 <= t < self.order:
@@ -260,7 +260,7 @@ def _validate_and_build(table, spec) -> FiniteGroup:
         for h in orbit:
             seen[h] = True
         classes.append(tuple(orbit))
-    classes.sort(key=lambda c: c[0])
+    classes.sort(key=lambda c: (c[0] != identity, c[0]))
     class_of = [0] * n
     for i, c in enumerate(classes):
         for g in c:

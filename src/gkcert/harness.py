@@ -11,7 +11,6 @@ content-addressed so reruns never duplicate entries.  Each report carries
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -30,7 +29,7 @@ from .errors import (
     SchemaViolation,
     UnsafePrime,
 )
-from .certificates import CertificateStore
+from .certificates import CertificateStore, content_digest
 from .extensions import (
     BUILTIN_PIECES,
     MAX_DISCRIMINANT,
@@ -75,11 +74,12 @@ class SearchHit:
 
 def _choose_pool_subset(
     pool, piece: RadicalCMPiece, target_r: int, skipped: list
-) -> tuple[int, ...]:
-    """Smallest prefix-greedy set of pool discriminants, pairwise disjoint and
-    disjoint from the CM piece, with 2^k >= target_r.  Each pool entry that is
-    not a fundamental discriminant, exceeds MAX_DISCRIMINANT or shares
-    support with the piece is noted in ``skipped``."""
+) -> tuple[QuadraticComponent, ...]:
+    """The components of the smallest prefix-greedy set of pool
+    discriminants, pairwise disjoint and disjoint from the CM piece, with
+    2^k >= target_r.  Each pool entry that is not a fundamental
+    discriminant, exceeds MAX_DISCRIMINANT or shares support with the piece
+    is noted in ``skipped``."""
     chosen: list[QuadraticComponent] = []
     needed = 0
     while (1 << needed) < target_r:
@@ -105,7 +105,7 @@ def _choose_pool_subset(
             f"pool cannot reach [R:Q] >= {target_r} "
             f"(got {len(chosen)} usable discriminants, need {needed})"
         )
-    return tuple(c.disc for c in chosen)
+    return tuple(chosen)
 
 
 def search_theoremB(
@@ -137,16 +137,15 @@ def search_theoremB(
     """
     skipped = [] if skipped is None else skipped
     piece = BUILTIN_PIECES[cm_piece] if isinstance(cm_piece, str) else cm_piece
-    discs = _choose_pool_subset(pool, piece, target_r, skipped)
+    chosen = _choose_pool_subset(pool, piece, target_r, skipped)
+    discs = tuple(c.disc for c in chosen)
     try:
-        compositum = Compositum([piece] + [QuadraticComponent(d) for d in discs], assumptions)
+        compositum = Compositum([piece, *chosen], assumptions)
     except NotLinearlyDisjoint as exc:
         raise PoolExhausted(f"chosen pool subset is not usable: {exc}") from exc
     hits: list[SearchHit] = []
     for p in split_primes_upto(prime_bound, discs + piece.base_discriminants):
-        if p == 2 or p in piece.ramified:
-            continue
-        try:
+        try:  # frobenius refuses p = 2 and the primes ramified in the piece
             frob = piece.frobenius(p)
         except (AmbiguousDecomposition, RamifiedPrime):
             continue
@@ -325,9 +324,7 @@ class RunConfig:
     def digest(self) -> str:
         """Hash of every field but ``out_dir``, which moves the reports
         without changing what they contain."""
-        fields = {k: v for k, v in asdict(self).items() if k != "out_dir"}
-        blob = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return content_digest({k: v for k, v in asdict(self).items() if k != "out_dir"})
 
 
 def config_from_dict(doc) -> RunConfig:

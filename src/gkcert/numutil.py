@@ -88,15 +88,17 @@ def split_primes_upto(bound: int, discs) -> list[int]:
     excluded.  Each d must be a discriminant (else ValueError).
 
     (d|p) depends only on p mod |d| (``discriminant_symbol``), so each d
-    gives a row of |d| bytes, 1 at the residues r with (d|r) = 1.  The row is
-    tiled to the prime sieve's length and ANDed into it as one integer mask.
+    gives a row of min(|d|, bound + 1) bytes, 1 at the residues r with
+    (d|r) = 1, computed by ``kronecker`` and never cached, so a large |d|
+    costs no more than the bound.  The row is tiled to the prime sieve's
+    length and ANDed into it as one integer mask.
     """
     sieve = _prime_sieve(bound)
     n = len(sieve)
     mask = int.from_bytes(sieve, "little")
     for d in discs:
         m = abs(_require_discriminant(d))
-        row = bytes(discriminant_symbol(d, r or m) == 1 for r in range(m))
+        row = bytes(kronecker(d, r) == 1 for r in range(min(m, n)))
         mask &= int.from_bytes((row * (n // m + 1))[:n], "little")
     return list(compress(range(n), mask.to_bytes(n, "little")))
 

@@ -3,6 +3,7 @@ its measured runtime (run with -s to see them inline).  Every tolerance is
 exact -- all arithmetic in the package is exact, so the only budgets are the
 stated runtimes."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -16,8 +17,9 @@ from gkcert.characters import (
     odd_characters,
     verify_character_table,
 )
+from gkcert.cli import main as cli_main
 from gkcert.errors import IrreducibilityUndecided, NonPPower, Reducible, UnsafePrime
-from gkcert.extensions import to_document
+from gkcert.extensions import BUILTIN_PIECES, to_document
 from gkcert.groups import abelian_group, dihedral_group, group_from_table, quaternion_group, subgroup_embedding
 from gkcert.harness import EXAMPLE_ROWS, check_example_table, scan_split_primes, search_theoremB
 from gkcert.intpoly import IntPoly, from_vector
@@ -44,7 +46,7 @@ def test_criterion_1_character_theory_suite():
     groups = supported_groups(24)
     for G in groups:
         table = character_table(G)
-        verify_character_table(table)  # exact row + column orthogonality
+        verify_character_table(table)  # exact row orthonormality, hence column orthogonality
         assert sum(ch.degree**2 for ch in table) == G.order
     for n in (2, 6, 10, 14, 18, 22, 26, 30):
         dn = dihedral_group(n)
@@ -325,6 +327,33 @@ def test_criterion_6d_theorem_b_many_hits():
     assert all(hit.achieved_r == 32 for found in hits.values() for hit in found)
     assert elapsed < 1.0, f"searches took {elapsed:.2f}s (budget 1s)"
     _report("6d", f"{len(hits['q8'])} q8 and {len(hits['d4'])} d4 hits, r_S = 32", started)
+
+
+def test_criterion_6e_theorem_b_large_pool_discriminants(tmp_path):
+    # pool discriminants near MAX_DISCRIMINANT = 10^12: the sieve's rows stop
+    # at the prime bound and each component factors its discriminant once,
+    # so a search costs its bound, not |d|; the hits are the primes a plain
+    # Kronecker filter and the CM Frobenius pick
+    piece = BUILTIN_PIECES["q8"]
+    pool, bound = [5, 999999999989], 20_000
+    want = [
+        p
+        for p in primes_upto(bound)
+        if all(kronecker(d, p) == 1 for d in (*pool, *piece.base_discriminants))
+        and piece.frobenius(p) == piece.group().identity
+    ]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"search_b": {"pool": [5, 10000121], "target_r": 4, "prime_bound": 2000}}))
+    started = time.monotonic()
+    assert cli_main(["search-b", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    hits = search_theoremB(pool=pool, target_r=4, prime_bound=bound, cm_piece="q8", max_hits=None)
+    elapsed = time.monotonic() - started
+    (row,) = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert row["prime"] == 241 and row["achieved_r_S"] == 8
+    assert [hit.p for hit in hits] == want and len(want) == 65
+    assert all(hit.achieved_r == 8 for hit in hits)
+    assert elapsed < 1.0, f"searches took {elapsed:.2f}s (budget 1s)"
+    _report("6e", f"{len(hits)} hits with a pool discriminant near 10^12", started)
 
 
 def test_criterion_7_klingen_equivalence():

@@ -284,6 +284,53 @@ def test_character_table_computed_once_per_group(monkeypatch):
         assert sum(map(len, runs.values())) == (4 if route == "_tensor_with_cyclic" else 2)
 
 
+def moved_identity(G, at, rng):
+    """A raw copy of G under a random relabelling that sends its identity to
+    ``at``, with the labels: the copy's element label[g] is G's g."""
+    others = [x for x in range(G.order) if x != at]
+    rng.shuffle(others)
+    label = [at] + others
+    rows = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            rows[label[a]][label[b]] = label[G.op(a, b)]
+    return group_from_table(rows), label
+
+
+def test_tables_of_groups_whose_identity_is_not_element_0():
+    # the identity's class is class 0 wherever the identity sits, so each
+    # relabelled copy's table, read through the relabelling, is G's table
+    rng = random.Random(22)
+    for G in (dihedral_group(4), abelian_group([2, 2]), quaternion_group(), dihedral_group(5)):
+        e, want = G.exponent(), sorted_rows(character_table(G))
+        for at in (1, G.order - 1):
+            H, label = moved_identity(G, at, rng)
+            assert H.identity == at and H.classes[0] == (at,)
+            assert list(H.classes[1:]) == sorted(H.classes[1:])
+            pulled = [
+                (ch.degree, tuple(ch.value_at(label[cls[0]]).sort_key(e) for cls in G.classes))
+                for ch in character_table(H)
+            ]
+            assert sorted(pulled) == want, (G.spec, at)
+
+
+def test_column_relations_hold_on_every_table():
+    # verify_character_table checks the rows alone; for a square table the
+    # column relations sum_chi chi(C_i) conj(chi(C_j)) = |C_G(g_i)| delta_ij
+    # follow, and this oracle checks them in CycNumber arithmetic
+    for G in supported_groups(24) + order64_raw_groups():
+        table = character_table(G)
+        columns = list(zip(*(ch.values for ch in table)))
+        conjugates = [[v.conjugate() for v in column] for column in columns]
+        for i, column in enumerate(columns):
+            centralizer = G.order // len(G.classes[i])
+            for j in range(i + 1):
+                total = CycNumber.from_rational(0)
+                for x, y in zip(column, conjugates[j]):
+                    total = total + x * y
+                assert total == (centralizer if i == j else 0), (G.spec, i, j)
+
+
 def sampled_pairs(r, rng, limit=40):
     pairs = [(i, j) for i in range(r) for j in range(i + 1)]
     return pairs if len(pairs) <= limit else rng.sample(pairs, limit)
@@ -331,13 +378,6 @@ def test_integer_orthogonality_sums_match_cycnumber_oracle():
             weighted = [s * x for s, x in zip(sizes, values[i])]
             row_sum = _packed_dot(e, width, weighted, conjugates[j])
             assert CycNumber(e, row_sum) == inner_product(table[i], table[j]) * n
-        for i, j in sampled_pairs(r, rng):
-            column = [v[i] for v in values]
-            column_sum = _packed_dot(e, width, column, [c[j] for c in conjugates])
-            plain = CycNumber.from_rational(0)
-            for ch in table:
-                plain = plain + ch.values[i] * ch.values[j].conjugate()
-            assert CycNumber(e, column_sum) == plain
 
 
 def test_integer_row_sums_match_on_products_of_characters():
@@ -446,25 +486,33 @@ def test_corrupted_tables_are_rejected_under_optimize():
     assert all(line.startswith("rejected ") for line in lines), proc.stdout
 
 
-def _corrupted_structural_tables():
-    """character_table on raw groups whose top tensor step returns its table
-    with one value changed: per group, the error class name and message
-    start, or 'accepted', and whether a table was stored."""
-    tensor = characters._tensor_with_cyclic
-    out = []
-    for G in (
+# per route of _raw_table, fresh groups whose table that route builds at the top
+CORRUPTED_ROUTES = {
+    "_tensor_with_cyclic": lambda: (
         direct_product(quaternion_group(), abelian_group([6])),
         direct_product(dihedral_group(4), abelian_group([2, 2, 2])),
         group_from_table(dihedral_group(6).table),
-    ):
+    ),
+    "_dual_group_table": lambda: (abelian_group([2, 2]), abelian_group([6]), abelian_group([2, 4, 3])),
+}
+
+
+def _corrupted_route_tables(route):
+    """character_table on the groups of CORRUPTED_ROUTES[route], whose top
+    call of characters.<route> returns its table with one value changed:
+    per group, the error class name and message start, or 'accepted', and
+    whether a table was stored."""
+    build = getattr(characters, route)
+    out = []
+    for G in CORRUPTED_ROUTES[route]():
 
         def corrupted(H, *args, G=G):
-            rows = tensor(H, *args)
+            rows = build(H, *args)
             if H is G:
                 rows = _with_value(rows, len(rows) - 1, 1, rows[-1].values[1] + 1)
             return rows
 
-        characters._tensor_with_cyclic = corrupted
+        setattr(characters, route, corrupted)
         try:
             character_table(G)
         except Exception as exc:
@@ -472,21 +520,30 @@ def _corrupted_structural_tables():
         else:
             out.append(("accepted", "", G._characters))
         finally:
-            characters._tensor_with_cyclic = tensor
+            setattr(characters, route, build)
     return out
 
 
-def test_corrupted_structural_table_is_rejected_also_under_optimize():
+def _check_corrupted_route_is_rejected_also_under_optimize(route):
     want = [("InternalCheckError", "row orthogonality fails", None)] * 3
-    assert _corrupted_structural_tables() == want
+    assert _corrupted_route_tables(route) == want
     here = os.path.dirname(os.path.abspath(__file__))
-    script = "from test_characters import _corrupted_structural_tables\nprint(_corrupted_structural_tables())\n"
+    script = f"from test_characters import _corrupted_route_tables\nprint(_corrupted_route_tables({route!r}))\n"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(here, "..", "src"), here])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == repr(want)
+
+
+def test_corrupted_structural_table_is_rejected_also_under_optimize():
+    _check_corrupted_route_is_rejected_also_under_optimize("_tensor_with_cyclic")
+
+
+def test_corrupted_dual_group_table_of_a_specd_abelian_group_is_rejected_also_under_optimize():
+    # spec'd abelian groups take the dual-group route and its check too
+    _check_corrupted_route_is_rejected_also_under_optimize("_dual_group_table")
 
 
 def _parity_violators():

@@ -49,6 +49,17 @@ def test_classes_match_brute_force():
         assert sorted(G.classes) == brute_force_classes(G)
 
 
+def test_class_order_is_unchanged_where_the_identity_is_0():
+    # classes go by smallest member with the identity's class first; at
+    # identity 0 that is the order by smallest member alone, so no table,
+    # report or digest of such a group moves
+    for G in supported_groups(24) + order64_raw_groups():
+        assert G.identity == 0
+        assert list(G.classes) == sorted(G.classes)
+    swapped = group_from_table([[1, 0], [0, 1]])  # C2 with its identity at 1
+    assert swapped.identity == 1 and swapped.classes == ((1,), (0,))
+
+
 def test_invalid_tables():
     with pytest.raises(InvalidTable):
         group_from_table([[0, 1], [1, 1]])  # not a latin square / no inverse

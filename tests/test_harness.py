@@ -170,7 +170,7 @@ def _reference_search(pool, target_r, prime_bound, cm_piece):
 
     piece = BUILTIN_PIECES[cm_piece]
     skipped = []
-    discs = _choose_pool_subset(pool, piece, target_r, skipped)
+    discs = tuple(c.disc for c in _choose_pool_subset(pool, piece, target_r, skipped))
     compositum = Compositum([piece] + [QuadraticComponent(d) for d in discs])
     hits = []
     for p in primes_upto(prime_bound):

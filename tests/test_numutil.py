@@ -5,6 +5,7 @@ import pytest
 from gkcert.errors import SchemaViolation
 from gkcert.numutil import (
     MR_BOUND,
+    _residue_symbol,
     discriminant_symbol,
     euler_phi,
     factorint,
@@ -202,6 +203,23 @@ def test_split_primes_upto_matches_kronecker_filter():
         chosen = rng.sample(discs, rng.randint(2, 5))
         for bound in (0, 3, min(map(abs, chosen)), 5000):
             assert split_primes_upto(bound, chosen) == _split_by_kronecker(bound, chosen), (chosen, bound)
+
+
+def test_split_primes_upto_with_discriminants_above_the_bound():
+    # a row needs only the residues up to the bound, so a discriminant far
+    # above it costs what the bound costs, and the sieve caches nothing
+    rng = random.Random(2222)
+    large = [4000012, 10000121, 999999999989, -999999999995, -4000004]
+    large += [d for d in (rng.randrange(-10**12, 10**12) for _ in range(60)) if d % 4 in (0, 1)][:20]
+    small = [5, -3, 8, -4, 12, 13]
+    cached = _residue_symbol.cache_info().currsize
+    for bound in (0, 2, 3, 1000, 5000):
+        for d in large:
+            assert split_primes_upto(bound, [d]) == _split_by_kronecker(bound, [d]), (d, bound)
+        for _ in range(10):
+            chosen = rng.sample(large, 2) + rng.sample(small, rng.randint(0, 2))
+            assert split_primes_upto(bound, chosen) == _split_by_kronecker(bound, chosen), (chosen, bound)
+    assert _residue_symbol.cache_info().currsize == cached
 
 
 def test_split_primes_upto_refuses_non_discriminants():

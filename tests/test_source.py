@@ -22,6 +22,33 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
+def _sha256_uses(tree, scope=()):
+    """(enclosing def or class names, line) of each sha256 in ``tree``: an
+    attribute such as hashlib.sha256, a bare name, or an import of it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _sha256_uses(node, scope + (node.name,))
+            continue
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "sha256"
+            or isinstance(node, ast.Name) and node.id == "sha256"
+            or isinstance(node, ast.ImportFrom) and any(a.name == "sha256" for a in node.names)
+        ):
+            yield scope, node.lineno
+        yield from _sha256_uses(node, scope)
+
+
+def test_one_digest_recipe():
+    # certificates, descriptors and run configs are hashed by one function,
+    # so the recipe cannot drift between them
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [(os.path.basename(path), ".".join(scope)) for scope, _ in _sha256_uses(tree)]
+    assert found == [("certificates.py", "content_digest")]
+
+
 def test_bench_tracing_installs():
     # the traced benchmark run wraps gkcert functions by name, so renaming
     # one of them must fail here too
