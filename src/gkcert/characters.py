@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, isqrt
-from operator import is_, itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .cyclotomic import CycNumber, _reduce_exponents
 from .errors import InternalCheckError, NonIntegralDimension, ScaleExceeded
@@ -192,12 +193,15 @@ def verify_character_table(table: list[Character]) -> None:
 def character_table(G: FiniteGroup) -> list[Character]:
     """Complete irreducible character table, exact values, deterministic order.
 
-    The table is computed on the first request and kept on G itself, so it
-    lives exactly as long as the group object and every row's ``group`` is G.
+    The table is computed on the first request and kept on G itself under
+    the verdict key ("table",), so it lives exactly as long as the group
+    object and every row's ``group`` is G.  A build or check that raises
+    stores nothing.
     """
     if G.order > SCALE_BOUND:
         raise ScaleExceeded(f"|G| = {G.order} exceeds the supported bound {SCALE_BOUND}")
-    if G._characters is None:
+
+    def build() -> tuple[Character, ...]:
         kind = G.spec[0]
         if kind == "dihedral":
             table = _dihedral_table(G)
@@ -207,8 +211,9 @@ def character_table(G: FiniteGroup) -> list[Character]:
             table = _raw_table(G)
             verify_character_table(table)
         table.sort(key=Character.sort_key)
-        object.__setattr__(G, "_characters", tuple(table))
-    return list(G._characters)
+        return tuple(table)
+
+    return list(G.verdict(("table",), build))
 
 
 # -- every table but the closed forms: by structure, or else by Dixon ---------
@@ -665,7 +670,7 @@ def parity(chi: Character, tau: int) -> Parity:
     G.require_central_involution(tau)
     v = chi.value_at(tau)
     if v.is_integer:
-        n = v.as_int()
+        n = v.num[0]
         if n == chi.degree:
             return Parity.EVEN
         if n == -chi.degree:
@@ -673,65 +678,25 @@ def parity(chi: Character, tau: int) -> Parity:
     raise InternalCheckError(f"chi(tau) = {v!r} is neither +-chi(1); chi not irreducible?")
 
 
-def _row_index(chi: Character) -> int | None:
-    """The position of chi among the rows stored on its group, or None when
-    chi is not one of those row objects."""
-    rows = chi.group._characters
-    if rows is not None:
-        for i, row in enumerate(rows):
-            if row is chi:
-                return i
-    return None
-
-
-def _odd_rows(G: FiniteGroup, tau: int) -> tuple[Character, ...]:
-    """The odd rows of G's stored table, found by ``parity`` on the first
-    request for tau and then kept on G under ("odd", tau)."""
-    return G.verdict(
-        ("odd", tau), lambda: tuple(ch for ch in G._characters if parity(ch, tau) is Parity.ODD)
-    )
-
-
 def odd_characters(table: list[Character], tau: int) -> list[Character]:
-    """The rows chi of ``table`` with parity(chi, tau) ODD, in table order.
-
-    When ``table`` is its group G's own table (the rows character_table(G)
-    returns), the odd rows are found on the first call for each tau and kept
-    on G under the key ("odd", tau); any other list is tested row by row."""
-    rows = table[0].group._characters if table else None
-    if rows is not None and len(rows) == len(table) and all(map(is_, table, rows)):
-        return list(_odd_rows(table[0].group, tau))
+    """The rows chi of ``table`` with parity(chi, tau) ODD, in table order;
+    each row's parity is checked on every call."""
     return [ch for ch in table if parity(ch, tau) is Parity.ODD]
 
 
 def is_odd(chi: Character, tau: int) -> bool:
-    """parity(chi, tau) is ODD; a row of its group's table is looked up among
-    the odd rows stored on the group."""
-    if _row_index(chi) is None:
-        return parity(chi, tau) is Parity.ODD
-    return any(chi is row for row in _odd_rows(chi.group, tau))
+    """parity(chi, tau) is ODD, checked on every call."""
+    return parity(chi, tau) is Parity.ODD
 
 
 def fixed_dim(chi: Character, subgroup) -> int:
     """dim of the subspace of V_chi fixed by H: (1/|H|) sum_{h in H} chi(h).
 
-    H is checked to be a subgroup on every call.  For a row of G's table the
-    dimension is computed once and kept on G under the key ("fixed_dim", row
-    index, H as a frozenset); any other character is computed each time."""
-    G = chi.group
-    H = G.require_subgroup(subgroup)
-    row = _row_index(chi)
-    if row is None:
-        return _fixed_dim(chi, H)
-    return G.verdict(("fixed_dim", row, H), lambda: _fixed_dim(chi, H))
-
-
-def _fixed_dim(chi: Character, H: frozenset[int]) -> int:
-    total = CycNumber.from_rational(0)
-    for h in H:
-        total = total + chi.value_at(h)
+    H is checked to be a subgroup, and the sum computed, on every call."""
+    H = chi.group.require_subgroup(subgroup)
+    total = reduce(add, map(chi.value_at, H))  # H holds the identity, so it is not empty
     try:
-        d = (total / len(H)).as_fraction()
+        d = total.as_fraction() / len(H)
     except ValueError:
         raise NonIntegralDimension(f"character sum over H is irrational: {total!r}")
     if d.denominator != 1 or d < 0:

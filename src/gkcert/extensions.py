@@ -27,8 +27,8 @@ Two construction routes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 
 from .certificates import content_digest
@@ -55,7 +55,6 @@ from .numberfield import NumberField, make_field
 from .numutil import (
     discriminant_symbol,
     factorint,
-    is_fundamental_discriminant,
     is_prime,
     kronecker,
     prime_support,
@@ -180,15 +179,25 @@ def check_tower_disjointness(ext: ExtensionDescriptor) -> bool:
 @dataclass(frozen=True)
 class QuadraticComponent:
     """Quadratic field given by its fundamental discriminant.  An imaginary
-    one is a CM piece: G = Z/2, tau = 1."""
+    one is a CM piece: G = Z/2, tau = 1.  d is factored once, when the
+    component is made, and that factorization gives ``support``: d != 1 is
+    fundamental when its odd part is squarefree and d = 1 (mod 4),
+    d = 4q with q = 3 (mod 4), or d = 8q with q odd."""
 
     disc: int
+    support: frozenset[int] = field(init=False, repr=False, compare=False)
     assertion = ""  # the Galois group of a quadratic field needs no assertion
 
     def __post_init__(self):
-        _require_bounded(self.disc)
-        if not is_fundamental_discriminant(self.disc):
-            raise SchemaViolation(f"{self.disc} is not a fundamental discriminant")
+        d = self.disc
+        _require_bounded(d)
+        factors = factorint(d)  # trial division: up to 10^6 steps at MAX_DISCRIMINANT
+        twos = factors.get(2, 0)
+        if d == 1 or any(e > 1 for p, e in factors.items() if p != 2) or not (
+            twos == 0 and d % 4 == 1 or twos == 2 and d // 4 % 4 == 3 or twos == 3
+        ):
+            raise SchemaViolation(f"{d} is not a fundamental discriminant")
+        object.__setattr__(self, "support", frozenset(factors))
 
     @property
     def is_real(self) -> bool:
@@ -197,12 +206,6 @@ class QuadraticComponent:
     @property
     def label(self) -> str:
         return f"quadratic({self.disc})"
-
-    @cached_property
-    def support(self) -> frozenset[int]:
-        """The primes dividing disc, factored on first use (by trial
-        division, so up to 10^6 steps at MAX_DISCRIMINANT) and kept."""
-        return prime_support(self.disc)
 
     def group(self) -> FiniteGroup:
         return abelian_group([2])
@@ -426,31 +429,49 @@ class MultiquadraticField:
         return {"base": {"multiquadratic": list(self.discs)}}
 
 
-def multiquadratic_field(discs: tuple[int, ...]) -> MultiquadraticField:
-    """R = Q(sqrt d1, ..., sqrt dk) for positive fundamental discriminants.
+def multiquadratic_field(components) -> MultiquadraticField:
+    """R = Q(sqrt d1, ..., sqrt dk) for real QuadraticComponents, whose
+    discriminants are checked and factored already.
 
     By Kummer theory [R:Q] = 2^k exactly when no nonempty product of the
-    radicands is a square.  Each squarefree radicand is its set of primes, a
-    vector over F_2, reduced here against a basis of the earlier ones.  The
-    roots +-sqrt d1 +- ... +- sqrt dk are real, so R has signature (2^k, 0).
+    radicands is a square.  Each squarefree radicand is its set of primes,
+    the primes of the component's support that divide it, a vector over F_2,
+    reduced here against a basis of the earlier ones.  The roots
+    +-sqrt d1 +- ... +- sqrt dk are real, so R has signature (2^k, 0).
 
-    Raises SchemaViolation for an entry that is not a positive fundamental
-    discriminant or exceeds MAX_DISCRIMINANT (checked for every entry before
-    any is factored), and Reducible when [R:Q] < 2^k.
+    Raises Reducible when [R:Q] < 2^k.
     """
-    for d in discs:
-        _require_bounded(d)
+    discs = tuple(comp.disc for comp in components)
     basis: dict[int, frozenset[int]] = {}  # largest prime of a vector -> the vector
-    for d in discs:
-        if d <= 0 or not is_fundamental_discriminant(d):
-            raise SchemaViolation(f"{d} is not a positive fundamental discriminant")
-        vector = prime_support(_radicand(d))
+    for comp in components:
+        radicand = _radicand(comp.disc)
+        vector = frozenset(p for p in comp.support if radicand % p == 0)
         while vector and max(vector) in basis:
             vector ^= basis[max(vector)]
         if not vector:
             raise Reducible(f"a product of the radicands of {list(discs)} is a square")
         basis[max(vector)] = vector
-    return MultiquadraticField(tuple(discs))
+    return MultiquadraticField(discs)
+
+
+def _real_components(discs) -> tuple[QuadraticComponent, ...]:
+    """One QuadraticComponent per entry of a document's discriminant list.
+
+    Raises SchemaViolation for an entry that exceeds MAX_DISCRIMINANT
+    (checked for every entry before any is factored) or is not a positive
+    fundamental discriminant."""
+    for d in discs:
+        _require_bounded(d)
+    components = []
+    for d in discs:
+        try:
+            comp = QuadraticComponent(d) if d > 0 else None
+        except SchemaViolation:
+            comp = None
+        if comp is None:
+            raise SchemaViolation(f"{d} is not a positive fundamental discriminant")
+        components.append(comp)
+    return tuple(components)
 
 
 class Compositum:
@@ -496,7 +517,7 @@ class Compositum:
                             f"{la} and {lb} share discriminant support {sorted(sa & sb)}"
                         )
 
-        self.base = multiquadratic_field(tuple(sorted(q.disc for q in real_quads)))
+        self.base = multiquadratic_field(sorted(real_quads, key=lambda q: q.disc))
 
         self.group, self.tau = cm.group(), cm.tau()
         if cm.assertion:
@@ -583,7 +604,7 @@ def ingest_extension(document) -> ExtensionDescriptor:
         if "base_poly" in obj:
             base = make_field(from_vector(values))
         else:
-            base = multiquadratic_field(tuple(values))
+            base = multiquadratic_field(_real_components(values))
     except SchemaViolation as exc:  # not a positive fundamental discriminant, or too large
         raise SchemaViolation(f"{node.path}: {exc}") from exc
     except (NotMonic, Reducible, IrreducibilityUndecided) as exc:

@@ -15,8 +15,9 @@ Conjugacy classes are computed eagerly and ordered by smallest member, but
 with the identity's class first, wherever the identity sits, so the
 identity class is always class 0.  ``dihedral_group(n)`` and
 ``quaternion_group()`` build each group once per process and return that
-shared instance; a group's character table, and each verdict the rules read
-from G and tau alone, is computed once and kept on the group object.
+shared instance.  A group object has one memo, filled through
+``FiniteGroup.verdict``: its character table and each verdict the rules read
+from G and tau alone are computed once and kept there.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class FiniteGroup:
     class_of: tuple[int, ...]
     spec: tuple  # ("abelian", invariants) | ("dihedral", n) | ("quaternion8",) | ("table",)
     _orders: tuple[int, ...] = field(repr=False, default=())
-    # irreducible characters, filled on first request by characters.character_table
-    _characters: tuple | None = field(repr=False, compare=False, init=False, default=None)
     # results that depend only on this group object and the key, filled by
     # ``verdict``; keys are tuples that start with the name of the result
     _verdicts: dict = field(repr=False, compare=False, init=False, default_factory=dict)
@@ -64,9 +63,9 @@ class FiniteGroup:
         ``compute()`` on the first request.  A ``compute`` that raises stores
         nothing, so its checks run again on the next request.  Entries live
         exactly as long as the object: two equal groups share none.  The keys
-        in use are ("klingen", tau) in rules.klingen_criterion, ("odd", tau)
-        and ("fixed_dim", row index, H) in characters, and
-        ("undecomposed", tau, set of G_w) in rules._undecomposed_subfield."""
+        in use are ("table",) in characters.character_table, ("klingen", tau)
+        in rules.klingen_criterion, and ("undecomposed", tau, set of G_w) in
+        rules._undecomposed_subfield."""
         verdicts = self._verdicts
         if key not in verdicts:
             verdicts[key] = compute()
@@ -111,7 +110,7 @@ class FiniteGroup:
             return False
         if t == self.identity or self.table[t][t] != self.identity:
             return False
-        return all(self.table[t][x] == self.table[x][t] for x in range(self.order))
+        return len(self.classes[self.class_of[t]]) == 1  # central: its class is {t}
 
     def require_central_involution(self, t: int) -> int:
         if not self.is_central_involution(t):

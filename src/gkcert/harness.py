@@ -315,6 +315,10 @@ class RunConfig:
             raise SchemaViolation(
                 f"search_b.cm_piece: expected one of {list(BUILTIN_PIECES)}, got {self.cm_piece!r}"
             )
+        if self.target_r < 1:
+            raise SchemaViolation(f"search_b.target_r: expected a positive integer, got {self.target_r}")
+        if self.max_hits is not None and self.max_hits < 1:
+            raise SchemaViolation(f"search_b.max_hits: expected a positive integer or null, got {self.max_hits}")
         for i, d in enumerate(self.pool):
             if abs(d) > MAX_DISCRIMINANT:
                 raise SchemaViolation(

@@ -208,9 +208,15 @@ def test_fixed_dim_examples():
         trivial = all(v == 1 for v in ch.values)
         assert fixed_dim(ch, range(12)) == (1 if trivial else 0)
     odd2 = [ch for ch in odd_characters(table, 3) if ch.degree == 2][0]
-    assert fixed_dim(odd2, {0, 6}) == 1  # (2 + 0)/2
-    with pytest.raises(NotASubgroup):
-        fixed_dim(table[0], {0, 1})
+    assert fixed_dim(odd2, {0, 6}) == fixed_dim(odd2, [6, 0]) == 1  # (2 + 0)/2
+    for _ in range(2):  # H is checked on every call
+        with pytest.raises(NotASubgroup):
+            fixed_dim(odd2, {0, 1})
+    # a copy that is not a row of the stored table gives the same results
+    copy = replace(odd2)
+    assert copy is not odd2 and is_odd(copy, 3)
+    assert fixed_dim(copy, {0, 6}) == fixed_dim(copy, {0, 6}) == 1
+    assert odd_characters(table[:3], 3) == [ch for ch in table[:3] if is_odd(ch, 3)]
 
 
 def test_induction_examples():
@@ -516,9 +522,9 @@ def _corrupted_route_tables(route):
         try:
             character_table(G)
         except Exception as exc:
-            out.append((type(exc).__name__, str(exc).split(" at ")[0], G._characters))
+            out.append((type(exc).__name__, str(exc).split(" at ")[0], G._verdicts.get(("table",))))
         else:
-            out.append(("accepted", "", G._characters))
+            out.append(("accepted", "", G._verdicts.get(("table",))))
         finally:
             setattr(characters, route, build)
     return out
@@ -589,49 +595,18 @@ def test_parity_rejects_bad_values_under_optimize():
     assert proc.stdout.splitlines() == ["rejected"] * 4, proc.stdout
 
 
-def test_fixed_dim_and_odd_rows_are_stored_per_group_object(monkeypatch):
-    import gkcert.characters as characters
-
-    computed = []
-    fixed = characters._fixed_dim
-
-    def counted(chi, H):
-        computed.append((chi, H))
-        return fixed(chi, H)
-
-    monkeypatch.setattr(characters, "_fixed_dim", counted)
-    G1, G2 = replace(dihedral_group(6)), replace(dihedral_group(6))
-    table = character_table(G1)
-    odd = odd_characters(table, 3)
-    assert odd == odd_characters(table, 3) and G1._verdicts[("odd", 3)] == tuple(odd)
-    assert all(is_odd(ch, 3) == (ch in odd) for ch in table)
-    two = [ch for ch in odd if ch.degree == 2][0]
-    assert fixed_dim(two, [0, 6]) == fixed_dim(two, {6, 0}) == 1
-    assert len(computed) == 1
-    with pytest.raises(NotASubgroup):
-        fixed_dim(two, {0, 1})  # checked on every call
-    # a character that is not a stored row is computed each time
-    copy = replace(two)
-    assert fixed_dim(copy, {0, 6}) == fixed_dim(copy, {0, 6}) == 1 and len(computed) == 3
-    assert not G2._verdicts
-    two2 = [ch for ch in odd_characters(character_table(G2), 3) if ch.degree == 2][0]
-    assert fixed_dim(two2, {0, 6}) == 1 and len(computed) == 4
-    # the subset of a table is tested row by row and stores nothing new
-    assert odd_characters(table[:3], 3) == [ch for ch in table[:3] if ch in odd]
-    assert set(G1._verdicts) == {("odd", 3), ("fixed_dim", table.index(two), frozenset({0, 6}))}
-
-
 def _corrupted_row_calls():
     """Calls on D4, built from its raw table, whose stored degree-2 row has
-    the irrational value i at tau = a^2, made before anything is stored on
-    the group: (name, error class name or 'accepted') for each call, twice."""
+    the irrational value i at tau = a^2, made while the table is all that is
+    stored on the group: (name, error class name or 'accepted') for each
+    call, twice."""
     G = group_from_table(dihedral_group(4).table)
     rows = character_table(G)
     i = next(k for k, ch in enumerate(rows) if ch.degree == 2)
     at_tau = G.class_of[2]
     values = tuple(CycNumber(4, [0, 1]) if k == at_tau else v for k, v in enumerate(rows[i].values))
     rows[i] = replace(rows[i], values=values)
-    object.__setattr__(G, "_characters", tuple(rows))
+    G._verdicts[("table",)] = tuple(rows)
     calls = [
         ("odd_characters", lambda: odd_characters(character_table(G), 2)),
         ("is_odd", lambda: is_odd(rows[i], 2)),
@@ -645,7 +620,7 @@ def _corrupted_row_calls():
             out.append((name, type(exc).__name__))
         else:
             out.append((name, "accepted"))
-    assert not G._verdicts
+    assert list(G._verdicts) == [("table",)]
     return out
 
 

@@ -119,6 +119,16 @@ def test_bad_prime_bound_flag_is_an_error_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["max_hits", "target_r"])
+def test_search_count_of_zero_is_an_error_line(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"search_b": {key: 0}}))
+    assert run_cli(["search-b", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad config: search_b.{key}: expected a positive integer")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "doc, path",
     [

@@ -33,7 +33,7 @@ from gkcert.extensions import (
 from gkcert.groups import dihedral_group
 from gkcert.intpoly import IntPoly
 from gkcert.numberfield import make_field, splitting_type
-from gkcert.numutil import is_prime, kronecker, multiplicative_order, primes_upto
+from gkcert.numutil import is_fundamental_discriminant, is_prime, kronecker, multiplicative_order, primes_upto
 from helpers import random_descriptor
 
 
@@ -277,14 +277,52 @@ def test_ingested_d4_descriptor():
     assert classify_primes(ext).split_qp_labels == ("v1",)
 
 
+def _quadratics(discs):
+    return tuple(map(QuadraticComponent, discs))
+
+
 def test_multiquadratic_fields():
     assert multiquadratic_field(()).degree == 1
-    assert multiquadratic_field((5,)).degree == 2
-    F = multiquadratic_field((5, 13, 17))
+    assert multiquadratic_field(_quadratics((5,))).degree == 2
+    F = multiquadratic_field(_quadratics((5, 13, 17)))
     assert F.degree == 8 and F.is_totally_real and F.signature == (8, 0)
+    for bad in (1, 20, 9):
+        with pytest.raises(SchemaViolation, match=f"{bad} is not a fundamental discriminant"):
+            QuadraticComponent(bad)
+    doc = to_document(build_compositum_over_Q([QuadraticComponent(-4), QuadraticComponent(5)], 29))
     for bad in (-4, 1, 20, 9):
-        with pytest.raises(SchemaViolation):
-            multiquadratic_field((5, bad))
+        doc["base"]["multiquadratic"] = [5, bad]
+        with pytest.raises(SchemaViolation, match=rf"base\.multiquadratic: {bad} is not a positive fundamental"):
+            ingest_extension(doc)
+
+
+def test_quadratic_component_factors_its_discriminant_once(monkeypatch):
+    # fundamentality and support come from one factorization, checked here
+    # against the numutil oracle, and the base reads the components' supports
+    from gkcert import extensions, numutil
+
+    discs = range(-300, 301)
+    fundamental = {d: is_fundamental_discriminant(d) for d in discs}
+    calls = []
+    factor = numutil.factorint
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(extensions, "factorint", counted)
+    monkeypatch.setattr(numutil, "factorint", counted)
+    for d in discs:
+        calls.clear()
+        try:
+            comp = QuadraticComponent(d)
+        except SchemaViolation:
+            assert not fundamental[d], d
+            continue
+        assert fundamental[d] and comp.support == frozenset(factor(d)), d
+        if comp.is_real:
+            multiquadratic_field((comp,))
+        assert calls == [d], d
 
 
 @pytest.mark.parametrize(
@@ -309,7 +347,7 @@ def test_multiquadratic_closed_form_matches_make_field(pool):
         for discs in itertools.combinations(pool, k):
             minpoly = sympy.Poly(sympy.minimal_polynomial(sum(map(sympy.sqrt, discs)), x), x)
             try:
-                F = multiquadratic_field(discs)
+                F = multiquadratic_field(_quadratics(discs))
             except Reducible:
                 assert minpoly.degree() < 2**k, discs
                 continue
@@ -447,7 +485,7 @@ def test_discriminants_above_the_bound_are_refused_before_factoring():
     doc["base"]["multiquadratic"] = [5, HUGE_PRIME_DISC]
     for refuse in (
         lambda: ingest_extension(doc),
-        lambda: multiquadratic_field((HUGE_PRIME_DISC, 5)),
+        lambda: QuadraticComponent(HUGE_PRIME_DISC),
         lambda: QuadraticComponent(-HUGE_PRIME_DISC),
     ):
         started = time.perf_counter()

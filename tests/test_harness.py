@@ -103,9 +103,9 @@ def test_search_builds_the_base_once(monkeypatch):
     calls = []
     original = extensions.multiquadratic_field
 
-    def counted(discs):
-        calls.append(discs)
-        return original(discs)
+    def counted(components):
+        calls.append(tuple(c.disc for c in components))
+        return original(components)
 
     monkeypatch.setattr(extensions, "multiquadratic_field", counted)
     hits = search_theoremB(pool=POOL, target_r=4, prime_bound=1000, cm_piece="q8", max_hits=None)
@@ -510,6 +510,36 @@ def test_config_refuses_a_pool_discriminant_above_the_bound():
     hits = search_theoremB(pool=[5, -huge, 13], target_r=4, prime_bound=3000, max_hits=1, skipped=skipped)
     assert hits[0].discs == (5, 13)
     assert skipped == [f"discriminant {-huge} exceeds the bound 1000000000000 in absolute value; skipped"]
+
+
+@pytest.mark.parametrize("key", ["max_hits", "target_r"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_config_refuses_a_search_count_below_one(key, value):
+    with pytest.raises(SchemaViolation, match=rf"search_b\.{key}: expected a positive integer"):
+        config_from_dict({"search_b": {key: value}})
+    assert config_from_dict({"search_b": {"max_hits": None}}).max_hits is None
+    assert getattr(config_from_dict({"search_b": {key: 1}}), key) == 1
+
+
+def test_large_pool_discriminant_is_factored_once(monkeypatch):
+    # a component factors its discriminant once, and the base reads the
+    # components' supports instead of factoring again
+    from gkcert import extensions, numutil
+
+    pool = (5, 999999999989)
+    calls = []
+    factor = numutil.factorint
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(extensions, "factorint", counted)
+    monkeypatch.setattr(numutil, "factorint", counted)
+    hits = search_theoremB(pool=pool, target_r=4, prime_bound=20000, max_hits=None)
+    assert [calls.count(d) for d in pool] == [1, 1]
+    assert len(hits) == 65 and [hit.p for hit in hits[:3]] == [601, 719, 1439]
+    assert all(hit.discs == pool for hit in hits)
 
 
 def test_run_search_pipeline(tmp_path):

@@ -381,10 +381,10 @@ def test_equal_groups_never_share_stored_verdicts(monkeypatch):
     outcomes = [certify(twin) for twin in twins]
     assert [c.digest() for c in outcomes[0]] == [c.digest() for c in outcomes[1]]
     keys = [set(twin.group._verdicts) for twin in twins]
-    assert keys[0] == keys[1] and {key[0] for key in keys[0]} == {"odd", "fixed_dim", "undecomposed"}
+    assert keys[0] == keys[1] and {key[0] for key in keys[0]} == {"table", "undecomposed"}
     for key in keys[0]:
         stored = [twin.group._verdicts[key] for twin in twins]
-        if isinstance(stored[0], tuple):  # odd rows: each group holds its own rows
+        if key == ("table",):  # each group holds its own rows
             assert all(a is not b for a, b in zip(*stored))
             assert all(ch.group is twin.group for twin, rows in zip(twins, stored) for ch in rows)
 

@@ -22,31 +22,47 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
-def _sha256_uses(tree, scope=()):
-    """(enclosing def or class names, line) of each sha256 in ``tree``: an
-    attribute such as hashlib.sha256, a bare name, or an import of it."""
+def _name_uses(tree, name, scope=()):
+    """(enclosing def or class names, line) of each use of ``name`` in
+    ``tree``: an attribute such as hashlib.sha256, a bare name, an import of
+    it, or the name as a string, as getattr would take it."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _sha256_uses(node, scope + (node.name,))
+            yield from _name_uses(node, name, scope + (node.name,))
             continue
         if (
-            isinstance(node, ast.Attribute) and node.attr == "sha256"
-            or isinstance(node, ast.Name) and node.id == "sha256"
-            or isinstance(node, ast.ImportFrom) and any(a.name == "sha256" for a in node.names)
+            isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)
+            or isinstance(node, ast.Constant) and node.value == name
         ):
             yield scope, node.lineno
-        yield from _sha256_uses(node, scope)
+        yield from _name_uses(node, name, scope)
+
+
+def _uses_in_library(name):
+    """(module file, dotted enclosing scope) of each use of ``name`` in gkcert."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [(os.path.basename(path), ".".join(scope)) for scope, _ in _name_uses(tree, name)]
+    return found
 
 
 def test_one_digest_recipe():
     # certificates, descriptors and run configs are hashed by one function,
     # so the recipe cannot drift between them
-    found = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += [(os.path.basename(path), ".".join(scope)) for scope, _ in _sha256_uses(tree)]
-    assert found == [("certificates.py", "content_digest")]
+    assert _uses_in_library("sha256") == [("certificates.py", "content_digest")]
+
+
+def test_one_memo_per_group():
+    # every result kept on a group goes through FiniteGroup.verdict, so each
+    # memo key is listed in one docstring and a raising compute stores nothing
+    found = _uses_in_library("_verdicts")
+    assert found and all(
+        path == "groups.py" and scope.split(".")[0] == "FiniteGroup" for path, scope in found
+    ), found
 
 
 def test_bench_tracing_installs():
