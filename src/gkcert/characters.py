@@ -1,24 +1,24 @@
 """Exact character tables and the character-theoretic operations built on them.
 
 Character values live in Q(zeta_e), e = exponent(G), always (uniform equality
-semantics; no conductor minimization).  Dihedral groups and Q8 take closed
-forms.  Every other group, spec'd abelian or raw, takes ``_raw_table``:
+semantics; no conductor minimization).  Every group, whatever its spec, takes
+``_raw_table``:
 
 * the dual group, built along a generating sequence, when G is abelian,
 * for a non-abelian G with a central cyclic direct factor, G = N x <c>:
   the tensor product of N's table and C_m's, where N is the kernel of a
   linear character (a character of G/G') that is injective on <c>; N's
   table comes by the same route (GAP's direct-product tables take this
-  way),
-* the Burnside-Dixon method for every other group: simultaneous
-  eigenvectors of the class-multiplication matrices over F_q for the
-  smallest prime q = 1 (mod e) with q > 2*sqrt(|G|), lifted to exact
-  cyclotomic values through the eigenvalue-multiplicity transform.
+  way; D_n with n = 2 (mod 4) is D_(n/2) x C_2),
+* the Burnside-Dixon method for every other group, Q8 and the other D_n
+  among them: simultaneous eigenvectors of the class-multiplication matrices
+  over F_q for the smallest prime q = 1 (mod e) with q > 2*sqrt(|G|), lifted
+  to exact cyclotomic values through the eigenvalue-multiplicity transform.
 
-Every table ``_raw_table`` builds, whichever way, is then *verified* by
-exact row orthonormality, which for a square table also gives the column
-relations (``verify_character_table``) -- neither the modular step nor a
-structural split can silently corrupt a table.
+Every table, whichever way it was built, is then *verified* by exact row
+orthonormality, which for a square table also gives the column relations
+(``verify_character_table``) -- neither the modular step nor a structural
+split can silently corrupt a table.
 
 Rows are ordered by (degree, lexicographic value key), so tables are
 deterministic.
@@ -195,36 +195,29 @@ def character_table(G: FiniteGroup) -> list[Character]:
 
     The table is computed on the first request and kept on G itself under
     the verdict key ("table",), so it lives exactly as long as the group
-    object and every row's ``group`` is G.  A build or check that raises
-    stores nothing.
+    object and every row's ``group`` is G.  Every table is checked by
+    ``verify_character_table``; a build or check that raises stores nothing.
     """
     if G.order > SCALE_BOUND:
         raise ScaleExceeded(f"|G| = {G.order} exceeds the supported bound {SCALE_BOUND}")
 
     def build() -> tuple[Character, ...]:
-        kind = G.spec[0]
-        if kind == "dihedral":
-            table = _dihedral_table(G)
-        elif kind == "quaternion8":
-            table = _q8_table(G)
-        else:
-            table = _raw_table(G)
-            verify_character_table(table)
+        table = _raw_table(G)
+        verify_character_table(table)
         table.sort(key=Character.sort_key)
         return tuple(table)
 
     return list(G.verdict(("table",), build))
 
 
-# -- every table but the closed forms: by structure, or else by Dixon ---------
+# -- every table: by structure, or else by Dixon -------------------------------
 
 
 def _raw_table(G: FiniteGroup) -> list[Character]:
-    """The table of any group but a dihedral one or Q8, unsorted and
-    unverified: the dual group when G is abelian, the tensor product of N's
-    table with C_m's when G = N x C_m for a central cyclic C_m (N's table by
-    this same function), and the Burnside-Dixon method for every other
-    group."""
+    """The table of G, unsorted and unverified: the dual group when G is
+    abelian, the tensor product of N's table with C_m's when G = N x C_m for
+    a central cyclic C_m (N's table by this same function), and the
+    Burnside-Dixon method for every other group."""
     if G.is_abelian:
         return _dual_group_table(G)
     split = _central_split(G)
@@ -357,54 +350,7 @@ def _tensor_with_cyclic(G: FiniteGroup, n_table, embedding, lam, c: int, m: int)
     ]
 
 
-def _dihedral_table(G: FiniteGroup) -> list[Character]:
-    n = G.spec[1]
-    e = G.exponent()  # lcm(n, 2)
-    step = e // n
-
-    def lin(sign_a: int, sign_b: int) -> Character:
-        vals = []
-        for cls in G.classes:
-            g = cls[0]
-            i, refl = (g, 0) if g < n else (g - n, 1)
-            v = (sign_a**i) * (sign_b**refl)
-            vals.append(CycNumber.from_exponents(e, {0: v}))
-        return Character(group=G, values=tuple(vals), degree=1)
-
-    table = [lin(1, 1), lin(1, -1)]
-    if n % 2 == 0:
-        table += [lin(-1, 1), lin(-1, -1)]
-    for h in range(1, (n - 1) // 2 + 1 if n % 2 else n // 2):
-        vals = []
-        for cls in G.classes:
-            g = cls[0]
-            if g < n:
-                k = (h * g * step) % e
-                mults: dict[int, int] = {}
-                for kk in (k, (e - k) % e):
-                    mults[kk] = mults.get(kk, 0) + 1
-                vals.append(CycNumber.from_exponents(e, mults))
-            else:
-                vals.append(CycNumber.from_exponents(e, {}))
-        table.append(Character(group=G, values=tuple(vals), degree=2))
-    return table
-
-
-def _q8_table(G: FiniteGroup) -> list[Character]:
-    # classes: (0,), (1,), (2,3)=+-i, (4,5)=+-j, (6,7)=+-k
-    e = 4
-    table = []
-    for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        per_class = [1, 1, s, t, s * t]
-        vals = tuple(CycNumber.from_exponents(e, {0: v}) for v in per_class)
-        table.append(Character(group=G, values=vals, degree=1))
-    two = [2, -2, 0, 0, 0]
-    vals = tuple(CycNumber.from_exponents(e, {0: v}) for v in two)
-    table.append(Character(group=G, values=vals, degree=2))
-    return table
-
-
-# -- Burnside-Dixon for raw tables --------------------------------------------
+# -- Burnside-Dixon -----------------------------------------------------------
 
 
 def _dixon_prime(e: int, n: int) -> int:

@@ -77,9 +77,9 @@ def _choose_pool_subset(
 ) -> tuple[QuadraticComponent, ...]:
     """The components of the smallest prefix-greedy set of pool
     discriminants, pairwise disjoint and disjoint from the CM piece, with
-    2^k >= target_r.  Each pool entry that is not a fundamental
-    discriminant, exceeds MAX_DISCRIMINANT or shares support with the piece
-    is noted in ``skipped``."""
+    2^k >= target_r.  Each entry passed over before enough are chosen is
+    noted in ``skipped``: not fundamental, above MAX_DISCRIMINANT, imaginary,
+    or sharing support with the piece or with a chosen entry."""
     chosen: list[QuadraticComponent] = []
     needed = 0
     while (1 << needed) < target_r:
@@ -93,11 +93,14 @@ def _choose_pool_subset(
             skipped.append(f"{exc}; skipped")
             continue
         if not comp.is_real:
+            skipped.append(f"skipping discriminant {d} (imaginary; R must be totally real)")
             continue
         if comp.support & piece.support:
             skipped.append(f"skipping discriminant {d} (shares support with {piece.label})")
             continue
-        if any(comp.support & c.support for c in chosen):
+        clash = next((c.disc for c in chosen if comp.support & c.support), None)
+        if clash is not None:
+            skipped.append(f"skipping discriminant {d} (shares support with {clash})")
             continue
         chosen.append(comp)
     if len(chosen) < needed:
@@ -134,7 +137,12 @@ def search_theoremB(
     no polynomial: ``multiquadratic_field`` checks [R:Q] = 2^k by Kummer
     theory, and its signature (2^k, 0) needs no computation.  The pool
     entries and hits passed over are noted in ``skipped`` when it is given.
+    A ``target_r`` or ``max_hits`` below 1 raises ValueError.
     """
+    if target_r < 1:
+        raise ValueError("target_r must be >= 1")
+    if max_hits is not None and max_hits < 1:
+        raise ValueError("max_hits must be >= 1")
     skipped = [] if skipped is None else skipped
     piece = BUILTIN_PIECES[cm_piece] if isinstance(cm_piece, str) else cm_piece
     chosen = _choose_pool_subset(pool, piece, target_r, skipped)

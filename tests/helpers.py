@@ -1,6 +1,7 @@
 """Shared test fixtures: the supported-group roster, raw-table groups for the
-modular route, verified totally real base polynomials, and the random
-descriptor generator used by the property suites."""
+modular route, the closed-form tables of D_n and Q8, verified totally real
+base polynomials, and the random descriptor generator used by the property
+suites."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import itertools
 from functools import lru_cache
 
 from gkcert import (
+    CycNumber,
     ExtensionDescriptor,
     IntPoly,
     PrimeRecord,
@@ -19,6 +21,7 @@ from gkcert import (
     from_vector,
     quaternion_group,
 )
+from gkcert.characters import Character
 
 # verified totally real polynomials by degree (vectors, constant first)
 TOTALLY_REAL_VECTORS = {
@@ -147,6 +150,43 @@ def order64_raw_groups():
         group_from_table(abelian_group([2] * 6).table),
         direct_product(quaternion_group(), abelian_group([2, 2, 2])),
     )
+
+
+def closed_form_table(G):
+    """The character table of a spec'd D_n or Q8 from the textbook formulas,
+    unsorted: the oracle that character_table's general route is compared
+    against.
+
+    D_n (rotations a^k at k < n, reflections at n..2n-1): the trivial
+    character and the sign of the reflections; for even n also a^k -> (-1)^k,
+    with either sign on the reflections; and for 0 < h < n/2 the degree-2
+    row chi_h(a^k) = zeta_n^(hk) + zeta_n^(-hk), which is 0 on reflections.
+    Q8 (1, -1, +-i, +-j, +-k at 0, 1, 2..7): the four characters of
+    Q8/{+-1} = C2 x C2, i and j going to the signs s and t and k to st, and
+    the degree-2 row 2, -2, 0, 0, 0."""
+    if G.spec[0] == "dihedral":
+        n = G.spec[1]
+        signs = [(1, 1), (1, -1)] + ([(-1, 1), (-1, -1)] if n % 2 == 0 else [])
+        rows = [(1, lambda g, s=s, t=t: s ** (g % n) * (t if g >= n else 1)) for s, t in signs]
+        rows += [
+            (2, lambda g, h=h: 0 if g >= n else CycNumber.zeta(n, h * g) + CycNumber.zeta(n, -h * g))
+            for h in range(1, (n + 1) // 2)
+        ]
+    elif G.spec[0] == "quaternion8":
+        signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        rows = [(1, lambda g, s=s, t=t: (1, s, t, s * t)[g // 2]) for s, t in signs]
+        rows.append((2, lambda g: (2, -2)[g] if g < 2 else 0))
+    else:
+        raise ValueError(f"no closed form for {G.spec}")
+
+    def value(at, g):
+        v = at(g)
+        return v if isinstance(v, CycNumber) else CycNumber.from_rational(v)
+
+    return [
+        Character(group=G, values=tuple(value(at, cls[0]) for cls in G.classes), degree=d)
+        for d, at in rows
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ import pytest
 
 import gkcert.characters as characters
 from gkcert.characters import (
+    SCALE_BOUND,
     Parity,
     _digit_width,
     _integral_coordinates,
@@ -39,6 +40,7 @@ from gkcert.groups import (
     subgroup_embedding,
 )
 from helpers import (
+    closed_form_table,
     dicyclic12_group,
     direct_product,
     order64_raw_groups,
@@ -101,13 +103,16 @@ def sorted_rows(table):
 
 
 def test_dixon_matches_closed_forms():
-    # the modular route on a raw copy of every abelian, dihedral and Q8 group
-    # of order <= 24 must agree with its closed form; character_table sends
-    # raw abelian groups and D_n with n = 2 (mod 4) the structural way, so
-    # Dixon and its check are called directly
-    closed_groups = [G for G in supported_groups(24) if G.spec[0] != "table"]
-    assert {G.spec[0] for G in closed_groups} == {"abelian", "dihedral", "quaternion8"}
-    for G in closed_groups:
+    # character_table builds every D_n up to the scale bound and Q8 by the
+    # general route (D_n with n = 2 (mod 4) as D_(n/2) x C_2, the rest by
+    # Dixon), and each table must match the textbook formulas
+    closed = [dihedral_group(n) for n in range(2, SCALE_BOUND // 2 + 1)] + [quaternion_group()]
+    for G in closed:
+        assert sorted_rows(character_table(G)) == sorted_rows(closed_form_table(G)), G.spec
+    # so must Dixon on a raw copy of each of them and of every abelian group
+    # of order <= 24, called directly since character_table takes the
+    # structural way there
+    for G in closed + [G for G in supported_groups(24) if G.spec[0] == "abelian"]:
         raw = group_from_table(G.table)
         assert raw.classes == G.classes
         table = characters._dixon_table(raw)
@@ -153,9 +158,9 @@ def test_structural_route_matches_dixon(monkeypatch):
         direct_product(dihedral_group(n), abelian_group([m]))
         for n, m in ((3, 2), (3, 4), (4, 3), (5, 6), (6, 5), (7, 4), (8, 4), (10, 3), (15, 2), (16, 2))
     ]
-    closed_copies = [group_from_table(G.table) for G in supported_groups(24) if G.spec[0] != "table"]
+    specd_copies = [group_from_table(G.table) for G in supported_groups(24) if G.spec[0] != "table"]
     cases = [(relabelled(G, rng), [] if G.is_abelian else [8]) for G in bench_shaped]
-    cases += [(G, None) for G in products + closed_copies]
+    cases += [(G, None) for G in products + specd_copies]
     for G, dixon_orders in cases:
         dixon = characters._dixon_table(G)
         runs = counting(monkeypatch)
@@ -494,6 +499,11 @@ def test_corrupted_tables_are_rejected_under_optimize():
 
 # per route of _raw_table, fresh groups whose table that route builds at the top
 CORRUPTED_ROUTES = {
+    "_dixon_table": lambda: (
+        dihedral_group.__wrapped__(4),
+        quaternion_group.__wrapped__(),
+        dihedral_group.__wrapped__(5),
+    ),
     "_tensor_with_cyclic": lambda: (
         direct_product(quaternion_group(), abelian_group([6])),
         direct_product(dihedral_group(4), abelian_group([2, 2, 2])),
@@ -506,8 +516,8 @@ CORRUPTED_ROUTES = {
 def _corrupted_route_tables(route):
     """character_table on the groups of CORRUPTED_ROUTES[route], whose top
     call of characters.<route> returns its table with one value changed:
-    per group, the error class name and message start, or 'accepted', and
-    whether a table was stored."""
+    per group, the error class name and message start, or 'accepted', the
+    table stored, and whether a later unpatched call builds a full table."""
     build = getattr(characters, route)
     out = []
     for G in CORRUPTED_ROUTES[route]():
@@ -522,16 +532,18 @@ def _corrupted_route_tables(route):
         try:
             character_table(G)
         except Exception as exc:
-            out.append((type(exc).__name__, str(exc).split(" at ")[0], G._verdicts.get(("table",))))
+            outcome = (type(exc).__name__, str(exc).split(" at ")[0])
         else:
-            out.append(("accepted", "", G._verdicts.get(("table",))))
+            outcome = ("accepted", "")
         finally:
             setattr(characters, route, build)
+        stored = G._verdicts.get(("table",))
+        out.append((*outcome, stored, len(character_table(G)) == len(G.classes)))
     return out
 
 
 def _check_corrupted_route_is_rejected_also_under_optimize(route):
-    want = [("InternalCheckError", "row orthogonality fails", None)] * 3
+    want = [("InternalCheckError", "row orthogonality fails", None, True)] * 3
     assert _corrupted_route_tables(route) == want
     here = os.path.dirname(os.path.abspath(__file__))
     script = f"from test_characters import _corrupted_route_tables\nprint(_corrupted_route_tables({route!r}))\n"
@@ -545,6 +557,11 @@ def _check_corrupted_route_is_rejected_also_under_optimize(route):
 
 def test_corrupted_structural_table_is_rejected_also_under_optimize():
     _check_corrupted_route_is_rejected_also_under_optimize("_tensor_with_cyclic")
+
+
+def test_corrupted_dixon_table_of_a_specd_dihedral_group_or_q8_is_rejected_also_under_optimize():
+    # spec'd D_4, Q8 and D_5 take Dixon and its check, with no closed form
+    _check_corrupted_route_is_rejected_also_under_optimize("_dixon_table")
 
 
 def test_corrupted_dual_group_table_of_a_specd_abelian_group_is_rejected_also_under_optimize():

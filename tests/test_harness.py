@@ -234,6 +234,20 @@ def test_search_skipped_pool_entries_reach_diagnostics(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("piece", ["q8", "d4"])
+def test_search_notes_imaginary_and_overlapping_pool_entries(piece):
+    # -4 is imaginary, and 65 = 5 * 13 shares support with 5, chosen before it
+    skipped = []
+    hits = search_theoremB(
+        pool=[-4, 5, 65, 73, 89], target_r=8, prime_bound=400, cm_piece=piece, max_hits=1, skipped=skipped
+    )
+    assert hits[0].discs == (5, 73, 89)
+    assert skipped == [
+        "skipping discriminant -4 (imaginary; R must be totally real)",
+        "skipping discriminant 65 (shares support with 5)",
+    ]
+
+
 def test_search_hits_with_too_small_r_reach_diagnostics(tmp_path, monkeypatch):
     from gkcert import harness
     from gkcert.rules import CertifyOutcome
@@ -519,6 +533,16 @@ def test_config_refuses_a_search_count_below_one(key, value):
         config_from_dict({"search_b": {key: value}})
     assert config_from_dict({"search_b": {"max_hits": None}}).max_hits is None
     assert getattr(config_from_dict({"search_b": {key: 1}}), key) == 1
+
+
+@pytest.mark.parametrize("key", ["max_hits", "target_r"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_search_refuses_a_count_below_one_when_called_directly(key, value):
+    # the library call checks its arguments as RunConfig checks the config;
+    # both used to run and return one hit
+    args = {"pool": [5], "target_r": 1, "prime_bound": 600, "max_hits": None, key: value}
+    with pytest.raises(ValueError, match=rf"^{key} must be >= 1$"):
+        search_theoremB(**args)
 
 
 def test_large_pool_discriminant_is_factored_once(monkeypatch):

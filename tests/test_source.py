@@ -65,6 +65,14 @@ def test_one_memo_per_group():
     ), found
 
 
+def test_character_tables_ignore_the_group_spec():
+    # every table takes _raw_table and its check, which read the
+    # multiplication table alone, so no route may depend again on how the
+    # group was specified
+    found = _uses_in_library("spec")
+    assert found and [path for path, _ in found if path == "characters.py"] == [], found
+
+
 def test_bench_tracing_installs():
     # the traced benchmark run wraps gkcert functions by name, so renaming
     # one of them must fail here too
