@@ -10,11 +10,9 @@ point anywhere.
 from .certificates import Certificate, CertificateStore, Conclusion, Hypothesis, Status
 from .characters import (
     Character,
-    ClassFunction,
     Parity,
     character_table,
     fixed_dim,
-    inner_product,
     odd_characters,
     parity,
 )
@@ -55,7 +53,6 @@ from .modpoly import ModPFactorization, factor_mod_p
 from .numberfield import (
     NumberField,
     SplittingType,
-    cyclotomic_field,
     is_totally_split,
     make_field,
     splitting_type,
@@ -71,10 +68,7 @@ from .towers import (
 )
 from .vanishing import (
     GKC_ASSUMED,
-    BvComponent,
     VanishingReport,
-    bv_component,
-    lifted_order,
     t_order_ledger,
     tate_order,
 )

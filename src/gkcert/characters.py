@@ -1,4 +1,4 @@
-"""Exact character tables and the character-theoretic operations built on them.
+"""Exact character tables, and the parity and fixed-space dimension of a row.
 
 Character values live in Q(zeta_e), e = exponent(G), always (uniform equality
 semantics; no conductor minimization).  Every group, whatever its spec, takes
@@ -41,24 +41,13 @@ SCALE_BOUND = 64
 
 
 @dataclass(frozen=True)
-class ClassFunction:
+class Character:
     group: FiniteGroup
     values: tuple[CycNumber, ...]  # one value per conjugacy class
+    degree: int
 
     def value_at(self, g: int) -> CycNumber:
         return self.values[self.group.class_of[g]]
-
-
-@dataclass(frozen=True)
-class Character(ClassFunction):
-    degree: int = 1
-
-    def contragredient(self) -> "Character":
-        return Character(
-            group=self.group,
-            values=tuple(v.conjugate() for v in self.values),
-            degree=self.degree,
-        )
 
     def sort_key(self):
         e = self.group.exponent()
@@ -70,16 +59,7 @@ class Parity(enum.Enum):
     EVEN = "even"
 
 
-# -- inner products -----------------------------------------------------------
-
-
-def inner_product(a: ClassFunction, b: ClassFunction) -> CycNumber:
-    """<a, b> = (1/|G|) sum |C| a(C) conj(b(C)), exact."""
-    G = a.group
-    acc = CycNumber.from_rational(0)
-    for cls, va, vb in zip(G.classes, a.values, b.values):
-        acc = acc + len(cls) * (va * vb.conjugate())
-    return acc / G.order
+# -- the row check ------------------------------------------------------------
 
 
 def _integral_coordinates(table: list[Character], e: int):
@@ -649,19 +629,3 @@ def fixed_dim(chi: Character, subgroup) -> int:
         raise NonIntegralDimension(f"fixed-space dimension {d} is not a nonnegative integer")
     return int(d)
 
-
-def induced_character(G: FiniteGroup, embedding, chi_h: ClassFunction) -> ClassFunction:
-    """Induction to G of a class function on the subgroup H given by
-    ``embedding`` (H-element index -> G-element, as from subgroup_embedding)."""
-    h_order = len(embedding)
-    position = {g: i for i, g in enumerate(embedding)}
-    values = []
-    for cls in G.classes:
-        rep = cls[0]
-        total = CycNumber.from_rational(0)
-        for x in range(G.order):
-            y = G.op(G.op(G.inv(x), rep), x)
-            if y in position:
-                total = total + chi_h.value_at(position[y])
-        values.append(total / h_order)
-    return ClassFunction(group=G, values=tuple(values))

@@ -103,19 +103,6 @@ class NonDivisibleOrder(GkcertError):
     pass
 
 
-class NotAbelian(GkcertError):
-    pass
-
-
-class PrimesNotSplitInSubfield(GkcertError):
-    pass
-
-
-class LiftedOrderMismatch(GkcertError):
-    """The uniform lifted-order formula disagrees with the exact per-character
-    computation on the restricted descriptor."""
-
-
 # -- engine -----------------------------------------------------------------
 
 class MissingLayer(GkcertError):

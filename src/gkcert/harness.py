@@ -316,6 +316,10 @@ class RunConfig:
     def __post_init__(self):
         if self.prime_bound < 3:
             raise SchemaViolation("prime bound must be >= 3")
+        if self.search_prime_bound is not None and self.search_prime_bound < 3:
+            raise SchemaViolation(
+                f"search_b.prime_bound: expected an integer >= 3 or null, got {self.search_prime_bound}"
+            )
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
                 raise SchemaViolation(f"formats: expected 'csv' or 'json', got {fmt!r}")
@@ -459,11 +463,12 @@ def _scan(config: RunConfig, store: CertificateStore, result: RunResult) -> None
 
 def _search_b(config: RunConfig, store: CertificateStore, result: RunResult) -> None:
     skipped: list[str] = []
+    bound = config.prime_bound if config.search_prime_bound is None else config.search_prime_bound
     try:
         hits = search_theoremB(
             pool=config.pool,
             target_r=config.target_r,
-            prime_bound=config.search_prime_bound or config.prime_bound,
+            prime_bound=bound,
             cm_piece=config.cm_piece,
             max_hits=config.max_hits,
             assumptions=config.assumptions,

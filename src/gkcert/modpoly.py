@@ -9,8 +9,8 @@ separating factors of equal degree.  Both stages are deterministic; nothing
 here is random.
 
 The hot kernel is ``pow_mod``, the Frobenius powers X^(p^d) mod (g, p) of
-distinct-degree splitting, of Rabin's test and of the total-splitting test.
-It works on a fixed modulus: residues are packed into one integer each
+distinct-degree splitting and of the total-splitting test.  It works on a
+fixed modulus: residues are packed into one integer each
 (Kronecker substitution, von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 8), so a product is one big-int multiply.  The product is reduced mod g
 by polynomial Barrett reduction (Barrett, CRYPTO '86; von zur Gathen-Gerhard
@@ -281,21 +281,6 @@ class ModPFactorization:
         """Sorted (residue degree, multiplicity) pairs, one per irreducible factor."""
         return sorted((d, m) for g, d, m in self.parts for _ in range(deg(g) // d))
 
-    def product(self) -> tuple[int, ...]:
-        out = (self.unit % self.p,)
-        for g, _, m in self.parts:
-            for _ in range(m):
-                out = mul(out, g, self.p)
-        return out
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(m == 1 for _, _, m in self.parts)
-
-    @property
-    def is_irreducible(self) -> bool:
-        return [m for _, m in self.degrees()] == [1]
-
 
 def _squarefree_decomposition(f, p):
     """[(g_i, m_i)] with f = prod g_i^m_i, each g_i monic squarefree, pairwise coprime."""
@@ -362,21 +347,3 @@ def factor_mod_p(f: IntPoly, p: int) -> ModPFactorization:
     )
     return ModPFactorization(p=p, unit=fbar[-1], parts=parts)
 
-
-def is_irreducible_mod_p(a, p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    n = deg(a)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    xq = pow_mod(X_P, p**n, a, p)
-    if sub(xq, X_P, p):
-        return False
-    from .numutil import factorint
-
-    for q in factorint(n):
-        xq = pow_mod(X_P, p ** (n // q), a, p)
-        if deg(gcd_p(sub(xq, X_P, p), a, p)) != 0:
-            return False
-    return True

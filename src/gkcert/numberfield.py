@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import modpoly
-from .cyclotomic import cyclotomic_poly
 from .errors import InternalCheckError, IrreducibilityUndecided, Reducible, UnsafePrime
 from .intpoly import IntPoly, count_real_roots, poly_discriminant
 from .modpoly import factor_mod_p
@@ -158,11 +157,6 @@ def make_field(f: IntPoly, proof: str = "") -> NumberField:
         irreducibility=proof or "certified",
         barrett_mu=modpoly.barrett_mu(f.coeffs),
     )
-
-
-def cyclotomic_field(m: int) -> NumberField:
-    """Q(zeta_m); irreducibility of the cyclotomic polynomial is classical."""
-    return make_field(cyclotomic_poly(m), "certified: cyclotomic polynomial")
 
 
 def _dedekind_safe(F: NumberField, p: int, fac: modpoly.ModPFactorization) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import compress
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import NotPrime
 
@@ -133,13 +133,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    return all(e == 1 for e in factorint(n).values())
-
-
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorint(n).items():
@@ -211,17 +204,6 @@ def _residue_symbol(d: int, r: int) -> int:
     return kronecker(d, r)
 
 
-def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/m)^*; a must be coprime to m."""
-    if gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    order = euler_phi(m)
-    for p in factorint(order):
-        while order % p == 0 and pow(a, order // p, m) == 1:
-            order //= p
-    return order
-
-
 def sqrt_mod_p(a: int, p: int) -> int | None:
     """A square root of a mod p (odd prime), or None for a non-residue.
 
@@ -269,13 +251,3 @@ def primitive_root(p: int) -> int:
             return g
         g += 1
 
-
-def is_fundamental_discriminant(d: int) -> bool:
-    if d in (0, 1):
-        return False
-    if d % 4 == 1:
-        return is_squarefree(d)
-    if d % 4 == 0:
-        q = d // 4
-        return q % 4 in (2, 3) and is_squarefree(q)
-    return False

@@ -433,6 +433,11 @@ def certify(
             out.diagnostics.append(
                 "dihedral-odd-character-counting: hypotheses (a)/(b) not satisfied"
             )
+    else:
+        # n is read from the spec, so a dihedral group written as a table is missed
+        out.diagnostics.append(
+            "dihedral-odd-character-counting: G is not given as D_n with n = 2 (mod 4)"
+        )
 
     # ---- GVC propagation through the equivalence ----
     if check_tower_disjointness(ext):

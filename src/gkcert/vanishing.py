@@ -23,28 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import Character, character_table, fixed_dim, is_odd, odd_characters
-from .errors import (
-    EvenCharacter,
-    LiftedOrderMismatch,
-    NonDivisibleOrder,
-    NotAbelian,
-    PrimesNotSplitInSubfield,
-)
+from .characters import Character, fixed_dim, is_odd
+from .errors import EvenCharacter, NonDivisibleOrder
 from .extensions import ExtensionDescriptor
-from .groups import subgroup_embedding
 
 GKC_ASSUMED = "gkc-assumed"
-
-
-@dataclass(frozen=True)
-class BvComponent:
-    """chi-component of the local module at v: a (Lambda/omega_{n})-power."""
-
-    label: str
-    chi_multiplicity: int  # chi(1) * dim V_chi^{G_w}
-    omega_level: int  # tower depth n(v); descriptive only
-    t_order_contribution: int  # always equals chi_multiplicity (ord_T omega_m = 1)
 
 
 @dataclass(frozen=True)
@@ -77,22 +60,6 @@ def tate_order(ext: ExtensionDescriptor, chi: Character) -> VanishingReport:
     )
 
 
-def bv_component(ext: ExtensionDescriptor, chi: Character, label: str, n: int = 0) -> BvComponent:
-    """Local chi-component at each prime of the record ``label``; n is the
-    ingested tower depth n(v) and never changes the T-order contribution."""
-    _require_odd(ext, chi)
-    rec = next((r for r in ext.primes if r.label == label), None)
-    if rec is None:
-        raise KeyError(f"no prime record labelled {label!r}")
-    mult = chi.degree * fixed_dim(chi, rec.decomposition)
-    return BvComponent(
-        label=label,
-        chi_multiplicity=mult,
-        omega_level=n,
-        t_order_contribution=mult,
-    )
-
-
 def t_order_ledger(ext: ExtensionDescriptor, chi: Character, ord_a_prime) -> VanishingReport:
     """Complete the T-order ledger from a supplied ord_T f_{A',chi}.
 
@@ -121,45 +88,3 @@ def t_order_ledger(ext: ExtensionDescriptor, chi: Character, ord_a_prime) -> Van
         gkc_fails=value > 0,
     )
 
-
-def lifted_order(ext: ExtensionDescriptor, subfield_gal) -> int:
-    """Common r_{S,chi~} over an intermediate totally real R~, specified by
-    H~ = Gal(K/R~) <= G (which must contain tau; R~ <= K+).
-
-    Requires K/R abelian and every prime of R above p totally split in R~
-    (G_w <= H~), returns [R~:R] * |S_p(R)|, and cross-validates against
-    tate_order over the restricted descriptor -- mismatch (possible when some
-    G_w is nontrivial) raises LiftedOrderMismatch instead of returning a
-    non-uniform "common" value.
-    """
-    G = ext.group
-    if not G.is_abelian:
-        raise NotAbelian("lifted orders are computed for abelian K/R only")
-    h = G.require_subgroup(subfield_gal)
-    if ext.tau not in h:
-        raise PrimesNotSplitInSubfield(
-            "tau not in Gal(K/R~): R~ is not contained in K+"
-        )
-    for rec in ext.primes:
-        if not rec.decomposition <= h:
-            raise PrimesNotSplitInSubfield(
-                f"prime {rec.label} of R is not totally split in R~"
-            )
-    index = G.order // len(h)
-    claimed = index * sum(rec.count for rec in ext.primes)
-
-    # exact per-character validation on the restricted data
-    H, emb = subgroup_embedding(G, h)
-    position = {g: i for i, g in enumerate(emb)}
-    tau_h = position[ext.tau]
-    for chi in odd_characters(character_table(H), tau_h):
-        r = index * sum(
-            rec.count * fixed_dim(chi, frozenset(position[g] for g in rec.decomposition))
-            for rec in ext.primes
-        )
-        if r != claimed:
-            raise LiftedOrderMismatch(
-                f"r_{{S,chi~}} = {r} != [R~:R]*|S_p(R)| = {claimed} for a degree-"
-                f"{chi.degree} character; some decomposition group is nontrivial"
-            )
-    return claimed

@@ -1,12 +1,15 @@
 """Shared test fixtures: the supported-group roster, raw-table groups for the
-modular route, the closed-form tables of D_n and Q8, verified totally real
-base polynomials, and the random descriptor generator used by the property
-suites."""
+modular route, verified totally real base polynomials, the random descriptor
+generator used by the property suites, and the oracles that production code
+is checked against, from the closed-form tables of D_n and Q8 to Rabin's
+irreducibility test."""
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from gkcert import (
     CycNumber,
@@ -22,6 +25,8 @@ from gkcert import (
     quaternion_group,
 )
 from gkcert.characters import Character
+from gkcert.modpoly import X_P, deg, gcd_p, mul, pow_mod, sub
+from gkcert.numutil import factorint
 
 # verified totally real polynomials by degree (vectors, constant first)
 TOTALLY_REAL_VECTORS = {
@@ -187,6 +192,80 @@ def closed_form_table(G):
         Character(group=G, values=tuple(value(at, cls[0]) for cls in G.classes), degree=d)
         for d, at in rows
     ]
+
+
+def contragredient(chi):
+    """The complex-conjugate character."""
+    return Character(group=chi.group, values=tuple(v.conjugate() for v in chi.values), degree=chi.degree)
+
+
+def inner_product(a, b):
+    """<a, b> = (1/|G|) sum |C| a(C) conj(b(C)), exact."""
+    G = a.group
+    acc = CycNumber.from_rational(0)
+    for cls, va, vb in zip(G.classes, a.values, b.values):
+        acc = acc + len(cls) * (va * vb.conjugate())
+    return acc / G.order
+
+
+def permutation_character(G, subgroup):
+    """Ind_H^G 1 for the subgroup H of G, by the definition of induction:
+    its value at g is #{x in G : x^-1 g x in H} / |H|."""
+    values = []
+    for cls in G.classes:
+        hits = sum(G.op(G.op(G.inv(x), cls[0]), x) in subgroup for x in range(G.order))
+        values.append(CycNumber.from_rational(Fraction(hits, len(subgroup))))
+    return Character(group=G, values=tuple(values), degree=values[0].as_int())
+
+
+def is_irreducible_mod_p(a, p):
+    """Rabin irreducibility test for a monic polynomial over F_p."""
+    n = deg(a)
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    if sub(pow_mod(X_P, p**n, a, p), X_P, p):
+        return False
+    for q in factorint(n):
+        xq = pow_mod(X_P, p ** (n // q), a, p)
+        if deg(gcd_p(sub(xq, X_P, p), a, p)) != 0:
+            return False
+    return True
+
+
+def factorization_product(fac):
+    """unit * prod(g^m) over the parts of a ModPFactorization, mod p."""
+    out = (fac.unit % fac.p,)
+    for g, _, m in fac.parts:
+        for _ in range(m):
+            out = mul(out, g, fac.p)
+    return out
+
+
+def cyclotomic_field(m):
+    """Q(zeta_m); irreducibility of the cyclotomic polynomial is classical."""
+    return make_field(cyclotomic_poly(m), "certified: cyclotomic polynomial")
+
+
+def multiplicative_order(a, m):
+    """Order of a in (Z/m)^*, m > 1, by trying each exponent; a must be
+    coprime to m."""
+    if gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit mod {m}")
+    return next(k for k in range(1, m) if pow(a, k, m) == 1)
+
+
+def is_squarefree(n):
+    return n != 0 and all(e == 1 for e in factorint(abs(n)).values())
+
+
+def is_fundamental_discriminant(d):
+    """d != 1 squarefree with d = 1 (mod 4), or 4q with q squarefree and
+    q = 2, 3 (mod 4)."""
+    if d % 4 == 1:
+        return d != 1 and is_squarefree(d)
+    return d % 4 == 0 and d // 4 % 4 in (2, 3) and is_squarefree(d // 4)
 
 
 @lru_cache(maxsize=None)

@@ -10,27 +10,26 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from gkcert import modpoly, numberfield
-from gkcert.characters import (
-    character_table,
-    induced_character,
-    inner_product,
-    odd_characters,
-    verify_character_table,
-)
+from gkcert.characters import character_table, odd_characters, verify_character_table
 from gkcert.cli import main as cli_main
 from gkcert.errors import IrreducibilityUndecided, NonPPower, Reducible, UnsafePrime
 from gkcert.extensions import BUILTIN_PIECES, to_document
-from gkcert.groups import abelian_group, dihedral_group, group_from_table, quaternion_group, subgroup_embedding
+from gkcert.groups import abelian_group, dihedral_group, group_from_table, quaternion_group
 from gkcert.harness import EXAMPLE_ROWS, check_example_table, scan_split_primes, search_theoremB
 from gkcert.intpoly import IntPoly, from_vector
-from gkcert.numberfield import cyclotomic_field, make_field, splitting_type
-from gkcert.numutil import euler_phi, is_squarefree, kronecker, multiplicative_order, primes_upto
+from gkcert.numberfield import make_field, splitting_type
+from gkcert.numutil import euler_phi, kronecker, primes_upto
 from gkcert.rules import klingen_criterion
 from gkcert.towers import TowerData, TowerLayer, chevalley_eval, p_power_exponent
 from gkcert.vanishing import t_order_ledger, tate_order
 from helpers import (
+    cyclotomic_field,
     direct_product,
     groups_with_central_involution,
+    inner_product,
+    is_squarefree,
+    multiplicative_order,
+    permutation_character,
     random_descriptor,
     real_cyclotomic_poly,
     supported_groups,
@@ -173,7 +172,6 @@ def test_criterion_2b_scan_at_scale(monkeypatch):
 def test_criterion_3_tate_oracle_equivalence():
     started = time.monotonic()
     rng = random.Random(424242)
-    induced_cache = {}
     checked = 0
     while checked < 100:
         ext = random_descriptor(rng)
@@ -184,12 +182,7 @@ def test_criterion_3_tate_oracle_equivalence():
         # brute force: r_S = sum_v <Ind_{G_w}^G 1, chi>
         total = 0
         for rec in ext.primes:
-            key = (id(ext.group), tuple(sorted(rec.decomposition)))
-            if key not in induced_cache:
-                H, emb = subgroup_embedding(ext.group, rec.decomposition)
-                triv = [c for c in character_table(H) if all(v == 1 for v in c.values)][0]
-                induced_cache[key] = induced_character(ext.group, emb, triv)
-            value = inner_product(induced_cache[key], chi)
+            value = inner_product(permutation_character(ext.group, rec.decomposition), chi)
             total += rec.count * int(value.as_fraction())
         assert tate_order(ext, chi).r_s == total
         checked += 1

@@ -18,8 +18,6 @@ from gkcert.characters import (
     _packed_dot,
     character_table,
     fixed_dim,
-    induced_character,
-    inner_product,
     is_odd,
     odd_characters,
     parity,
@@ -32,18 +30,15 @@ from gkcert.errors import (
     ScaleExceeded,
     TauNotCentralInvolution,
 )
-from gkcert.groups import (
-    abelian_group,
-    dihedral_group,
-    group_from_table,
-    quaternion_group,
-    subgroup_embedding,
-)
+from gkcert.groups import abelian_group, dihedral_group, group_from_table, quaternion_group
 from helpers import (
     closed_form_table,
+    contragredient,
     dicyclic12_group,
     direct_product,
+    inner_product,
     order64_raw_groups,
+    permutation_character,
     permutation_group,
     sl23_group,
     supported_groups,
@@ -226,13 +221,10 @@ def test_fixed_dim_examples():
 
 def test_induction_examples():
     c2 = abelian_group([2])
-    H, emb = subgroup_embedding(c2, {0})
-    ind = induced_character(c2, emb, character_table(H)[0])
+    ind = permutation_character(c2, {0})
     assert ind.value_at(0).as_int() == 2 and ind.value_at(1).as_int() == 0
     d6 = dihedral_group(6)
-    Hb, embb = subgroup_embedding(d6, {0, 6})
-    triv = [c for c in character_table(Hb) if all(v == 1 for v in c.values)][0]
-    ind_b = induced_character(d6, embb, triv)
+    ind_b = permutation_character(d6, {0, 6})
     assert ind_b.value_at(0).as_int() == 6  # [D6 : <b>]
 
 
@@ -244,9 +236,7 @@ def test_frobenius_reciprocity_oracle():
         G = pool[rng.randrange(len(pool))]
         subs = G.all_subgroups()
         H_set = subs[rng.randrange(len(subs))]
-        H, emb = subgroup_embedding(G, H_set)
-        triv = [c for c in character_table(H) if all(v == 1 for v in c.values)][0]
-        ind = induced_character(G, emb, triv)
+        ind = permutation_character(G, H_set)
         for chi in character_table(G):
             lhs = inner_product(ind, chi)
             assert lhs.is_rational
@@ -257,7 +247,7 @@ def test_frobenius_reciprocity_oracle():
 def test_contragredient():
     z = character_table(abelian_group([5]))
     chi = next(ch for ch in z if ch.values[1] == CycNumber.zeta(5))
-    assert chi.contragredient().values[1] == CycNumber.zeta(5, 4)
+    assert contragredient(chi).values[1] == CycNumber.zeta(5, 4)
 
 
 def test_builtin_groups_built_once():

@@ -139,6 +139,9 @@ def test_search_count_of_zero_is_an_error_line(tmp_path, capsys, key):
         pytest.param({"search_b": {"cm_piece": "zz"}}, "search_b.cm_piece", id="unknown-cm-piece"),
         pytest.param({"search_b": {"max_hits": "x"}}, "search_b.max_hits", id="string-max-hits"),
         pytest.param({"search_b": {"pool": ["x"]}}, "search_b.pool[0]", id="string-pool-item"),
+        pytest.param({"search_b": {"prime_bound": 0}}, "search_b.prime_bound", id="zero-search-bound"),
+        pytest.param({"search_b": {"prime_bound": -5}}, "search_b.prime_bound", id="negative-search-bound"),
+        pytest.param({"search_b": {"prime_bound": 2}}, "search_b.prime_bound", id="search-bound-2"),
     ],
 )
 def test_config_of_the_wrong_shape_is_an_error_line(tmp_path, capsys, doc, path):

@@ -33,8 +33,8 @@ from gkcert.extensions import (
 from gkcert.groups import dihedral_group
 from gkcert.intpoly import IntPoly
 from gkcert.numberfield import make_field, splitting_type
-from gkcert.numutil import is_fundamental_discriminant, is_prime, kronecker, multiplicative_order, primes_upto
-from helpers import random_descriptor
+from gkcert.numutil import is_prime, kronecker, primes_upto
+from helpers import cyclotomic_field, is_fundamental_discriminant, multiplicative_order, random_descriptor
 
 
 def q8_split_primes(bound):
@@ -86,8 +86,6 @@ def test_builder_inert_prime():
 def test_cyclotomic_component_frobenius():
     # decomposition order = multiplicative order of p mod m, cross-checked
     # against the defining-polynomial splitting route for every m <= 40
-    from gkcert.numberfield import cyclotomic_field
-
     for m in range(3, 41):
         if m % 4 == 2:
             continue  # duplicate field, rejected by the component

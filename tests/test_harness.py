@@ -24,7 +24,8 @@ from gkcert.extensions import (
     to_document,
 )
 from gkcert.intpoly import IntPoly
-from gkcert.numberfield import cyclotomic_field, make_field
+from gkcert.numberfield import make_field
+from helpers import cyclotomic_field
 
 
 def test_scan_examples():
@@ -533,6 +534,17 @@ def test_config_refuses_a_search_count_below_one(key, value):
         config_from_dict({"search_b": {key: value}})
     assert config_from_dict({"search_b": {"max_hits": None}}).max_hits is None
     assert getattr(config_from_dict({"search_b": {key: 1}}), key) == 1
+
+
+@pytest.mark.parametrize("value", [0, -5, 2])
+def test_config_refuses_a_search_prime_bound_below_three(value):
+    # a bound of 0 used to fall back to prime_bound, and -5 or 2 to end in
+    # "no prime <= ... qualifies"
+    message = rf"^search_b\.prime_bound: expected an integer >= 3 or null, got {value}$"
+    with pytest.raises(SchemaViolation, match=message):
+        config_from_dict({"prime_bound": 1000, "search_b": {"prime_bound": value}})
+    assert config_from_dict({"search_b": {"prime_bound": 3}}).search_prime_bound == 3
+    assert config_from_dict({"search_b": {"prime_bound": None}}).search_prime_bound is None
 
 
 @pytest.mark.parametrize("key", ["max_hits", "target_r"])

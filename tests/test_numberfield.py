@@ -12,13 +12,12 @@ from gkcert.numberfield import (
     _certify_irreducible,
     _factor_degrees,
     _subset_sums,
-    cyclotomic_field,
     is_totally_split,
     make_field,
     splitting_type,
 )
-from gkcert.numutil import divisors, euler_phi, is_prime, kronecker, multiplicative_order, primes_upto
-from helpers import real_cyclotomic_poly
+from gkcert.numutil import divisors, euler_phi, is_prime, kronecker, primes_upto
+from helpers import cyclotomic_field, multiplicative_order, real_cyclotomic_poly
 
 GAUSSIAN = make_field(IntPoly([1, 0, 1]))
 
@@ -74,10 +73,10 @@ def _certify_by_factor_mod_p(f, disc):
     while used < 25:
         if is_prime(p) and disc % p != 0:
             used += 1
-            fac = factor_mod_p(f, p)
-            if fac.is_irreducible:
+            degrees = factor_mod_p(f, p).degrees()
+            if degrees == [(n, 1)]:
                 return None
-            proper = {s for s in _subset_sums([d for d, _ in fac.degrees()]) if 0 < s < n}
+            proper = {s for s in _subset_sums([d for d, _ in degrees]) if 0 < s < n}
             candidates = proper if candidates is None else candidates & proper
             if not candidates:
                 return None

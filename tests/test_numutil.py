@@ -9,16 +9,15 @@ from gkcert.numutil import (
     discriminant_symbol,
     euler_phi,
     factorint,
-    is_fundamental_discriminant,
     is_prime,
     kronecker,
-    multiplicative_order,
     primes_upto,
     primitive_root,
     split_primes_upto,
     sqrt_mod_p,
 )
 from gkcert.schema import Node
+from helpers import is_fundamental_discriminant, multiplicative_order
 
 
 def test_primality_small():

@@ -164,6 +164,16 @@ def test_dihedral_counting_needs_exactly_one_split_prime():
     assert [c.payload_dict()["r"] for c in demo.by_rule("dihedral-odd-character-counting")] == [6]
 
 
+def test_dihedral_counting_notes_a_group_not_given_as_dihedral():
+    # the shipped demo with its group written as D6's own table gets no
+    # certificate, and the rule says why instead of staying silent
+    with open(os.path.join(DESCRIPTOR_DIR, "d6_counting_demo.json")) as fh:
+        doc = {**json.load(fh), "group": {"kind": "table", "data": dihedral_group(6).table}}
+    out = certify(ingest_extension(doc))
+    assert not out.certificates
+    assert "dihedral-odd-character-counting: G is not given as D_n with n = 2 (mod 4)" in out.diagnostics
+
+
 def test_certify_undecomposed_subfield():
     # Q8 with G_w = <i> (order 4): N = <-1> is a proper subgroup avoiding...
     # tau = -1 IS in <i>, so pick G_w = <i> and check the no-split route/

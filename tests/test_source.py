@@ -3,22 +3,30 @@ import glob
 import os
 import subprocess
 import sys
+from functools import cache
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src", "gkcert")
 
 
-def test_no_assert_statements_in_library():
-    # internal checks must raise InternalCheckError, which survives python -O
-    found = []
+@cache
+def _library_trees():
+    """Module file name -> syntax tree, for every module of gkcert."""
+    trees = {}
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += [
-            f"{os.path.basename(path)}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
+            trees[os.path.basename(path)] = ast.parse(fh.read(), filename=path)
+    return trees
+
+
+def test_no_assert_statements_in_library():
+    # internal checks must raise InternalCheckError, which survives python -O
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in _library_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
 
 
@@ -42,12 +50,47 @@ def _name_uses(tree, name, scope=()):
 
 def _uses_in_library(name):
     """(module file, dotted enclosing scope) of each use of ``name`` in gkcert."""
-    found = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += [(os.path.basename(path), ".".join(scope)) for scope, _ in _name_uses(tree, name)]
-    return found
+    return [
+        (module, ".".join(scope))
+        for module, tree in _library_trees().items()
+        for scope, _ in _name_uses(tree, name)
+    ]
+
+
+# definitions that no library code names yet, each waiting on planned work
+UNREACHED_ALLOWED = {
+    # the traced benchmark run wraps it by name until the tracer wraps
+    # Compositum.at instead
+    ("extensions.py", "build_compositum_over_Q"),
+    # certificates that read a tower will hash its document into their inputs
+    ("towers.py", "tower_to_document"),
+}
+
+
+def test_library_definitions_are_reached():
+    # every top-level function and class, and every public method, is named
+    # by library code outside its own definition; __init__.py re-exports and
+    # does not count, nor do the tests, so no unreached feature or test-only
+    # oracle stays in the library
+    trees = {module: tree for module, tree in _library_trees().items() if module != "__init__.py"}
+    unreached = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for own in [(node.name,)] + [
+                (node.name, m.name)
+                for m in methods
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            ]:
+                if not any(
+                    scope[: len(own)] != own
+                    for other in trees.values()
+                    for scope, _ in _name_uses(other, own[-1])
+                ):
+                    unreached.add((module, ".".join(own)))
+    assert unreached == UNREACHED_ALLOWED, sorted(unreached ^ UNREACHED_ALLOWED)
 
 
 def test_one_digest_recipe():

@@ -2,34 +2,27 @@ import random
 
 import pytest
 
-from gkcert.characters import character_table, fixed_dim, inner_product, odd_characters
-from gkcert.errors import (
-    EvenCharacter,
-    LiftedOrderMismatch,
-    NonDivisibleOrder,
-    NotAbelian,
-    PrimesNotSplitInSubfield,
-)
-from gkcert.errors import AmbiguousDecomposition, RamifiedPrime
+from gkcert.characters import character_table, fixed_dim, odd_characters
+from gkcert.errors import AmbiguousDecomposition, EvenCharacter, NonDivisibleOrder, RamifiedPrime
 from gkcert.extensions import (
     Compositum,
-    CyclotomicComponent,
     ExtensionDescriptor,
     PrimeRecord,
     QuadraticComponent,
     build_compositum_over_Q,
     classify_primes,
 )
-from gkcert.groups import abelian_group, dihedral_group, quaternion_group, subgroup_embedding
+from gkcert.groups import abelian_group, dihedral_group, quaternion_group
 from gkcert.rules import certify
-from gkcert.vanishing import (
-    GKC_ASSUMED,
-    bv_component,
-    lifted_order,
-    t_order_ledger,
-    tate_order,
+from gkcert.vanishing import GKC_ASSUMED, t_order_ledger, tate_order
+from helpers import (
+    contragredient,
+    inner_product,
+    order64_raw_groups,
+    permutation_character,
+    random_descriptor,
+    totally_real_field,
 )
-from helpers import order64_raw_groups, random_descriptor, totally_real_field
 from test_extensions import q8_split_primes
 from test_rules import undecomposed_by_full_lattice
 from gkcert.extensions import Q8_PIECE
@@ -53,8 +46,6 @@ def test_even_characters_rejected():
     even = [ch for ch in character_table(ext.group) if ch not in _odd(ext)][0]
     with pytest.raises(EvenCharacter):
         tate_order(ext, even)
-    with pytest.raises(EvenCharacter):
-        bv_component(ext, even, "v1")
 
 
 def test_q8_totally_split_order():
@@ -80,24 +71,10 @@ def test_oracle_equivalence_frobenius_route():
         report = tate_order(ext, chi)
         total = 0
         for rec in ext.primes:
-            H, emb = subgroup_embedding(ext.group, rec.decomposition)
-            triv = [c for c in character_table(H) if all(v == 1 for v in c.values)][0]
-            ind = induced_character_cached(ext.group, emb, triv)
+            ind = permutation_character(ext.group, rec.decomposition)
             total += rec.count * int(inner_product(ind, chi).as_fraction())
         assert total == report.r_s
         checked += 1
-
-
-_IND_CACHE = {}
-
-
-def induced_character_cached(G, emb, triv):
-    key = (id(G), emb)
-    if key not in _IND_CACHE:
-        from gkcert.characters import induced_character
-
-        _IND_CACHE[key] = induced_character(G, emb, triv)
-    return _IND_CACHE[key]
 
 
 def test_conjugate_character_invariance():
@@ -114,7 +91,7 @@ def test_conjugate_character_invariance():
             continue
         chi = odd[rng.randrange(len(odd))]
         base = tate_order(ext, chi).r_s
-        assert tate_order(ext, chi.contragredient()).r_s == base
+        assert tate_order(ext, contragredient(chi)).r_s == base
         e = ext.group.exponent()
         for k in range(1, e):
             if gcd(k, e) != 1:
@@ -122,17 +99,6 @@ def test_conjugate_character_invariance():
             twisted = replace(chi, values=tuple(v.galois(k) for v in chi.values))
             assert tate_order(ext, twisted).r_s == base
         checked += 1
-
-
-def test_bv_component():
-    p0 = next(p for p in q8_split_primes(600) if kronecker(5, p) == 1)
-    ext = build_compositum_over_Q([Q8_PIECE, QuadraticComponent(5)], p0)
-    chi = _odd(ext)[0]
-    bv = bv_component(ext, chi, "v1-v2", n=3)
-    assert bv.chi_multiplicity == chi.degree * 2 == 4
-    assert bv.t_order_contribution == bv.chi_multiplicity  # independent of n
-    assert bv.omega_level == 3
-    assert bv_component(ext, chi, "v1-v2", n=0).t_order_contribution == 4
 
 
 def test_ledger():
@@ -168,45 +134,9 @@ def test_ledger_identity_property():
         assert led.ord_a - led.ord_a_prime == chi.degree * led.r_s
         assert led.predicted_lp_order >= led.r_s  # the unconditional inequality
         # per-record contributions, each for count primes, assemble the same total
-        total = sum(
-            rec.count * bv_component(ext, chi, rec.label).t_order_contribution
-            for rec in ext.primes
-        )
+        total = sum(rec.count * chi.degree * fixed_dim(chi, rec.decomposition) for rec in ext.primes)
         assert total == chi.degree * led.r_s
         checked += 1
-
-
-def test_lifted_order():
-    ext = build_compositum_over_Q([CyclotomicComponent(5)], 11)  # totally split
-    G = ext.group
-    h = G.subgroup_generated_by([ext.tau])
-    assert lifted_order(ext, h) == 2  # [R~:R] = 2, one prime of Q
-    assert lifted_order(ext, frozenset(range(G.order))) == 1  # R~ = R
-    ext7 = build_compositum_over_Q([CyclotomicComponent(5)], 7)
-    with pytest.raises(PrimesNotSplitInSubfield):
-        lifted_order(ext7, ext7.group.subgroup_generated_by([ext7.tau]))
-    p0 = q8_split_primes(600)[0]
-    extq = build_compositum_over_Q([Q8_PIECE], p0)
-    with pytest.raises(NotAbelian):
-        lifted_order(extq, frozenset(range(8)))
-
-
-def test_lifted_order_mismatch_detected():
-    # inert prime in K over the subfield route: G_w = <tau> <= H~ = G, but the
-    # uniform formula fails for characters with tau in the kernel complement
-    ext = build_compositum_over_Q([CyclotomicComponent(5)], 11)
-    G = ext.group
-    from gkcert.extensions import ExtensionDescriptor, PrimeRecord
-
-    ext_bad = ExtensionDescriptor(
-        base=ext.base,
-        group=G,
-        tau=ext.tau,
-        p=11,
-        primes=(PrimeRecord("v1", 1, 1, G.subgroup_generated_by([ext.tau])),),
-    )
-    with pytest.raises(LiftedOrderMismatch):
-        lifted_order(ext_bad, frozenset(range(G.order)))
 
 
 def _repeating_descriptors():
@@ -249,7 +179,7 @@ def _repeating_descriptors():
 
 
 def test_distinct_decomposition_groups_match_per_record_oracle():
-    """tate_order, bv_component and the undecomposed-subfield reduction
+    """tate_order, the T-order ledger and the undecomposed-subfield reduction
     against record-by-record sums of fixed_dim and meets of normal_core."""
     nonzero = reductions = 0
     for ext in _repeating_descriptors():
@@ -259,9 +189,9 @@ def test_distinct_decomposition_groups_match_per_record_oracle():
             assert report.contributions == want
             assert report.r_s == sum(rec.count * d for rec, (_, d) in zip(ext.primes, want))
             nonzero += report.r_s > 0
-            for label, dim in want:
-                bv = bv_component(ext, chi, label)
-                assert bv.chi_multiplicity == bv.t_order_contribution == chi.degree * dim
+            # each record's local components add chi(1) * dim to ord_T f_A per prime
+            local = sum(rec.count * chi.degree * d for rec, (_, d) in zip(ext.primes, want))
+            assert t_order_ledger(ext, chi, 0).ord_a == local
         want_n = undecomposed_by_full_lattice(ext)
         got = certify(ext).by_rule("undecomposed-subfield-reduction")
         if want_n is None:
