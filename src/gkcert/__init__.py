@@ -20,7 +20,6 @@ from .cyclotomic import CycNumber, cyclotomic_poly
 from .extensions import (
     BUILTIN_PIECES,
     Compositum,
-    CyclotomicComponent,
     ExtensionDescriptor,
     PrimeRecord,
     QuadraticComponent,
@@ -66,11 +65,6 @@ from .towers import (
     chevalley_eval,
     gkc_minus_stabilization,
 )
-from .vanishing import (
-    GKC_ASSUMED,
-    VanishingReport,
-    t_order_ledger,
-    tate_order,
-)
+from .vanishing import tate_order
 
 __version__ = "0.1.0"

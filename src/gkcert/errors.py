@@ -99,10 +99,6 @@ class EvenCharacter(GkcertError):
     pass
 
 
-class NonDivisibleOrder(GkcertError):
-    pass
-
-
 # -- engine -----------------------------------------------------------------
 
 class MissingLayer(GkcertError):

@@ -13,11 +13,11 @@ the counts.
 Two construction routes:
 
 * ``Compositum`` / ``build_compositum_over_Q`` -- composita of real quadratic
-  fields with a single CM piece (imaginary quadratic, cyclotomic, or a
+  fields with a single CM piece (imaginary quadratic, or a
   quaternion/dihedral octic given by radical data over a real biquadratic
   field).  Every CM piece answers ``group()``, ``tau()``, ``frobenius(p)``
   and ``assertion``, and its Frobenius is computed exactly (Kronecker
-  symbols, p mod m, Legendre tests on the radical's conjugates).  The base
+  symbols, Legendre tests on the radical's conjugates).  The base
   R is a ``MultiquadraticField``, described by its discriminants.
 * ``ingest_extension`` -- JSON documents for extensions built by external
   systems (e.g. ray-class constructions); every group-theoretic invariant is
@@ -28,8 +28,6 @@ Two construction routes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from math import gcd
 
 from .certificates import content_digest
 from .errors import (
@@ -57,7 +55,6 @@ from .numutil import (
     factorint,
     is_prime,
     kronecker,
-    prime_support,
     require_prime,
     sqrt_mod_p,
 )
@@ -103,7 +100,7 @@ class ExtensionDescriptor:
     assertions: tuple[str, ...] = ()
     label: str = ""
     # the CM piece of a built compositum, read by the Klingen rules
-    construction: QuadraticComponent | CyclotomicComponent | RadicalCMPiece | None = None
+    construction: QuadraticComponent | RadicalCMPiece | None = None
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -219,40 +216,6 @@ class QuadraticComponent:
 
 
 @dataclass(frozen=True)
-class CyclotomicComponent:
-    """Q(zeta_m); CM for m >= 3.  m = 2 mod 4 is rejected (duplicate field)."""
-
-    m: int
-    assertion = ""  # Gal(Q(zeta_m)/Q) = (Z/m)^* is classical
-    is_real = False
-
-    def __post_init__(self):
-        if self.m < 3 or self.m % 4 == 2:
-            raise SchemaViolation(f"conductor {self.m} not admissible (need m >= 3, m != 2 mod 4)")
-
-    @property
-    def label(self) -> str:
-        return f"cyclotomic({self.m})"
-
-    @property
-    def support(self) -> frozenset[int]:
-        return prime_support(self.m)
-
-    def group(self) -> FiniteGroup:
-        """(Z/m)^*, indexed as in ``_unit_indices``."""
-        return abelian_group(_unit_indices(self.m)[0])
-
-    def tau(self) -> int:
-        return self.frobenius(-1)  # complex conjugation is the unit -1
-
-    def frobenius(self, u: int) -> int:
-        """The element of G that is the unit u mod m (Frobenius at a prime u)."""
-        if gcd(u, self.m) != 1:
-            raise RamifiedPrime(f"{u} is not a unit mod {self.m}")
-        return _unit_indices(self.m)[1][u % self.m]
-
-
-@dataclass(frozen=True)
 class RadicalCMPiece:
     """Galois CM octic M = Q(sqrt d1, sqrt d2, sqrt gamma), gamma totally
     negative in L = Q(sqrt d1, sqrt d2), with Gal(M/Q) one of Q8 / D4 and
@@ -355,49 +318,6 @@ D4_PIECE = RadicalCMPiece(
 )
 
 BUILTIN_PIECES = {"q8": Q8_PIECE, "d4": D4_PIECE}
-
-
-# -- unit groups (Z/m)^* for cyclotomic pieces ------------------------------------
-
-
-def _local_unit_gens(q: int, p: int, k: int) -> list[tuple[int, int]]:
-    """Generators (g, order) of (Z/q)^* for q = p^k."""
-    if p == 2:
-        if k == 1:
-            return []
-        if k == 2:
-            return [(3, 2)]
-        return [(q - 1, 2), (5, 2 ** (k - 2))]
-    phi = (p - 1) * p ** (k - 1)
-    g = 2
-    while True:
-        ok = all(pow(g, phi // r, q) != 1 for r in factorint(phi))
-        if ok:
-            return [(g, phi)]
-        g += 1
-
-
-def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
-    if m2 == 1:
-        return a1 % m1
-    inv = pow(m1, -1, m2)
-    return (a1 + m1 * ((a2 - a1) * inv % m2)) % (m1 * m2)
-
-
-@cache
-def _unit_indices(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """(Z/m)^* as an explicit abelian group: its invariants d_i, and the
-    element index of each unit mod m.  The unit prod g_i^(x_i), with g_i a
-    generator of the i-th cyclic factor CRT-lifted to a unit mod m, has the
-    mixed-radix digits x, first digit fastest, as in ``abelian_group``."""
-    invariants, units = [], [1]
-    for p, k in sorted(factorint(m).items()):
-        q = p**k
-        for g, d in _local_unit_gens(q, p, k):
-            g = _crt(g, q, 1, m // q)  # g mod q, 1 mod m/q
-            units = [u * pow(g, x, m) % m for x in range(d) for u in units]
-            invariants.append(d)
-    return tuple(invariants), {u: i for i, u in enumerate(units)}
 
 
 # -- compositum builder -----------------------------------------------------------

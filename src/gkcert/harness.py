@@ -41,7 +41,7 @@ from .extensions import (
 from .intpoly import IntPoly, from_vector
 from .numberfield import NumberField, make_field, scan_split_primes, splitting_type
 from .numutil import is_prime, split_primes_upto
-from .rules import CertifyOutcome, certify
+from .rules import ASSUMPTION_KEYS, CertifyOutcome, certify
 from .schema import Node, parse_json, read_json, read_text
 from .towers import tower_from_document
 
@@ -335,6 +335,15 @@ class RunConfig:
             if abs(d) > MAX_DISCRIMINANT:
                 raise SchemaViolation(
                     f"search_b.pool[{i}]: {d} exceeds the discriminant bound {MAX_DISCRIMINANT}"
+                )
+        for i, key in enumerate(self.assumptions):
+            parts = key.split(":")
+            if key not in ASSUMPTION_KEYS and not (
+                len(parts) == 3 and parts[0] == "disjoint" and all(parts[1:])
+            ):
+                raise SchemaViolation(
+                    f"certify.assumptions[{i}]: expected one of {list(ASSUMPTION_KEYS)} "
+                    f"or 'disjoint:<label-a>:<label-b>', got {key!r}"
                 )
 
     def digest(self) -> str:

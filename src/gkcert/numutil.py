@@ -140,10 +140,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def prime_support(n: int) -> frozenset[int]:
-    return frozenset(factorint(n))
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), the full extension of Jacobi/Legendre."""
     if n == 0:

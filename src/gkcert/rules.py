@@ -3,26 +3,29 @@
 Each rule inspects an extension descriptor (plus optional tower data and
 caller assumptions), checks its hypotheses from the stored decomposition
 data, and emits certificates whose hypothesis lists make the audit trail
-explicit.  Rule keys are fixed strings:
+explicit.  ``certify`` runs ``RULES`` in the order below, the order of the
+certificates it returns; a rule that builds on another reads that rule's
+certificate from the ones emitted before it.  Rule keys are fixed strings:
 
+* ``klingen-character-bound``         -- chi(1) + chi(tau) <= 2 for all chi
+  certifies Leopoldt for an imaginary Galois K/Q.
+* ``klingen-abelian-compositum``      -- the same bound on a CM piece M
+  certifies Leopoldt for every compositum M * (real abelian).  The two
+  Klingen keys are one rule: K over Q, or a built compositum.
+* ``split-rank-bound``                -- abelian K/R with a totally split
+  Q_p-prime: rank bound r - s on the minus coinvariants.
 * ``no-split-primes``                 -- no prime of K+ above p splits in K.
 * ``undecomposed-subfield-reduction`` -- a CM-subfield k with p undecomposed
   in K/k reduces GKC-(K) to GKC-(k) (always an Asserted input).
 * ``leopoldt-total-split``            -- Leopoldt for K plus p totally split
   in K/Q gives GKC-(K).
-* ``klingen-character-bound``         -- chi(1) + chi(tau) <= 2 for all chi
-  certifies Leopoldt for an imaginary Galois K/Q.
-* ``klingen-abelian-compositum``      -- the same bound on a CM piece M
-  certifies Leopoldt for every compositum M * (real abelian).
-* ``split-rank-bound``                -- abelian K/R with a totally split
-  Q_p-prime: rank bound r - s on the minus coinvariants.
 * ``abelian-split-rank-zero``         -- the r = s case upgrades to GKC-(K).
+* ``chevalley-stabilization``         -- ingested tower data with stabilized
+  minus-part orders.
 * ``dihedral-odd-character-counting`` -- D_n, n = 2 mod 4, exactly one
   totally split Q_p-prime of R and tau in G_w at the others: the odd-degree
   sum n/2 + 1 beats the rank bound n/2, so some odd chi satisfies
   GKC(K/R,chi).
-* ``chevalley-stabilization``         -- ingested tower data with stabilized
-  minus-part orders.
 * ``gkc-gvc-equivalence``             -- with K and the cyclotomic tower of R
   linearly disjoint, GKC-(K) propagates to GVC(K/R,chi) for each odd chi.
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import SCALE_BOUND, character_table, is_odd, odd_characters
+from .characters import SCALE_BOUND, character_table, odd_characters
 from .certificates import (
     Certificate,
     Conclusion,
@@ -41,6 +44,7 @@ from .certificates import (
     verified,
 )
 from .errors import (
+    EvenCharacter,
     HypothesisFailed,
     InternalCheckError,
     PIsTwo,
@@ -54,12 +58,14 @@ from .extensions import (
 )
 from .groups import FiniteGroup
 from .towers import Stability, TowerData, gkc_minus_stabilization
-from .vanishing import GKC_ASSUMED, t_order_ledger
+from .vanishing import tate_order
 
 # caller-suppliable assumption keys
 ASSUME_LEOPOLDT = "leopoldt"
 ASSUME_TOWER_DISJOINT = "tower-disjoint"
 ASSUME_GKC_MINUS = "gkc-minus"
+# with "disjoint:<label-a>:<label-b>", the keys a config may list
+ASSUMPTION_KEYS = (ASSUME_LEOPOLDT, ASSUME_TOWER_DISJOINT, ASSUME_GKC_MINUS)
 
 
 def klingen_criterion(G: FiniteGroup, tau: int) -> bool:
@@ -86,10 +92,6 @@ def _klingen_verdict(G: FiniteGroup, tau: int) -> bool:
     return result
 
 
-def _subject(ext: ExtensionDescriptor) -> str:
-    return ext.label or ext.digest()
-
-
 def _cite(statement: str, cert: Certificate) -> Hypothesis:
     """The hypothesis that ``statement`` holds by the certificate ``cert``:
     verified when cert is unconditional, else asserted, so that a
@@ -111,9 +113,10 @@ def rank_bound(ext: ExtensionDescriptor, summary: PrimeSummary | None = None) ->
     if not ext.group.is_abelian:
         raise HypothesisFailed("b", "Gal(K/R) is not abelian")
     bound = summary.r - summary.s
+    digest = ext.digest()
     return make_certificate(
         Conclusion.RANK_BOUND,
-        _subject(ext),
+        ext.label or digest,
         "split-rank-bound",
         [
             verified(
@@ -128,7 +131,7 @@ def rank_bound(ext: ExtensionDescriptor, summary: PrimeSummary | None = None) ->
             "bound": bound,
             "gkc_minus_implied": bound == 0,
         },
-        ext.digest(),
+        digest,
     )
 
 
@@ -151,31 +154,51 @@ class CertifyOutcome:
         return seen
 
 
-def _klingen_rule(ext: ExtensionDescriptor):
-    """(rule key, hypotheses, payload, failure note) of the Klingen step, or
-    None when it does not apply.  Over R = Q the bound is checked on
-    G = Gal(K/Q); for a built compositum M * R, G = Gal(K/R) is Gal(M/Q) of
-    the CM piece M."""
-    con = ext.construction
+@dataclass(frozen=True)
+class _Context:
+    """What the rules of one ``certify`` call read: its inputs, the values
+    computed once for all rules, and the certificates emitted so far."""
+
+    ext: ExtensionDescriptor
+    assumptions: frozenset[str]
+    tower: TowerData | None
+    summary: PrimeSummary
+    digest: str
+    subject: str
+    tabulated: bool  # |G| within SCALE_BOUND; else no rule reads the table
+    certificates: list[Certificate]
+
+    def emitted(self, conclusion: Conclusion) -> list[Certificate]:
+        return [c for c in self.certificates if c.conclusion is conclusion]
+
+    def certificate(self, conclusion, rule, hypotheses, payload, subject=None) -> Certificate:
+        return make_certificate(
+            conclusion, subject or self.subject, rule, hypotheses, payload, self.digest
+        )
+
+
+def _klingen(ctx: _Context):
+    """Leopoldt for K by Klingen's criterion.  Over R = Q the bound is
+    checked on G = Gal(K/Q); for a built compositum M * R, G = Gal(K/R) is
+    Gal(M/Q) of the CM piece M.  Any other K gets neither key."""
+    ext, con = ctx.ext, ctx.ext.construction
     if ext.base.degree == 1:
+        rule = "klingen-character-bound"
         galois_hyp = verified("K is an imaginary Galois extension of Q", "R = Q, tau central")
         if con is not None and con.assertion:
             galois_hyp = asserted("K is an imaginary Galois extension of Q", con.assertion)
-        return (
-            "klingen-character-bound",
-            [galois_hyp, verified("chi(1) + chi(tau) <= 2 for every irreducible chi")],
-            {"group_order": ext.group.order},
-            "some irreducible chi has chi(1)+chi(tau) > 2",
-        )
-    if con is None:
-        return None
-    if con.assertion:
-        galois_hyp = asserted("M is an imaginary Galois extension of Q", con.assertion)
+        hyps = [galois_hyp, verified("chi(1) + chi(tau) <= 2 for every irreducible chi")]
+        payload = {"group_order": ext.group.order}
+        failure = "some irreducible chi has chi(1)+chi(tau) > 2"
+    elif con is None:
+        return []
     else:
-        galois_hyp = verified("M is an imaginary Galois extension of Q", con.label)
-    return (
-        "klingen-abelian-compositum",
-        [
+        rule = "klingen-abelian-compositum"
+        if con.assertion:
+            galois_hyp = asserted("M is an imaginary Galois extension of Q", con.assertion)
+        else:
+            galois_hyp = verified("M is an imaginary Galois extension of Q", con.label)
+        hyps = [
             galois_hyp,
             verified(
                 "chi(1) + chi(tau) <= 2 for every irreducible chi of Gal(M/Q)",
@@ -185,10 +208,273 @@ def _klingen_rule(ext: ExtensionDescriptor):
                 "R is a compositum of real quadratic fields (abelian over Q)",
                 f"discriminants {list(ext.base.discs)}",
             ),
-        ],
-        {"group_order": ext.group.order, "cm_piece": con.label},
-        "the CM piece fails the character bound",
+        ]
+        payload = {"group_order": ext.group.order, "cm_piece": con.label}
+        failure = "the CM piece fails the character bound"
+    if not ctx.tabulated:
+        return f"{rule}: |G| exceeds the character-table bound"
+    if not klingen_criterion(ext.group, ext.tau):
+        return f"{rule}: {failure}"
+    return [ctx.certificate(Conclusion.LEOPOLDT, rule, hyps, payload)]
+
+
+def _split_rank_bound(ctx: _Context):
+    try:
+        return [rank_bound(ctx.ext, ctx.summary)]
+    except HypothesisFailed as exc:
+        return f"split-rank-bound: {exc}"
+
+
+def _no_split_primes(ctx: _Context):
+    summary = ctx.summary
+    if summary.r != 0 or not ctx.ext.primes:
+        return "no-split-primes: some prime of K+ above p splits in K"
+    return [
+        ctx.certificate(
+            Conclusion.GKC_MINUS,
+            "no-split-primes",
+            [
+                verified(
+                    "no prime of K+ above p splits in K",
+                    f"tau lies in every decomposition group ({', '.join(summary.tau_inert_labels)})",
+                )
+            ],
+            {"r": 0, "s": summary.s},
+        )
+    ]
+
+
+def _undecomposed_subfield_reduction(ctx: _Context):
+    reduction = _undecomposed_subfield(ctx.ext)
+    if reduction is None:
+        return "undecomposed-subfield-reduction: no proper CM-subfield with p undecomposed"
+    n_sub, rem49 = reduction
+    return [
+        ctx.certificate(
+            Conclusion.GKC_MINUS,
+            "undecomposed-subfield-reduction",
+            [
+                verified(
+                    "k = K^N is a CM-subfield of K",
+                    f"N of order {len(n_sub)} with tau not in N",
+                ),
+                verified(
+                    "p is undecomposed in K/k",
+                    "N lies in the core of every decomposition group" + rem49,
+                ),
+                asserted(
+                    "GKC-(k) holds",
+                    "supply via a stored certificate for the subfield",
+                ),
+            ],
+            {"subgroup_order": len(n_sub)},
+        )
+    ]
+
+
+def _leopoldt_total_split(ctx: _Context):
+    # with e = f = 1 everywhere the degree check on the descriptor makes the
+    # count of primes [R:Q]
+    ext = ctx.ext
+    if not all(rec.base_is_qp and ext.totally_split(rec) for rec in ext.primes):
+        return "leopoldt-total-split: p is not totally split in K/Q"
+    klingen = ctx.emitted(Conclusion.LEOPOLDT)
+    if klingen:
+        leopoldt_hyp = _cite("Leopoldt's conjecture holds for K", klingen[0])
+    elif ASSUME_LEOPOLDT in ctx.assumptions:
+        leopoldt_hyp = asserted("Leopoldt's conjecture holds for K", "caller assumption")
+    else:
+        return "leopoldt-total-split: no Leopoldt certificate or assumption"
+    return [
+        ctx.certificate(
+            Conclusion.GKC_MINUS,
+            "leopoldt-total-split",
+            [
+                verified(
+                    "p is totally split in K/Q",
+                    f"{ctx.summary.t} primes of R, all with e = f = 1 and trivial G_w",
+                ),
+                leopoldt_hyp,
+            ],
+            {"primes_of_r": ctx.summary.t},
+        )
+    ]
+
+
+def _abelian_split_rank_zero(ctx: _Context):
+    # the rank bound's own diagnostic says why it is missing
+    rank = ctx.emitted(Conclusion.RANK_BOUND)
+    if not rank or rank[0].payload_dict()["bound"] != 0:
+        return []
+    return [
+        ctx.certificate(
+            Conclusion.GKC_MINUS,
+            "abelian-split-rank-zero",
+            list(rank[0].hypotheses)
+            + [
+                verified(
+                    "every other prime of K+ above p is unsplit in K (r = s)",
+                    _rem_4_9_detail(ctx.ext),
+                )
+            ],
+            {"r": ctx.summary.r, "s": ctx.summary.s},
+        )
+    ]
+
+
+def _chevalley_stabilization(ctx: _Context):
+    tower, ext = ctx.tower, ctx.ext
+    if tower is None:
+        return []
+    if tower.p != ext.p:
+        return f"chevalley-stabilization: tower is for p = {tower.p}, descriptor for p = {ext.p}"
+    stab = gkc_minus_stabilization(tower)
+    if stab.status is not Stability.STABLE:
+        return f"chevalley-stabilization: {stab.status.value} ({stab.detail})"
+    return [
+        ctx.certificate(
+            Conclusion.GKC_MINUS,
+            "chevalley-stabilization",
+            [
+                asserted(
+                    "ingested tower data is correct",
+                    f"tower {tower.label!r}, provenance {tower.provenance!r}",
+                ),
+                verified(
+                    "consecutive minus-part orders agree",
+                    stab.detail + f"; stabilized order {stab.bound}",
+                ),
+            ],
+            {"bound": stab.bound, "tower": tower.label},
+        )
+    ]
+
+
+def _dihedral_odd_character_counting(ctx: _Context):
+    ext, summary = ctx.ext, ctx.summary
+    G = ext.group
+    if G.spec[0] != "dihedral" or G.spec[1] % 4 != 2:
+        # n is read from the spec, so a dihedral group written as a table is missed
+        return "dihedral-odd-character-counting: G is not given as D_n with n = 2 (mod 4)"
+    n = G.spec[1]
+    # the count r = n needs exactly one totally split prime of R: with t
+    # of them r = t * n, and "every other prime" would be vacuous at t > 1
+    split_ok = sum(rec.count for rec in ext.primes if rec.label in summary.split_qp_labels) == 1
+    others_inert = all(
+        ext.tau_in(rec) for rec in ext.primes if rec.label not in summary.split_qp_labels
     )
+    if not (split_ok and others_inert and ctx.tabulated):
+        return "dihedral-odd-character-counting: hypotheses (a)/(b) not satisfied"
+    degree_sum = sum(ch.degree for ch in odd_characters(character_table(G), ext.tau))
+    if degree_sum != n // 2 + 1:
+        raise InternalCheckError("dihedral odd-degree sum is off")
+    return [
+        ctx.certificate(
+            Conclusion.GKC_CHI_EXISTS,
+            "dihedral-odd-character-counting",
+            [
+                verified("Gal(K/R) is dihedral of order 2n with n = 2 mod 4", f"n = {n}"),
+                verified(
+                    "some prime of R above p is totally split in K with R_v = Q_p",
+                    f"records {', '.join(summary.split_qp_labels)}",
+                ),
+                verified("primes of K+ above the other primes of R are unsplit in K"),
+            ],
+            {
+                "r": n,
+                "s_over_rotation_subfield": n // 2,
+                "rank_bound": n // 2,
+                "odd_degree_sum": degree_sum,
+                "counting": f"(n-2)/4 * 2 + 2 * 1 = {degree_sum} > {n // 2} = r - s",
+            },
+        )
+    ]
+
+
+def _gkc_gvc_equivalence(ctx: _Context):
+    ext = ctx.ext
+    G = ext.group
+    if check_tower_disjointness(ext):
+        disjoint_hyp = verified("K and the cyclotomic Z_p-tower of R are linearly disjoint",
+                                f"p = {ext.p} does not divide |G| = {G.order}")
+    elif ASSUME_TOWER_DISJOINT in ctx.assumptions:
+        disjoint_hyp = asserted("K and the cyclotomic Z_p-tower of R are linearly disjoint",
+                                "caller assumption")
+    else:
+        disjoint_hyp = None
+    sources = ctx.emitted(Conclusion.GKC_MINUS)
+    if not sources and ASSUME_GKC_MINUS not in ctx.assumptions:
+        return "gkc-gvc-equivalence: no GKC-(K) certificate to propagate"
+    if disjoint_hyp is None:
+        return "gkc-gvc-equivalence: tower disjointness neither guaranteed (p | |G|) nor asserted"
+    if not ctx.tabulated:
+        return "gkc-gvc-equivalence: |G| exceeds the character-table bound"
+    if sources:
+        # prefer an unconditional source, else the first emitted
+        gkc_hyp = _cite("GKC-(K) holds", min(sources, key=lambda c: c.conditional))
+    else:
+        gkc_hyp = asserted("GKC-(K) holds", "caller assumption")
+    out = []
+    for idx, chi in enumerate(character_table(G)):
+        try:
+            r_s = tate_order(ext, chi)
+        except EvenCharacter:
+            continue
+        # under GKC-(K) the predicted order of vanishing is r_S (see vanishing)
+        out.append(
+            ctx.certificate(
+                Conclusion.GVC_CHI,
+                "gkc-gvc-equivalence",
+                [gkc_hyp, disjoint_hyp, verified("chi is totally odd")],
+                {
+                    "chi_index": idx,
+                    "chi_degree": chi.degree,
+                    "r_S": r_s,
+                    "predicted_lp_order": r_s,
+                },
+                subject=f"{ctx.subject} / chi{idx} (degree {chi.degree})",
+            )
+        )
+    return out
+
+
+# each rule returns its certificates (possibly none) or one diagnostic line
+RULES = (
+    _klingen,
+    _split_rank_bound,
+    _no_split_primes,
+    _undecomposed_subfield_reduction,
+    _leopoldt_total_split,
+    _abelian_split_rank_zero,
+    _chevalley_stabilization,
+    _dihedral_odd_character_counting,
+    _gkc_gvc_equivalence,
+)
+
+
+def certify(
+    ext: ExtensionDescriptor,
+    assumptions=(),
+    tower: TowerData | None = None,
+) -> CertifyOutcome:
+    """Apply every rule of ``RULES``; returns certificates plus diagnostics
+    for the rules that did not fire.  p = 2 is rejected outright."""
+    if ext.p == 2:
+        raise PIsTwo("no certification at p = 2 (no main conjecture)")
+    out = CertifyOutcome()
+    digest = ext.digest()
+    tabulated = ext.group.order <= SCALE_BOUND
+    ctx = _Context(ext, frozenset(assumptions), tower, classify_primes(ext), digest,
+                   ext.label or digest, tabulated, out.certificates)
+    for rule in RULES:
+        emitted = rule(ctx)
+        if isinstance(emitted, str):
+            out.diagnostics.append(emitted)
+        else:
+            out.certificates.extend(emitted)
+    if not out.certificates:
+        out.diagnostics.insert(0, "no applicable rule")
+    return out
 
 
 def _rem_4_9_detail(ext: ExtensionDescriptor) -> str:
@@ -213,283 +499,6 @@ def _rem_4_9_detail(ext: ExtensionDescriptor) -> str:
         elif cyclic_two_sylow and count % two_part != 0:
             notes.append(f"{rec.label}: prime count not divisible by {two_part}, 2-Sylow cyclic")
     return "; ".join(notes)
-
-
-def certify(
-    ext: ExtensionDescriptor,
-    assumptions=(),
-    tower: TowerData | None = None,
-) -> CertifyOutcome:
-    """Apply every applicable rule; returns certificates plus diagnostics for
-    the rules that did not fire.  p = 2 is rejected outright."""
-    if ext.p == 2:
-        raise PIsTwo("no certification at p = 2 (no main conjecture)")
-    assumptions = frozenset(assumptions)
-    out = CertifyOutcome()
-    digest = ext.digest()
-    subject = _subject(ext)
-    summary = classify_primes(ext)
-    G = ext.group
-
-    # rules that read the character table are skipped above this order
-    tabulated = G.order <= SCALE_BOUND
-
-    # ---- Leopoldt certificates (Klingen's criterion) ----
-    leopoldt_cert = None
-    klingen = _klingen_rule(ext)
-    if klingen is not None:
-        rule, hyps, payload, failure = klingen
-        if not tabulated:
-            out.diagnostics.append(f"{rule}: |G| exceeds the character-table bound")
-        elif klingen_criterion(G, ext.tau):
-            leopoldt_cert = make_certificate(
-                Conclusion.LEOPOLDT, subject, rule, hyps, payload, digest
-            )
-            out.certificates.append(leopoldt_cert)
-        else:
-            out.diagnostics.append(f"{rule}: {failure}")
-
-    # ---- GKC-(K) rules ----
-    gkc_minus: list[Certificate] = []
-
-    # no prime of K+ above p splits in K
-    if summary.r == 0 and ext.primes:
-        gkc_minus.append(
-            make_certificate(
-                Conclusion.GKC_MINUS,
-                subject,
-                "no-split-primes",
-                [
-                    verified(
-                        "no prime of K+ above p splits in K",
-                        f"tau lies in every decomposition group ({', '.join(summary.tau_inert_labels)})",
-                    )
-                ],
-                {"r": 0, "s": summary.s},
-                digest,
-            )
-        )
-    else:
-        out.diagnostics.append("no-split-primes: some prime of K+ above p splits in K")
-
-    # reduction to a CM-subfield with p undecomposed in K/k
-    reduction = _undecomposed_subfield(ext)
-    if reduction is not None:
-        n_sub, rem49 = reduction
-        gkc_minus.append(
-            make_certificate(
-                Conclusion.GKC_MINUS,
-                subject,
-                "undecomposed-subfield-reduction",
-                [
-                    verified(
-                        "k = K^N is a CM-subfield of K",
-                        f"N of order {len(n_sub)} with tau not in N",
-                    ),
-                    verified(
-                        "p is undecomposed in K/k",
-                        "N lies in the core of every decomposition group" + rem49,
-                    ),
-                    asserted(
-                        "GKC-(k) holds",
-                        "supply via a stored certificate for the subfield",
-                    ),
-                ],
-                {"subgroup_order": len(n_sub)},
-                digest,
-            )
-        )
-    else:
-        out.diagnostics.append(
-            "undecomposed-subfield-reduction: no proper CM-subfield with p undecomposed"
-        )
-
-    # Leopoldt + totally split in K/Q; with e = f = 1 everywhere the degree
-    # check on the descriptor makes the count of primes [R:Q]
-    split_kq = all(rec.base_is_qp and ext.totally_split(rec) for rec in ext.primes)
-    leopoldt_hyp = None
-    if leopoldt_cert is not None:
-        leopoldt_hyp = _cite("Leopoldt's conjecture holds for K", leopoldt_cert)
-    elif ASSUME_LEOPOLDT in assumptions:
-        leopoldt_hyp = asserted("Leopoldt's conjecture holds for K", "caller assumption")
-    if split_kq and leopoldt_hyp is not None:
-        gkc_minus.append(
-            make_certificate(
-                Conclusion.GKC_MINUS,
-                subject,
-                "leopoldt-total-split",
-                [
-                    verified(
-                        "p is totally split in K/Q",
-                        f"{summary.t} primes of R, all with e = f = 1 and trivial G_w",
-                    ),
-                    leopoldt_hyp,
-                ],
-                {"primes_of_r": summary.t},
-                digest,
-            )
-        )
-    elif not split_kq:
-        out.diagnostics.append("leopoldt-total-split: p is not totally split in K/Q")
-    else:
-        out.diagnostics.append("leopoldt-total-split: no Leopoldt certificate or assumption")
-
-    # abelian rank bound; r = s upgrades
-    try:
-        rb = rank_bound(ext, summary)
-        out.certificates.append(rb)
-        if rb.payload_dict()["bound"] == 0:
-            detail = _rem_4_9_detail(ext)
-            gkc_minus.append(
-                make_certificate(
-                    Conclusion.GKC_MINUS,
-                    subject,
-                    "abelian-split-rank-zero",
-                    list(rb.hypotheses)
-                    + [
-                        verified(
-                            "every other prime of K+ above p is unsplit in K (r = s)",
-                            detail,
-                        )
-                    ],
-                    {"r": summary.r, "s": summary.s},
-                    digest,
-                )
-            )
-    except HypothesisFailed as exc:
-        out.diagnostics.append(f"split-rank-bound: {exc}")
-
-    # tower stabilization
-    if tower is not None:
-        if tower.p != ext.p:
-            out.diagnostics.append(
-                f"chevalley-stabilization: tower is for p = {tower.p}, descriptor for p = {ext.p}"
-            )
-        else:
-            stab = gkc_minus_stabilization(tower)
-            if stab.status is Stability.STABLE:
-                gkc_minus.append(
-                    make_certificate(
-                        Conclusion.GKC_MINUS,
-                        subject,
-                        "chevalley-stabilization",
-                        [
-                            asserted(
-                                "ingested tower data is correct",
-                                f"tower {tower.label!r}, provenance {tower.provenance!r}",
-                            ),
-                            verified(
-                                "consecutive minus-part orders agree",
-                                stab.detail + f"; stabilized order {stab.bound}",
-                            ),
-                        ],
-                        {"bound": stab.bound, "tower": tower.label},
-                        digest,
-                    )
-                )
-            else:
-                out.diagnostics.append(f"chevalley-stabilization: {stab.status.value} ({stab.detail})")
-
-    out.certificates.extend(gkc_minus)
-
-    # ---- dihedral counting (existential GKC(K/R, chi)) ----
-    if G.spec[0] == "dihedral" and G.spec[1] % 4 == 2:
-        n = G.spec[1]
-        # the count r = n needs exactly one totally split prime of R: with t
-        # of them r = t * n, and "every other prime" would be vacuous at t > 1
-        split_ok = sum(rec.count for rec in ext.primes if rec.label in summary.split_qp_labels) == 1
-        others_inert = all(
-            ext.tau_in(rec) for rec in ext.primes if rec.label not in summary.split_qp_labels
-        )
-        if split_ok and others_inert and tabulated:
-            odd = odd_characters(character_table(G), ext.tau)
-            degree_sum = sum(ch.degree for ch in odd)
-            if degree_sum != n // 2 + 1:
-                raise InternalCheckError("dihedral odd-degree sum is off")
-            out.certificates.append(
-                make_certificate(
-                    Conclusion.GKC_CHI_EXISTS,
-                    subject,
-                    "dihedral-odd-character-counting",
-                    [
-                        verified("Gal(K/R) is dihedral of order 2n with n = 2 mod 4", f"n = {n}"),
-                        verified(
-                            "some prime of R above p is totally split in K with R_v = Q_p",
-                            f"records {', '.join(summary.split_qp_labels)}",
-                        ),
-                        verified("primes of K+ above the other primes of R are unsplit in K"),
-                    ],
-                    {
-                        "r": n,
-                        "s_over_rotation_subfield": n // 2,
-                        "rank_bound": n // 2,
-                        "odd_degree_sum": degree_sum,
-                        "counting": f"(n-2)/4 * 2 + 2 * 1 = {degree_sum} > {n // 2} = r - s",
-                    },
-                    digest,
-                )
-            )
-        else:
-            out.diagnostics.append(
-                "dihedral-odd-character-counting: hypotheses (a)/(b) not satisfied"
-            )
-    else:
-        # n is read from the spec, so a dihedral group written as a table is missed
-        out.diagnostics.append(
-            "dihedral-odd-character-counting: G is not given as D_n with n = 2 (mod 4)"
-        )
-
-    # ---- GVC propagation through the equivalence ----
-    if check_tower_disjointness(ext):
-        disjoint_hyp = verified("K and the cyclotomic Z_p-tower of R are linearly disjoint",
-                                f"p = {ext.p} does not divide |G| = {G.order}")
-    elif ASSUME_TOWER_DISJOINT in assumptions:
-        disjoint_hyp = asserted("K and the cyclotomic Z_p-tower of R are linearly disjoint",
-                                "caller assumption")
-    else:
-        disjoint_hyp = None
-
-    gkc_source = None
-    if gkc_minus:
-        # prefer an unconditional source
-        gkc_source = min(gkc_minus, key=lambda c: c.conditional)
-    if gkc_source is not None or ASSUME_GKC_MINUS in assumptions:
-        if disjoint_hyp is None:
-            out.diagnostics.append(
-                "gkc-gvc-equivalence: tower disjointness neither guaranteed (p | |G|) nor asserted"
-            )
-        elif not tabulated:
-            out.diagnostics.append("gkc-gvc-equivalence: |G| exceeds the character-table bound")
-        else:
-            if gkc_source is not None:
-                gkc_hyp = _cite("GKC-(K) holds", gkc_source)
-            else:
-                gkc_hyp = asserted("GKC-(K) holds", "caller assumption")
-            for idx, one in enumerate(character_table(G)):
-                if not is_odd(one, ext.tau):
-                    continue
-                ledger = t_order_ledger(ext, one, GKC_ASSUMED)
-                out.certificates.append(
-                    make_certificate(
-                        Conclusion.GVC_CHI,
-                        f"{subject} / chi{idx} (degree {one.degree})",
-                        "gkc-gvc-equivalence",
-                        [gkc_hyp, disjoint_hyp, verified("chi is totally odd")],
-                        {
-                            "chi_index": idx,
-                            "chi_degree": one.degree,
-                            "r_S": ledger.r_s,
-                            "predicted_lp_order": ledger.predicted_lp_order,
-                        },
-                        digest,
-                    )
-                )
-    else:
-        out.diagnostics.append("gkc-gvc-equivalence: no GKC-(K) certificate to propagate")
-
-    if not out.certificates:
-        out.diagnostics.insert(0, "no applicable rule")
-    return out
 
 
 def _undecomposed_subfield(ext: ExtensionDescriptor):

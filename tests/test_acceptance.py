@@ -19,9 +19,9 @@ from gkcert.harness import EXAMPLE_ROWS, check_example_table, scan_split_primes,
 from gkcert.intpoly import IntPoly, from_vector
 from gkcert.numberfield import make_field, splitting_type
 from gkcert.numutil import euler_phi, kronecker, primes_upto
-from gkcert.rules import klingen_criterion
+from gkcert.rules import ASSUME_GKC_MINUS, ASSUME_TOWER_DISJOINT, certify, klingen_criterion
 from gkcert.towers import TowerData, TowerLayer, chevalley_eval, p_power_exponent
-from gkcert.vanishing import t_order_ledger, tate_order
+from gkcert.vanishing import tate_order
 from helpers import (
     cyclotomic_field,
     direct_product,
@@ -169,6 +169,15 @@ def test_criterion_2b_scan_at_scale(monkeypatch):
     )
 
 
+def _tate_brute_force(ext, chi):
+    """r_S = sum_v <Ind_{G_w}^G 1, chi> by Frobenius reciprocity."""
+    total = 0
+    for rec in ext.primes:
+        value = inner_product(permutation_character(ext.group, rec.decomposition), chi)
+        total += rec.count * int(value.as_fraction())
+    return total
+
+
 def test_criterion_3_tate_oracle_equivalence():
     started = time.monotonic()
     rng = random.Random(424242)
@@ -179,32 +188,30 @@ def test_criterion_3_tate_oracle_equivalence():
         if not odd:
             continue
         chi = odd[rng.randrange(len(odd))]
-        # brute force: r_S = sum_v <Ind_{G_w}^G 1, chi>
-        total = 0
-        for rec in ext.primes:
-            value = inner_product(permutation_character(ext.group, rec.decomposition), chi)
-            total += rec.count * int(value.as_fraction())
-        assert tate_order(ext, chi).r_s == total
+        assert tate_order(ext, chi) == _tate_brute_force(ext, chi)
         checked += 1
     _report(3, "100 randomized descriptors, Frobenius-reciprocity brute force", started)
 
 
 def test_criterion_4_ledger_identity():
+    # under GKC-(K), ord_T f_{A'} = 0, so ord_T f_A / chi(1) = r_S: each GVC
+    # certificate's predicted order is the brute-force r_S of criterion 3
     started = time.monotonic()
     rng = random.Random(515151)
     checked = 0
     while checked < 100:
         ext = random_descriptor(rng)
-        odd = odd_characters(character_table(ext.group), ext.tau)
-        if not odd:
-            continue
-        chi = odd[rng.randrange(len(odd))]
-        supplied = chi.degree * rng.randrange(0, 5)
-        ledger = t_order_ledger(ext, chi, supplied)
-        assert ledger.ord_a - ledger.ord_a_prime == chi.degree * ledger.r_s
-        assert ledger.predicted_lp_order >= ledger.r_s  # Burns inequality
+        gvc = certify(ext, assumptions=(ASSUME_GKC_MINUS, ASSUME_TOWER_DISJOINT)).by_rule(
+            "gkc-gvc-equivalence"
+        )
+        assert gvc
+        table = character_table(ext.group)
+        for cert in gvc:
+            payload = cert.payload_dict()
+            want = _tate_brute_force(ext, table[payload["chi_index"]])
+            assert payload["r_S"] == payload["predicted_lp_order"] == want
         checked += 1
-    _report(4, "100 randomized ledgers, additivity + order inequality exact", started)
+    _report(4, "100 randomized descriptors, predicted order = brute-force r_S under GKC", started)
 
 
 def test_criterion_5_example_table_reproduction():

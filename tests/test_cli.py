@@ -142,6 +142,8 @@ def test_search_count_of_zero_is_an_error_line(tmp_path, capsys, key):
         pytest.param({"search_b": {"prime_bound": 0}}, "search_b.prime_bound", id="zero-search-bound"),
         pytest.param({"search_b": {"prime_bound": -5}}, "search_b.prime_bound", id="negative-search-bound"),
         pytest.param({"search_b": {"prime_bound": 2}}, "search_b.prime_bound", id="search-bound-2"),
+        # a key that no rule reads would otherwise certify nothing, silently
+        pytest.param({"certify": {"assumptions": ["gkc_minus"]}}, "certify.assumptions[0]", id="misspelled-assumption"),
     ],
 )
 def test_config_of_the_wrong_shape_is_an_error_line(tmp_path, capsys, doc, path):

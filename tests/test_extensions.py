@@ -18,7 +18,6 @@ from gkcert.extensions import (
     D4_PIECE,
     Q8_PIECE,
     Compositum,
-    CyclotomicComponent,
     MAX_DISCRIMINANT,
     ExtensionDescriptor,
     PrimeRecord,
@@ -32,9 +31,9 @@ from gkcert.extensions import (
 )
 from gkcert.groups import dihedral_group
 from gkcert.intpoly import IntPoly
-from gkcert.numberfield import make_field, splitting_type
+from gkcert.numberfield import make_field
 from gkcert.numutil import is_prime, kronecker, primes_upto
-from helpers import cyclotomic_field, is_fundamental_discriminant, multiplicative_order, random_descriptor
+from helpers import is_fundamental_discriminant, random_descriptor
 
 
 def q8_split_primes(bound):
@@ -70,8 +69,6 @@ def test_builder_two_components():
 def test_builder_ramified():
     with pytest.raises(RamifiedPrime):
         build_compositum_over_Q([QuadraticComponent(-4)], 2)
-    with pytest.raises(RamifiedPrime):
-        build_compositum_over_Q([CyclotomicComponent(5)], 5)
     with pytest.raises(RamifiedPrime, match="3 ramifies in q8-witt-cm"):
         build_compositum_over_Q([Q8_PIECE, QuadraticComponent(5)], 3)
 
@@ -81,39 +78,6 @@ def test_builder_inert_prime():
     assert ext.primes[0].decomposition == frozenset({0, 1})
     summary = classify_primes(ext)
     assert summary.r == 0 and summary.tau_inert_labels == ("v1",)
-
-
-def test_cyclotomic_component_frobenius():
-    # decomposition order = multiplicative order of p mod m, cross-checked
-    # against the defining-polynomial splitting route for every m <= 40
-    for m in range(3, 41):
-        if m % 4 == 2:
-            continue  # duplicate field, rejected by the component
-        primes = [p for p in primes_upto(60 if m <= 15 else 30) if p > 2 and m % p]
-        field = cyclotomic_field(m)
-        for p in primes:
-            ext = build_compositum_over_Q([CyclotomicComponent(m)], p)
-            f = multiplicative_order(p, m)
-            assert len(ext.primes[0].decomposition) == f
-            st = splitting_type(field, p)
-            assert st.entries[0] == (1, f)
-
-
-def test_unit_group_structure():
-    from gkcert.numutil import euler_phi
-
-    for m in (5, 8, 12, 15, 16, 20, 24):
-        piece = CyclotomicComponent(m)
-        G = piece.group()
-        assert G.order == euler_phi(m)
-        # every unit gets a distinct element, products map to products
-        units = [u for u in range(1, m) if __import__("math").gcd(u, m) == 1]
-        elems = {u: piece.frobenius(u) for u in units}
-        assert len(set(elems.values())) == len(units)
-        rng = random.Random(m)
-        for _ in range(10):
-            a, b = rng.choice(units), rng.choice(units)
-            assert G.op(elems[a], elems[b]) == elems[a * b % m]
 
 
 def test_radical_pieces():

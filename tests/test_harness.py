@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 
 import pytest
@@ -525,6 +526,14 @@ def test_config_refuses_a_pool_discriminant_above_the_bound():
     hits = search_theoremB(pool=[5, -huge, 13], target_r=4, prime_bound=3000, max_hits=1, skipped=skipped)
     assert hits[0].discs == (5, 13)
     assert skipped == [f"discriminant {-huge} exceeds the bound 1000000000000 in absolute value; skipped"]
+
+
+def test_config_refuses_an_unknown_assumption():
+    known = ["leopoldt", "tower-disjoint", "gkc-minus", "disjoint:quadratic(65):quadratic(5)"]
+    assert config_from_dict({"certify": {"assumptions": known}}).assumptions == tuple(known)
+    for bad in ("gkc_minus", "Leopoldt", "disjoint:quadratic(5)", "disjoint::q8-witt-cm", "disjoint:a:b:c"):
+        with pytest.raises(SchemaViolation, match=rf"certify\.assumptions\[1\]: expected one of .* got '{re.escape(bad)}'"):
+            config_from_dict({"certify": {"assumptions": ["leopoldt", bad]}})
 
 
 @pytest.mark.parametrize("key", ["max_hits", "target_r"])

@@ -353,6 +353,20 @@ def test_certify_with_stored_verdicts_matches_a_fresh_group(piece):
             assert outcome.diagnostics == fresh.diagnostics
 
 
+def test_certify_asks_each_row_parity_once(monkeypatch):
+    # the GVC rule asks tate_order for every row, which refuses the even ones
+    # after one parity check, so no odd row's parity is asked twice
+    from gkcert.characters import character_table
+    from gkcert.harness import search_theoremB
+
+    hit = search_theoremB(pool=[5, 13], target_r=4, prime_bound=3000, cm_piece="q8", max_hits=1)[0]
+    ext = _over_fresh_group(hit.descriptor)
+    asked = counting(monkeypatch, "parity")
+    outcome = certify(ext)
+    assert len(outcome.by_rule("gkc-gvc-equivalence")) == 1
+    assert len(asked) == len(character_table(ext.group)) == 5
+
+
 def test_klingen_rejects_a_non_central_tau_after_a_stored_verdict():
     G = replace(quaternion_group())
     assert klingen_criterion(G, 1)

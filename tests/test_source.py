@@ -30,11 +30,25 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
+def _annotation(node):
+    """The annotation subtree directly under ``node``, or None: an
+    argument's or an annotated assignment's annotation, a return annotation."""
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return node.annotation
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.returns
+    return None
+
+
 def _name_uses(tree, name, scope=()):
     """(enclosing def or class names, line) of each use of ``name`` in
     ``tree``: an attribute such as hashlib.sha256, a bare name, an import of
-    it, or the name as a string, as getattr would take it."""
+    it, or the name as a string, as getattr would take it.  Annotations are
+    skipped: naming a type there builds nothing of it."""
+    skipped = _annotation(tree)
     for node in ast.iter_child_nodes(tree):
+        if node is skipped:
+            continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield from _name_uses(node, name, scope + (node.name,))
             continue
@@ -114,6 +128,51 @@ def test_character_tables_ignore_the_group_spec():
     # group was specified
     found = _uses_in_library("spec")
     assert found and [path for path, _ in found if path == "characters.py"] == [], found
+
+
+# the rule keys in the order of rules.RULES; the two Klingen keys are one rule
+RULE_KEYS = (
+    "klingen-character-bound",
+    "klingen-abelian-compositum",
+    "split-rank-bound",
+    "no-split-primes",
+    "undecomposed-subfield-reduction",
+    "leopoldt-total-split",
+    "abelian-split-rank-zero",
+    "chevalley-stabilization",
+    "dihedral-odd-character-counting",
+    "gkc-gvc-equivalence",
+)
+
+
+def _keys_named(node):
+    """The rule keys that ``node`` names as a string, alone or as the head
+    of a diagnostic line "<key>: ..."."""
+    strings = [
+        n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+    return [key for key in RULE_KEYS if any(s == key or s.startswith(key + ":") for s in strings)]
+
+
+def test_certify_runs_the_rule_table():
+    # certify is a loop over RULES and names no rule itself; each rule is one
+    # function, and only the Klingen function holds two keys
+    tree = _library_trees()["rules.py"]
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    certify = defs["certify"]
+    assert any(
+        isinstance(node, ast.For) and isinstance(node.iter, ast.Name) and node.iter.id == "RULES"
+        for node in ast.walk(certify)
+    )
+    assert _keys_named(certify) == []
+    [table] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["RULES"]
+    ]
+    keys = [_keys_named(defs[entry.id]) for entry in table.elts]
+    assert [key for named in keys for key in named] == list(RULE_KEYS), keys
+    assert [len(named) for named in keys] == [2] + [1] * (len(keys) - 1), keys
 
 
 def test_bench_tracing_installs():

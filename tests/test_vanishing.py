@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gkcert.characters import character_table, fixed_dim, odd_characters
-from gkcert.errors import AmbiguousDecomposition, EvenCharacter, NonDivisibleOrder, RamifiedPrime
+from gkcert.errors import AmbiguousDecomposition, EvenCharacter, RamifiedPrime
 from gkcert.extensions import (
     Compositum,
     ExtensionDescriptor,
@@ -13,8 +13,8 @@ from gkcert.extensions import (
     classify_primes,
 )
 from gkcert.groups import abelian_group, dihedral_group, quaternion_group
-from gkcert.rules import certify
-from gkcert.vanishing import GKC_ASSUMED, t_order_ledger, tate_order
+from gkcert.rules import ASSUME_GKC_MINUS, certify
+from gkcert.vanishing import tate_order
 from helpers import (
     contragredient,
     inner_product,
@@ -36,9 +36,9 @@ def _odd(ext):
 def test_imaginary_quadratic_split_and_inert():
     ext = build_compositum_over_Q([QuadraticComponent(-4)], 13)
     sign = _odd(ext)[0]
-    assert tate_order(ext, sign).r_s == 1
+    assert tate_order(ext, sign) == 1
     ext_inert = build_compositum_over_Q([QuadraticComponent(-4)], 7)
-    assert tate_order(ext_inert, _odd(ext_inert)[0]).r_s == 0
+    assert tate_order(ext_inert, _odd(ext_inert)[0]) == 0
 
 
 def test_even_characters_rejected():
@@ -53,9 +53,11 @@ def test_q8_totally_split_order():
     ext = build_compositum_over_Q([Q8_PIECE, QuadraticComponent(5)], p0)
     odd = _odd(ext)
     assert len(odd) == 1 and odd[0].degree == 2
-    report = tate_order(ext, odd[0])
-    assert report.r_s == 2 * classify_primes(ext).t == 4
-    assert report.contributions == (("v1-v2", 2),)
+    assert tate_order(ext, odd[0]) == 2 * classify_primes(ext).t == 4
+    # one record for the two primes of R, each fixing a 2-dimensional space
+    assert [(rec.label, rec.count, fixed_dim(odd[0], rec.decomposition)) for rec in ext.primes] == [
+        ("v1-v2", 2, 2)
+    ]
 
 
 def test_oracle_equivalence_frobenius_route():
@@ -68,12 +70,11 @@ def test_oracle_equivalence_frobenius_route():
         if not odd:
             continue
         chi = odd[rng.randrange(len(odd))]
-        report = tate_order(ext, chi)
         total = 0
         for rec in ext.primes:
             ind = permutation_character(ext.group, rec.decomposition)
             total += rec.count * int(inner_product(ind, chi).as_fraction())
-        assert total == report.r_s
+        assert total == tate_order(ext, chi)
         checked += 1
 
 
@@ -90,34 +91,33 @@ def test_conjugate_character_invariance():
         if not odd:
             continue
         chi = odd[rng.randrange(len(odd))]
-        base = tate_order(ext, chi).r_s
-        assert tate_order(ext, contragredient(chi)).r_s == base
+        base = tate_order(ext, chi)
+        assert tate_order(ext, contragredient(chi)) == base
         e = ext.group.exponent()
         for k in range(1, e):
             if gcd(k, e) != 1:
                 continue
             twisted = replace(chi, values=tuple(v.galois(k) for v in chi.values))
-            assert tate_order(ext, twisted).r_s == base
+            assert tate_order(ext, twisted) == base
         checked += 1
 
 
+def _gvc_payloads(ext):
+    """Payloads of the GVC certificates of ext with GKC-(K) assumed."""
+    outcome = certify(ext, assumptions=(ASSUME_GKC_MINUS,))
+    return [c.payload_dict() for c in outcome.by_rule("gkc-gvc-equivalence")]
+
+
 def test_ledger():
+    # with GKC-(K), ord_T f_{A'} = 0 and ord_T f_A = chi(1) * r_S, so the
+    # predicted order of vanishing is r_S
     ext = build_compositum_over_Q([QuadraticComponent(-4)], 13)
-    sign = _odd(ext)[0]
-    led = t_order_ledger(ext, sign, GKC_ASSUMED)
-    assert led.ord_a_prime == 0 and led.ord_a == 1 and led.predicted_lp_order == 1
-    assert led.gkc_assumed and not led.gkc_fails
-    led2 = t_order_ledger(ext, sign, 3)
-    assert led2.ord_a == 4 and led2.predicted_lp_order == 4 and led2.gkc_fails
+    [gvc] = _gvc_payloads(ext)
+    assert gvc["chi_degree"] == 1 and gvc["r_S"] == gvc["predicted_lp_order"] == 1
     p0 = next(p for p in q8_split_primes(600) if kronecker(5, p) == 1)
     extq = build_compositum_over_Q([Q8_PIECE, QuadraticComponent(5)], p0)
-    chi2 = _odd(extq)[0]
-    ledq = t_order_ledger(extq, chi2, GKC_ASSUMED)
-    assert ledq.ord_a == 2 * ledq.r_s and ledq.predicted_lp_order == ledq.r_s == 4
-    with pytest.raises(NonDivisibleOrder):
-        t_order_ledger(extq, chi2, 3)
-    with pytest.raises(NonDivisibleOrder):
-        t_order_ledger(ext, sign, -1)
+    [gvcq] = _gvc_payloads(extq)
+    assert gvcq["chi_degree"] == 2 and gvcq["r_S"] == gvcq["predicted_lp_order"] == 4
 
 
 def test_ledger_identity_property():
@@ -125,18 +125,15 @@ def test_ledger_identity_property():
     checked = 0
     while checked < 100:
         ext = random_descriptor(rng)
-        odd = _odd(ext)
-        if not odd:
-            continue
-        chi = odd[rng.randrange(len(odd))]
-        supplied = chi.degree * rng.randrange(0, 4)
-        led = t_order_ledger(ext, chi, supplied)
-        assert led.ord_a - led.ord_a_prime == chi.degree * led.r_s
-        assert led.predicted_lp_order >= led.r_s  # the unconditional inequality
-        # per-record contributions, each for count primes, assemble the same total
-        total = sum(rec.count * chi.degree * fixed_dim(chi, rec.decomposition) for rec in ext.primes)
-        assert total == chi.degree * led.r_s
-        checked += 1
+        table = character_table(ext.group)
+        for gvc in _gvc_payloads(ext):
+            chi = table[gvc["chi_index"]]
+            assert gvc["chi_degree"] == chi.degree
+            # per-record contributions, each for count primes, assemble
+            # ord_T f_A = chi(1) * predicted order
+            total = sum(rec.count * chi.degree * fixed_dim(chi, rec.decomposition) for rec in ext.primes)
+            assert total == chi.degree * gvc["predicted_lp_order"] == chi.degree * gvc["r_S"]
+            checked += 1
 
 
 def _repeating_descriptors():
@@ -179,19 +176,15 @@ def _repeating_descriptors():
 
 
 def test_distinct_decomposition_groups_match_per_record_oracle():
-    """tate_order, the T-order ledger and the undecomposed-subfield reduction
-    against record-by-record sums of fixed_dim and meets of normal_core."""
+    """tate_order and the undecomposed-subfield reduction against
+    record-by-record sums of fixed_dim and meets of normal_core."""
     nonzero = reductions = 0
     for ext in _repeating_descriptors():
         for chi in _odd(ext):
-            want = tuple((rec.label, fixed_dim(chi, rec.decomposition)) for rec in ext.primes)
-            report = tate_order(ext, chi)
-            assert report.contributions == want
-            assert report.r_s == sum(rec.count * d for rec, (_, d) in zip(ext.primes, want))
-            nonzero += report.r_s > 0
-            # each record's local components add chi(1) * dim to ord_T f_A per prime
-            local = sum(rec.count * chi.degree * d for rec, (_, d) in zip(ext.primes, want))
-            assert t_order_ledger(ext, chi, 0).ord_a == local
+            want = [fixed_dim(chi, rec.decomposition) for rec in ext.primes]
+            r_s = tate_order(ext, chi)
+            assert r_s == sum(rec.count * d for rec, d in zip(ext.primes, want))
+            nonzero += r_s > 0
         want_n = undecomposed_by_full_lattice(ext)
         got = certify(ext).by_rule("undecomposed-subfield-reduction")
         if want_n is None:
