@@ -56,7 +56,7 @@ from .numberfield import (
     make_field,
     splitting_type,
 )
-from .rules import certify, klingen_criterion, rank_bound
+from .rules import certify, klingen_criterion
 from .towers import (
     ChevalleyResult,
     Stability,

@@ -109,12 +109,6 @@ class NonPPower(GkcertError):
     pass
 
 
-class HypothesisFailed(GkcertError):
-    def __init__(self, hypothesis: str, detail: str = ""):
-        self.hypothesis = hypothesis
-        super().__init__(f"hypothesis ({hypothesis}) failed" + (f": {detail}" if detail else ""))
-
-
 class PIsTwo(GkcertError):
     """p = 2 is rejected for certification (no main conjecture available)."""
 

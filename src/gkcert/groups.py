@@ -52,7 +52,9 @@ class FiniteGroup:
     inverse: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-    spec: tuple  # ("abelian", invariants) | ("dihedral", n) | ("quaternion8",) | ("table",)
+    # how the group was written, for its document: ("abelian", invariants) |
+    # ("dihedral", n) | ("quaternion8",) | ("table",); no rule reads it
+    spec: tuple
     _orders: tuple[int, ...] = field(repr=False, default=())
     # results that depend only on this group object and the key, filled by
     # ``verdict``; keys are tuples that start with the name of the result
@@ -116,6 +118,22 @@ class FiniteGroup:
         if not self.is_central_involution(t):
             raise TauNotCentralInvolution(f"element {t} is not a central involution")
         return t
+
+    def dihedral_n(self) -> int | None:
+        """n when G is dihedral of order 2n (n >= 2, so V4 is D_2), read
+        from the table alone; None otherwise.
+
+        The test: some a has order n and every element outside <a> is an
+        involution.  Then <a> has index 2, and for b outside <a> so is ab,
+        so b^2 = (ab)^2 = 1 gives b a b = a^-1: G = <a, b> is D_n.
+        Conversely in D_n an element of order n > 2 is a rotation, and in
+        V4 any a != 1 will do, so the first a of order n decides."""
+        orders = self._orders
+        n, odd = divmod(self.order, 2)
+        if odd or n < 2 or n not in orders:
+            return None
+        rotations = self.subgroup_generated_by([orders.index(n)])
+        return n if all(orders[g] == 2 for g in range(self.order) if g not in rotations) else None
 
     # -- subgroups --
 

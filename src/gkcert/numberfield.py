@@ -18,8 +18,7 @@ Irreducibility over Q is *certified*, never assumed: a prime p coprime to
 disc(f) with f irreducible mod p, or a cross-prime factorization-pattern
 argument (no proper degree is a subset sum of every observed pattern).
 When neither certificate exists the constructor refuses with
-IrreducibilityUndecided rather than risk an unsound field, unless the
-caller passes a proof it holds by construction, which the field records.
+IrreducibilityUndecided rather than risk an unsound field.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class NumberField:
     r1: int
     r2: int
     poly_disc: int
-    irreducibility: str  # "certified", or the proof or assertion it was built with
     # floor(X^(2n-2) / f) over Z: reduced mod p, the Barrett inverse of f mod p
     barrett_mu: tuple[int, ...] = field(compare=False, repr=False)
 
@@ -131,22 +129,18 @@ def _certify_irreducible(f: IntPoly, disc: int) -> None:
     )
 
 
-def make_field(f: IntPoly, proof: str = "") -> NumberField:
-    """Validated number field from a monic integral polynomial.
-
-    Irreducibility is certified unless the caller built f with a proof in
-    hand (families the certifier cannot reach, such as cyclotomic
-    polynomials); ``proof`` is then stored verbatim as ``irreducibility``.
-    This is the only NumberField constructor; a compositum's base is an
-    ``extensions.MultiquadraticField``, with no polynomial.
+def make_field(f: IntPoly) -> NumberField:
+    """Validated number field from a monic integral polynomial, with its
+    irreducibility certified.  This is the library's only NumberField
+    constructor; a compositum's base is an ``extensions.MultiquadraticField``,
+    with no polynomial.
 
     Raises NotMonic, Reducible, or IrreducibilityUndecided.
     """
     disc = poly_discriminant(f)  # raises NotMonic unless f is monic and nonconstant
     if disc == 0:
         raise Reducible(f"{f} has a repeated factor (disc = 0)")
-    if not proof:
-        _certify_irreducible(f, disc)
+    _certify_irreducible(f, disc)
     r1 = count_real_roots(f)  # disc != 0 => squarefree
     return NumberField(
         defining_poly=f,
@@ -154,7 +148,6 @@ def make_field(f: IntPoly, proof: str = "") -> NumberField:
         r1=r1,
         r2=(f.degree - r1) // 2,
         poly_disc=disc,
-        irreducibility=proof or "certified",
         barrett_mu=modpoly.barrett_mu(f.coeffs),
     )
 

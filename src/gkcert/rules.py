@@ -45,7 +45,6 @@ from .certificates import (
 )
 from .errors import (
     EvenCharacter,
-    HypothesisFailed,
     InternalCheckError,
     PIsTwo,
     TauNotCentralInvolution,
@@ -99,40 +98,6 @@ def _cite(statement: str, cert: Certificate) -> Hypothesis:
     if cert.conditional:
         return asserted(statement, f"conditional certificate {cert.rule} [{cert.digest()}]")
     return verified(statement, f"rule {cert.rule} [{cert.digest()}]")
-
-
-def rank_bound(ext: ExtensionDescriptor, summary: PrimeSummary | None = None) -> Certificate:
-    """Rank bound r - s on the minus coinvariants for abelian K/R with a
-    totally split prime v with R_v = Q_p; raises HypothesisFailed otherwise.
-    The r = s case is flagged in the payload (GKC- upgrade).  ``summary`` is
-    ``classify_primes(ext)`` for a caller that has it already."""
-    if summary is None:
-        summary = classify_primes(ext)
-    if not summary.split_qp_labels:
-        raise HypothesisFailed("a", "no totally split prime with R_v = Q_p")
-    if not ext.group.is_abelian:
-        raise HypothesisFailed("b", "Gal(K/R) is not abelian")
-    bound = summary.r - summary.s
-    digest = ext.digest()
-    return make_certificate(
-        Conclusion.RANK_BOUND,
-        ext.label or digest,
-        "split-rank-bound",
-        [
-            verified(
-                "some prime of R above p is totally split in K with R_v = Q_p",
-                f"records {', '.join(summary.split_qp_labels)}",
-            ),
-            verified("Gal(K/R) is abelian"),
-        ],
-        {
-            "r": summary.r,
-            "s": summary.s,
-            "bound": bound,
-            "gkc_minus_implied": bound == 0,
-        },
-        digest,
-    )
 
 
 @dataclass
@@ -219,10 +184,34 @@ def _klingen(ctx: _Context):
 
 
 def _split_rank_bound(ctx: _Context):
-    try:
-        return [rank_bound(ctx.ext, ctx.summary)]
-    except HypothesisFailed as exc:
-        return f"split-rank-bound: {exc}"
+    """Rank bound r - s on the minus coinvariants for abelian K/R with a
+    totally split prime v with R_v = Q_p.  The r = s case is flagged in the
+    payload (GKC- upgrade)."""
+    summary = ctx.summary
+    if not summary.split_qp_labels:
+        return "split-rank-bound: hypothesis (a) failed: no totally split prime with R_v = Q_p"
+    if not ctx.ext.group.is_abelian:
+        return "split-rank-bound: hypothesis (b) failed: Gal(K/R) is not abelian"
+    bound = summary.r - summary.s
+    return [
+        ctx.certificate(
+            Conclusion.RANK_BOUND,
+            "split-rank-bound",
+            [
+                verified(
+                    "some prime of R above p is totally split in K with R_v = Q_p",
+                    f"records {', '.join(summary.split_qp_labels)}",
+                ),
+                verified("Gal(K/R) is abelian"),
+            ],
+            {
+                "r": summary.r,
+                "s": summary.s,
+                "bound": bound,
+                "gkc_minus_implied": bound == 0,
+            },
+        )
+    ]
 
 
 def _no_split_primes(ctx: _Context):
@@ -353,10 +342,10 @@ def _chevalley_stabilization(ctx: _Context):
 def _dihedral_odd_character_counting(ctx: _Context):
     ext, summary = ctx.ext, ctx.summary
     G = ext.group
-    if G.spec[0] != "dihedral" or G.spec[1] % 4 != 2:
-        # n is read from the spec, so a dihedral group written as a table is missed
-        return "dihedral-odd-character-counting: G is not given as D_n with n = 2 (mod 4)"
-    n = G.spec[1]
+    # n = 2 (mod 4) exactly when |G| = 4 (mod 8); other orders read no element
+    n = G.dihedral_n() if G.order % 8 == 4 else None
+    if n is None:
+        return "dihedral-odd-character-counting: G is not dihedral of order 2n with n = 2 (mod 4)"
     # the count r = n needs exactly one totally split prime of R: with t
     # of them r = t * n, and "every other prime" would be vacuous at t > 1
     split_ok = sum(rec.count for rec in ext.primes if rec.label in summary.split_qp_labels) == 1

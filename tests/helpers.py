@@ -15,6 +15,7 @@ from gkcert import (
     CycNumber,
     ExtensionDescriptor,
     IntPoly,
+    NumberField,
     PrimeRecord,
     abelian_group,
     cyclotomic_poly,
@@ -25,7 +26,8 @@ from gkcert import (
     quaternion_group,
 )
 from gkcert.characters import Character
-from gkcert.modpoly import X_P, deg, gcd_p, mul, pow_mod, sub
+from gkcert.intpoly import count_real_roots, poly_discriminant
+from gkcert.modpoly import X_P, barrett_mu, deg, gcd_p, mul, pow_mod, sub
 from gkcert.numutil import factorint
 
 # verified totally real polynomials by degree (vectors, constant first)
@@ -138,6 +140,15 @@ def raw_groups():
     )
 
 
+def relabelled_table(table, perm):
+    """The multiplication table with each element g renamed perm[g]."""
+    out = [[None] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[perm[a]][perm[b]] = perm[ab]
+    return out
+
+
 def direct_product(A, B):
     """A x B as a raw table; element a * |B| + b is the pair (a, b)."""
     n = B.order
@@ -243,9 +254,25 @@ def factorization_product(fac):
     return out
 
 
+def known_irreducible_field(f):
+    """The field of a monic f known to be irreducible, built without
+    make_field's certificate, which some families (Phi_8 = X^4 + 1 is
+    reducible mod every prime) never pass; signature and discriminant are
+    still computed exactly."""
+    r1 = count_real_roots(f)
+    return NumberField(
+        defining_poly=f,
+        degree=f.degree,
+        r1=r1,
+        r2=(f.degree - r1) // 2,
+        poly_disc=poly_discriminant(f),
+        barrett_mu=barrett_mu(f.coeffs),
+    )
+
+
 def cyclotomic_field(m):
     """Q(zeta_m); irreducibility of the cyclotomic polynomial is classical."""
-    return make_field(cyclotomic_poly(m), "certified: cyclotomic polynomial")
+    return known_irreducible_field(cyclotomic_poly(m))
 
 
 def multiplicative_order(a, m):

@@ -24,6 +24,7 @@ from gkcert.towers import TowerData, TowerLayer, chevalley_eval, p_power_exponen
 from gkcert.vanishing import tate_order
 from helpers import (
     cyclotomic_field,
+    known_irreducible_field,
     direct_product,
     groups_with_central_involution,
     inner_product,
@@ -129,7 +130,7 @@ def test_criterion_2b_scan_at_scale(monkeypatch):
             pass
     fields = {
         "phi17": cyclotomic_field(17),
-        "zeta17plus": make_field(real_cyclotomic_poly(17), "certified: real cyclotomic"),
+        "zeta17plus": known_irreducible_field(real_cyclotomic_poly(17)),
         "random14": random14,
     }
     powers = []

@@ -33,7 +33,7 @@ from gkcert.groups import dihedral_group
 from gkcert.intpoly import IntPoly
 from gkcert.numberfield import make_field
 from gkcert.numutil import is_prime, kronecker, primes_upto
-from helpers import is_fundamental_discriminant, random_descriptor
+from helpers import is_fundamental_discriminant, known_irreducible_field, random_descriptor
 
 
 def q8_split_primes(bound):
@@ -302,7 +302,9 @@ def test_quadratic_component_factors_its_discriminant_once(monkeypatch):
 def test_multiquadratic_closed_form_matches_make_field(pool):
     # the Kummer check and the closed-form signature against sympy's minimal
     # polynomial of sum sqrt(d_i), a primitive element of
-    # Q(sqrt d_1, ..., sqrt d_k), and make_field's Sturm count on it
+    # Q(sqrt d_1, ..., sqrt d_k), and a field's Sturm count on it (the
+    # polynomial is reducible mod every prime at k >= 2, so make_field's
+    # certificate cannot reach it)
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for k in (1, 2, 3):
@@ -313,7 +315,7 @@ def test_multiquadratic_closed_form_matches_make_field(pool):
             except Reducible:
                 assert minpoly.degree() < 2**k, discs
                 continue
-            f = make_field(IntPoly([int(c) for c in reversed(minpoly.all_coeffs())]), "sympy")
+            f = known_irreducible_field(IntPoly([int(c) for c in reversed(minpoly.all_coeffs())]))
             assert (F.degree, F.signature) == (f.degree, f.signature) == (2**k, (2**k, 0)), discs
 
 

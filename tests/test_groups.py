@@ -16,9 +16,11 @@ from gkcert.groups import (
 from gkcert.schema import Node
 from helpers import (
     dicyclic12_group,
+    direct_product,
     order64_raw_groups,
     permutation_group,
     raw_groups,
+    relabelled_table,
     sl23_group,
     supported_groups,
 )
@@ -147,6 +149,35 @@ def lattice_by_full_closure(G):
                 found.add(bigger)
                 frontier.append(bigger)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def test_dihedral_n_reads_the_table():
+    # D_n spec'd, as its raw table, and as that table with its elements
+    # renamed (the identity moved off index 0 too); V4 is D_2
+    rng = random.Random(29)
+    for n in range(2, 33):
+        D = dihedral_group(n)
+        perm = list(range(2 * n))
+        rng.shuffle(perm)
+        for G in (D, group_from_table(D.table), group_from_table(relabelled_table(D.table, perm))):
+            assert G.dihedral_n() == n
+    assert abelian_group([2, 2]).dihedral_n() == 2
+    assert permutation_group(3).dihedral_n() == 3  # S3 = D_3
+
+
+def test_dihedral_n_refuses_other_groups():
+    refused = (
+        abelian_group([2]),
+        abelian_group([4]),
+        abelian_group([12]),
+        abelian_group([6, 2]),
+        dicyclic12_group(),
+        quaternion_group(),
+        permutation_group(4, even_only=True),
+        sl23_group(),
+        direct_product(dihedral_group(4), abelian_group([6])),
+    )
+    assert [G.dihedral_n() for G in refused] == [None] * len(refused)
 
 
 def test_all_subgroups_matches_full_closure():

@@ -17,7 +17,12 @@ from gkcert.numberfield import (
     splitting_type,
 )
 from gkcert.numutil import divisors, euler_phi, is_prime, kronecker, primes_upto
-from helpers import cyclotomic_field, multiplicative_order, real_cyclotomic_poly
+from helpers import (
+    cyclotomic_field,
+    known_irreducible_field,
+    multiplicative_order,
+    real_cyclotomic_poly,
+)
 
 GAUSSIAN = make_field(IntPoly([1, 0, 1]))
 
@@ -148,7 +153,7 @@ def _splitting_fields():
     degree 2, 3, 7, 9, 11, 13."""
     fields = [cyclotomic_field(m) for m in (1, 3, 5, 7, 15, 11, 13, 17)]
     fields += [
-        make_field(real_cyclotomic_poly(m), "certified: real cyclotomic")
+        known_irreducible_field(real_cyclotomic_poly(m))
         for m in (7, 11, 13, 29, 31)
     ]
     rng = random.Random(20261018)

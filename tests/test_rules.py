@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from gkcert.certificates import Conclusion, Status
-from gkcert.errors import HypothesisFailed, PIsTwo, TauNotCentralInvolution
+from gkcert.errors import PIsTwo, TauNotCentralInvolution
 from gkcert.extensions import (
     ExtensionDescriptor,
     PrimeRecord,
@@ -17,7 +17,7 @@ from gkcert.extensions import (
     build_compositum_over_Q,
     ingest_extension,
 )
-from gkcert.groups import abelian_group, dihedral_group, quaternion_group
+from gkcert.groups import abelian_group, dihedral_group, group_from_table, quaternion_group
 from gkcert.intpoly import IntPoly
 from gkcert.numberfield import make_field
 from gkcert.numutil import kronecker
@@ -27,10 +27,14 @@ from gkcert.rules import (
     _undecomposed_subfield,
     certify,
     klingen_criterion,
-    rank_bound,
 )
 from gkcert.towers import TOWER_SCHEMA_ID, TowerData, TowerLayer
-from helpers import direct_product, groups_with_central_involution, random_descriptor
+from helpers import (
+    direct_product,
+    groups_with_central_involution,
+    random_descriptor,
+    relabelled_table,
+)
 from test_characters import counting
 from test_extensions import q8_split_primes
 
@@ -49,18 +53,22 @@ def test_klingen_equivalence_exhaustive():
 
 def test_rank_bound_examples():
     ext = build_compositum_over_Q([QuadraticComponent(-4)], 13)
-    cert = rank_bound(ext)
+    (cert,) = certify(ext).by_rule("split-rank-bound")
     pd = cert.payload_dict()
     assert (pd["r"], pd["s"], pd["bound"]) == (1, 1, 0) and pd["gkc_minus_implied"]
+    assert cert.subject == (ext.label or ext.digest()) and cert.inputs_digest == ext.digest()
     # hypothesis (a) fails at an inert prime
-    with pytest.raises(HypothesisFailed) as err:
-        rank_bound(build_compositum_over_Q([QuadraticComponent(-4)], 7))
-    assert err.value.hypothesis == "a"
+    out = certify(build_compositum_over_Q([QuadraticComponent(-4)], 7))
+    assert not out.by_rule("split-rank-bound")
+    assert (
+        "split-rank-bound: hypothesis (a) failed: no totally split prime with R_v = Q_p"
+        in out.diagnostics
+    )
     # hypothesis (b) fails for Q8
     p0 = q8_split_primes(600)[0]
-    with pytest.raises(HypothesisFailed) as err:
-        rank_bound(build_compositum_over_Q([Q8_PIECE], p0))
-    assert err.value.hypothesis == "b"
+    out = certify(build_compositum_over_Q([Q8_PIECE], p0))
+    assert not out.by_rule("split-rank-bound")
+    assert "split-rank-bound: hypothesis (b) failed: Gal(K/R) is not abelian" in out.diagnostics
 
 
 def test_certify_imaginary_quadratic():
@@ -164,14 +172,56 @@ def test_dihedral_counting_needs_exactly_one_split_prime():
     assert [c.payload_dict()["r"] for c in demo.by_rule("dihedral-odd-character-counting")] == [6]
 
 
-def test_dihedral_counting_notes_a_group_not_given_as_dihedral():
-    # the shipped demo with its group written as D6's own table gets no
-    # certificate, and the rule says why instead of staying silent
+def test_dihedral_counting_reads_the_group_not_its_spec():
+    # the shipped demo gets the certificate however its group is written: as
+    # D6, as D6's own table, or as that table with its elements renamed and
+    # tau and each G_w renamed along
     with open(os.path.join(DESCRIPTOR_DIR, "d6_counting_demo.json")) as fh:
-        doc = {**json.load(fh), "group": {"kind": "table", "data": dihedral_group(6).table}}
-    out = certify(ingest_extension(doc))
-    assert not out.certificates
-    assert "dihedral-odd-character-counting: G is not given as D_n with n = 2 (mod 4)" in out.diagnostics
+        doc = json.load(fh)
+    table = dihedral_group(6).table
+    perm = list(range(12))
+    random.Random(6).shuffle(perm)
+    renamed = {
+        **doc,
+        "group": {"kind": "table", "data": relabelled_table(table, perm)},
+        "tau": perm[doc["tau"]],
+        "primes": [
+            {**rec, "decomposition_subgroup": sorted(perm[g] for g in rec["decomposition_subgroup"])}
+            for rec in doc["primes"]
+        ],
+    }
+    as_table = {**doc, "group": {"kind": "table", "data": table}}
+    (spec_cert,) = certify(ingest_extension(doc)).by_rule("dihedral-odd-character-counting")
+    for other in (as_table, renamed):
+        (cert,) = certify(ingest_extension(other)).by_rule("dihedral-odd-character-counting")
+        assert (cert.conclusion, cert.subject, cert.payload, cert.hypotheses) == (
+            spec_cert.conclusion, spec_cert.subject, spec_cert.payload, spec_cert.hypotheses
+        )
+        assert cert.inputs_digest != spec_cert.inputs_digest
+
+
+def test_v4_gets_one_set_of_certificates_however_it_is_written():
+    # abelian [2, 2], D_2 and its raw table share one multiplication table;
+    # only the digests differ, and the hypothesis details that cite them
+    seen = []
+    for G in (abelian_group([2, 2]), dihedral_group(2), group_from_table(dihedral_group(2).table)):
+        ext = ExtensionDescriptor(
+            base=make_field(IntPoly([0, 1])),
+            group=G,
+            tau=1,
+            p=5,
+            primes=(PrimeRecord("v1", 1, 1, frozenset({0})),),
+            label="v4-demo",
+        )
+        out = certify(ext)
+        assert out.by_rule("dihedral-odd-character-counting")
+        certs = [
+            (c.rule, c.conclusion, c.subject, c.payload,
+             [(h.statement, h.status) for h in c.hypotheses])
+            for c in out
+        ]
+        seen.append((certs, out.diagnostics))
+    assert seen[0] == seen[1] == seen[2]
 
 
 def test_certify_undecomposed_subfield():

@@ -123,11 +123,12 @@ def test_one_memo_per_group():
 
 
 def test_character_tables_ignore_the_group_spec():
-    # every table takes _raw_table and its check, which read the
-    # multiplication table alone, so no route may depend again on how the
-    # group was specified
+    # character tables and rules read the multiplication table alone, so
+    # how a group is written changes its document and digest, never a table
+    # or a certificate: outside groups.py only the document reads the spec
     found = _uses_in_library("spec")
-    assert found and [path for path, _ in found if path == "characters.py"] == [], found
+    outside = {(path, scope) for path, scope in found if path != "groups.py"}
+    assert found and outside == {("extensions.py", "to_document")}, found
 
 
 # the rule keys in the order of rules.RULES; the two Klingen keys are one rule
