@@ -34,6 +34,7 @@ from helpers import (
     groups_with_central_involution,
     random_descriptor,
     relabelled_table,
+    sl23_group,
 )
 from test_characters import counting
 from test_extensions import q8_split_primes
@@ -502,3 +503,62 @@ def test_a_certificate_citing_a_conditional_certificate_is_conditional():
                     if source.conditional:
                         assert hyp.status is Status.ASSERTED and cert.conditional, cert
     assert citations[True] > 10 and citations[False] >= 2
+
+
+def _pinned_descriptors():
+    """Ingested descriptors over the three table routes, by label: C12 with
+    tau = 6 (the dual group, whose odd rows take irrational values), the
+    shipped D6 demo (D3 x C2, the tensor route), and D4 and SL(2, 3) as raw
+    tables (Dixon).  In C12 and SL(2, 3) the G_w give odd rows of one degree
+    different r_S, so moving one past another changes the digests."""
+    with open(os.path.join(DESCRIPTOR_DIR, "d6_counting_demo.json")) as fh:
+        d6 = json.load(fh)
+
+    def doc(label, group, tau, *subgroups):
+        return {
+            "label": label,
+            "base_poly": [-5, 0],
+            "p": 11,
+            "group": group,
+            "tau": tau,
+            "primes": [
+                {"e_base": 1, "f_base": 1, "decomposition_subgroup": sorted(h)} for h in subgroups
+            ],
+        }
+
+    sl23 = sl23_group()
+    tau = next(g for g in range(1, sl23.order) if sl23.is_central_involution(g))
+    order3 = next(h for h in sl23.all_subgroups() if len(h) == 3)
+    return {
+        "c12": doc("c12", {"kind": "abelian", "data": [12]}, 6, {0}, {0, 4, 8}),
+        "d6": d6,
+        "d4-table": doc("d4-table", {"kind": "table", "data": dihedral_group(4).table}, 2, {0}, {0, 4}),
+        "sl23-table": doc("sl23-table", {"kind": "table", "data": sl23.table}, tau, {0}, order3),
+    }
+
+
+def test_gvc_certificate_digests_pinned():
+    # the digest of a GVC certificate names its row by index: these hold the
+    # row order of every table route fixed
+    got = {}
+    for label, doc in _pinned_descriptors().items():
+        out = certify(ingest_extension(doc), assumptions=(ASSUME_GKC_MINUS, ASSUME_TOWER_DISJOINT))
+        got[label] = [(c.payload_dict()["chi_index"], c.payload_dict()["r_S"], c.digest())
+                      for c in out.by_rule("gkc-gvc-equivalence")]
+    assert got == {
+        "c12": [
+            (2, 1, "aef7d39045fdfde4"),
+            (3, 1, "518e2fec15db01f6"),
+            (5, 2, "44d86a2b3508bb32"),
+            (6, 2, "9ce67ee430e9d234"),
+            (8, 1, "0d416fecbd5499bf"),
+            (9, 1, "75f4b7a439784b7c"),
+        ],
+        "d6": [(0, 1, "0e302fab3ab542b6"), (1, 1, "5791693f2f350655"), (5, 2, "f3e4ab181a9cf910")],
+        "d4-table": [(4, 3, "26518587cfd25dac")],
+        "sl23-table": [
+            (3, 3, "d284791d0d41990b"),
+            (4, 3, "b9aff3416e398253"),
+            (5, 2, "6d980e5b12279bbe"),
+        ],
+    }
