@@ -2,9 +2,9 @@
 order-of-vanishing conjectures.
 
 Everything in this package is exact: arbitrary-precision integers and
-rationals, cyclotomic numbers in the power basis, character tables verified
-by orthogonality, and Dedekind-certified prime splitting.  No floating
-point anywhere.
+rationals, character values as integer coordinates in the power basis of
+Z[zeta_e], character tables verified by orthogonality, and
+Dedekind-certified prime splitting.  No floating point anywhere.
 """
 
 from .certificates import Certificate, CertificateStore, Conclusion, Hypothesis, Status
@@ -16,7 +16,7 @@ from .characters import (
     odd_characters,
     parity,
 )
-from .cyclotomic import CycNumber, cyclotomic_poly
+from .cyclotomic import cyclotomic_poly
 from .extensions import (
     BUILTIN_PIECES,
     Compositum,
@@ -52,7 +52,6 @@ from .modpoly import ModPFactorization, factor_mod_p
 from .numberfield import (
     NumberField,
     SplittingType,
-    is_totally_split,
     make_field,
     splitting_type,
 )

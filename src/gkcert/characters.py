@@ -1,8 +1,10 @@
 """Exact character tables, and the parity and fixed-space dimension of a row.
 
-Character values live in Q(zeta_e), e = exponent(G), always (uniform equality
-semantics; no conductor minimization).  Every group, whatever its spec, takes
-``_raw_table``:
+A character value is an algebraic integer of Q(zeta_e), e = exponent(G),
+stored as its tuple of phi(e) integer coordinates in the power basis of
+Z[zeta_e] (``cyclotomic.from_exponents``), always over that same e, so two
+values are equal exactly when their tuples are.  Every group, whatever its
+spec, takes ``_raw_table``:
 
 * the dual group, built along a generating sequence, when G is abelian,
 * for a non-abelian G with a central cyclic direct factor, G = N x <c>:
@@ -13,14 +15,14 @@ semantics; no conductor minimization).  Every group, whatever its spec, takes
 * the Burnside-Dixon method for every other group, Q8 and the other D_n
   among them: simultaneous eigenvectors of the class-multiplication matrices
   over F_q for the smallest prime q = 1 (mod e) with q > 2*sqrt(|G|), lifted
-  to exact cyclotomic values through the eigenvalue-multiplicity transform.
+  to exact values in Z[zeta_e] through the eigenvalue-multiplicity transform.
 
 Every table, whichever way it was built, is then *verified* by exact row
 orthonormality, which for a square table also gives the column relations
 (``verify_character_table``) -- neither the modular step nor a structural
 split can silently corrupt a table.
 
-Rows are ordered by (degree, lexicographic value key), so tables are
+Rows are ordered by (degree, value coordinates), so tables are
 deterministic.
 """
 
@@ -28,11 +30,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd, isqrt
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
-from .cyclotomic import CycNumber, _reduce_exponents
+from .cyclotomic import conjugate, from_exponents
 from .errors import InternalCheckError, NonIntegralDimension, ScaleExceeded
 from .groups import FiniteGroup, subgroup_embedding
 from .numutil import is_prime, primitive_root
@@ -43,15 +44,14 @@ SCALE_BOUND = 64
 @dataclass(frozen=True)
 class Character:
     group: FiniteGroup
-    values: tuple[CycNumber, ...]  # one value per conjugacy class
+    values: tuple[tuple[int, ...], ...]  # per conjugacy class, coordinates in Z[zeta_e]
     degree: int
 
-    def value_at(self, g: int) -> CycNumber:
+    def value_at(self, g: int) -> tuple[int, ...]:
         return self.values[self.group.class_of[g]]
 
     def sort_key(self):
-        e = self.group.exponent()
-        return (self.degree, tuple(v.sort_key(e) for v in self.values))
+        return (self.degree, self.values)
 
 
 class Parity(enum.Enum):
@@ -60,37 +60,6 @@ class Parity(enum.Enum):
 
 
 # -- the row check ------------------------------------------------------------
-
-
-def _integral_coordinates(table: list[Character], e: int):
-    """Per row and class, the coordinates of the value and of its complex
-    conjugate in the power basis of Z[zeta_e].
-
-    That basis is integral, so a value with den != 1 is not an algebraic
-    integer and cannot be a character value: InternalCheckError."""
-    values, conjugates = [], []
-    # a table has few distinct values, and its rows share most value objects:
-    # id(value) -> (coordinates, coordinates of the conjugate); the table
-    # keeps every value alive, so no id is reused during the call
-    coordinates: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    conjugate_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for chi in table:
-        row, row_conj = [], []
-        for v in chi.values:
-            if id(v) not in coordinates:
-                x = v.embed(e)
-                if x.den != 1:
-                    raise InternalCheckError(f"character value {v!r} is not an algebraic integer")
-                if x.num not in conjugate_of:
-                    flipped = {-k % e: c for k, c in enumerate(x.num) if c}
-                    conjugate_of[x.num] = _reduce_exponents(e, flipped)
-                coordinates[id(v)] = (x.num, conjugate_of[x.num])
-            x, x_conj = coordinates[id(v)]
-            row.append(x)
-            row_conj.append(x_conj)
-        values.append(row)
-        conjugates.append(row_conj)
-    return values, conjugates
 
 
 def _digit_width(bound: int) -> int:
@@ -119,13 +88,14 @@ def _packed_dot(e: int, width: int, xs, ys) -> tuple[int, ...]:
         coeffs[k] = digit
         packed = (packed - digit) >> width
         k += 1
-    return _reduce_exponents(e, coeffs)
+    return from_exponents(e, coeffs)
 
 
 def verify_character_table(table: list[Character]) -> None:
     """Exact row orthonormality plus the shape checks (row count, values per
-    row, degree sum, value at the identity), in integer arithmetic on
-    Z[zeta_e] coordinates; raises InternalCheckError on any failure.
+    row, each value a tuple of phi(e) ints, degree sum, value at the
+    identity), in integer arithmetic on Z[zeta_e] coordinates; raises
+    InternalCheckError on any failure.
 
     The column relations need no pass of their own.  Let X be the r x r
     table over Q(zeta_e), D = diag(|C|) and Y the conjugate transpose of X.
@@ -142,22 +112,31 @@ def verify_character_table(table: list[Character]) -> None:
         raise InternalCheckError(f"{len(table)} rows for {r} classes")
     if sum(ch.degree**2 for ch in table) != n:
         raise InternalCheckError("sum of squared degrees != |G|")
+    zero = from_exponents(e, {})
+    phi = len(zero)
     for chi in table:
         if len(chi.values) != r:
             raise InternalCheckError(f"{len(chi.values)} values for {r} classes")
-        if not (chi.values[0].is_integer and chi.values[0].as_int() == chi.degree):
+        for v in chi.values:  # the shape, before any value is hashed
+            if type(v) is not tuple or len(v) != phi:
+                raise InternalCheckError(f"character value {v!r} is not a tuple of {phi} coordinates")
+            # the power basis is integral, so a character value, an
+            # algebraic integer, has integer coordinates
+            if not all(type(c) is int for c in v):
+                raise InternalCheckError(f"character value {v!r} is not an algebraic integer")
+        if chi.values[0] != (chi.degree,) + zero[1:]:
             raise InternalCheckError("value at identity != degree")
-    values, conjugates = _integral_coordinates(table, e)
+    # a table has few distinct values: each is conjugated and packed once
+    conjugate_of = {v: conjugate(e, v) for v in {v for chi in table for v in chi.values}}
+    distinct = conjugate_of.keys() | conjugate_of.values()
     sizes = [len(c) for c in G.classes]
     # every coefficient of a product x * y has absolute value <= |x|_1 |y|_1,
     # and a row sum weighs r such products by class sizes that add up to n
-    distinct = {x for row in values + conjugates for x in row}
     norm = max(sum(map(abs, x)) for x in distinct)
     width = _digit_width(n * norm * norm)
     packed = {x: _pack(x, width) for x in distinct}
-    values = [[packed[x] for x in row] for row in values]
-    conjugates = [[packed[x] for x in row] for row in conjugates]
-    zero = _reduce_exponents(e, {})
+    values = [[packed[x] for x in chi.values] for chi in table]
+    conjugates = [[packed[conjugate_of[x]] for x in chi.values] for chi in table]
     # |G| <chi_i, chi_j> = sum_C |C| chi_i(C) conj(chi_j(C)) = |G| delta_ij
     for i in range(r):
         weighted = list(map(mul, sizes, values[i]))
@@ -253,10 +232,10 @@ def _linear_characters(G: FiniteGroup, kernel) -> list[list[int]]:
 
 def _dual_group_table(G: FiniteGroup) -> list[Character]:
     """The table of an abelian G: its linear characters, each value one of e
-    shared CycNumbers zeta_e^k, e = exponent(G).  Every class is a
+    shared coordinate tuples of zeta_e^k, e = exponent(G).  Every class is a
     singleton."""
     e = G.exponent()
-    roots = [CycNumber.from_exponents(e, {k: 1}) for k in range(e)]
+    roots = [from_exponents(e, {k: 1}) for k in range(e)]
     elements = [cls[0] for cls in G.classes]
     return [
         Character(group=G, values=tuple(roots[row[g]] for g in elements), degree=1)
@@ -309,15 +288,13 @@ def _tensor_with_cyclic(G: FiniteGroup, n_table, embedding, lam, c: int, m: int)
         g = cls[0]
         j, cj = power_of[lam[g]]
         columns.append((N.class_of[position[t[g][inv[cj]]]], j * (e // m)))
-    products: dict[tuple, CycNumber] = {}
+    step = e // N.exponent()  # N's zeta is zeta_e^step
+    products: dict[tuple, tuple[int, ...]] = {}
 
-    def times_root(v: CycNumber, k: int) -> CycNumber:
-        key = (v.m, v.num, v.den, k)
-        if key not in products:
-            step = e // v.m
-            coeffs = {i * step + k: a for i, a in enumerate(v.num) if a}
-            products[key] = CycNumber(e, _reduce_exponents(e, coeffs), v.den)
-        return products[key]
+    def times_root(v: tuple[int, ...], k: int) -> tuple[int, ...]:
+        if (v, k) not in products:
+            products[v, k] = from_exponents(e, {i * step + k: a for i, a in enumerate(v) if a})
+        return products[v, k]
 
     return [
         Character(
@@ -550,7 +527,7 @@ def _dixon_table(G: FiniteGroup) -> list[Character]:
         power_classes.append(row)
     inv_sizes = [pow(size, q - 2, q) for size in sizes]
 
-    lifted: dict[tuple, CycNumber] = {}  # multiplicities -> value, shared across the table
+    lifted: dict[tuple, tuple[int, ...]] = {}  # multiplicities -> value, shared across the table
     table = []
     for basis, _ in spaces:
         v = basis[0]
@@ -580,7 +557,7 @@ def _dixon_table(G: FiniteGroup) -> list[Character]:
                 raise InternalCheckError("eigenvalue multiplicities do not sum to the degree")
             key = tuple(mults.items())
             if key not in lifted:
-                lifted[key] = CycNumber.from_exponents(e, mults)
+                lifted[key] = from_exponents(e, mults)
             values.append(lifted[key])
         table.append(Character(group=G, values=tuple(values), degree=degree))
     return table
@@ -595,11 +572,10 @@ def parity(chi: Character, tau: int) -> Parity:
     G = chi.group
     G.require_central_involution(tau)
     v = chi.value_at(tau)
-    if v.is_integer:
-        n = v.num[0]
-        if n == chi.degree:
+    if not any(v[1:]):
+        if v[0] == chi.degree:
             return Parity.EVEN
-        if n == -chi.degree:
+        if v[0] == -chi.degree:
             return Parity.ODD
     raise InternalCheckError(f"chi(tau) = {v!r} is neither +-chi(1); chi not irreducible?")
 
@@ -620,12 +596,11 @@ def fixed_dim(chi: Character, subgroup) -> int:
 
     H is checked to be a subgroup, and the sum computed, on every call."""
     H = chi.group.require_subgroup(subgroup)
-    total = reduce(add, map(chi.value_at, H))  # H holds the identity, so it is not empty
-    try:
-        d = total.as_fraction() / len(H)
-    except ValueError:
-        raise NonIntegralDimension(f"character sum over H is irrational: {total!r}")
-    if d.denominator != 1 or d < 0:
-        raise NonIntegralDimension(f"fixed-space dimension {d} is not a nonnegative integer")
-    return int(d)
+    total = [sum(c) for c in zip(*map(chi.value_at, H))]
+    if any(total[1:]):
+        raise NonIntegralDimension(f"character sum over H is irrational: {total}")
+    d, rest = divmod(total[0], len(H))
+    if rest or d < 0:
+        raise NonIntegralDimension(f"fixed-space dimension {total[0]}/{len(H)} is not a nonnegative integer")
+    return d
 

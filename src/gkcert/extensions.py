@@ -340,10 +340,6 @@ class MultiquadraticField:
     def degree(self) -> int:
         return 1 << len(self.discs)
 
-    @property
-    def signature(self) -> tuple[int, int]:
-        return (self.degree, 0)
-
     def document(self) -> dict:
         """The base field's entry in a descriptor document."""
         return {"base": {"multiquadratic": list(self.discs)}}

@@ -192,8 +192,8 @@ def splitting_type(F: NumberField, p: int) -> SplittingType:
     return st
 
 
-def is_totally_split(F: NumberField, p: int) -> bool:
-    """Whether p splits completely in F.
+def _is_totally_split(F: NumberField, p: int) -> bool:
+    """Whether the prime p splits completely in F.
 
     When p does not divide disc(f), f mod p is squarefree, so p is
     Dedekind-safe, and p splits completely exactly when X^p = X mod
@@ -204,14 +204,9 @@ def is_totally_split(F: NumberField, p: int) -> bool:
     theorem f mod p has r irreducible factors with (disc(f) | p) =
     (-1)^(n - r), so a non-residue means r < n.  At p = 2 the power is always
     taken.  At p | disc(f) the answer comes from ``splitting_type``, which
-    raises UnsafePrime when p divides the index.
+    raises UnsafePrime when p divides the index.  p is not tested for
+    primality.
     """
-    require_prime(p)
-    return _is_totally_split(F, p)
-
-
-def _is_totally_split(F: NumberField, p: int) -> bool:
-    """``is_totally_split`` for a p known to be prime."""
     d = F.poly_disc % p
     if d:
         # Euler's criterion: r = n needs disc(f) to be a square mod p

@@ -133,13 +133,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorint(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), the full extension of Jacobi/Legendre."""
     if n == 0:

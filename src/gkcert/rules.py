@@ -82,7 +82,11 @@ def klingen_criterion(G: FiniteGroup, tau: int) -> bool:
 
 
 def _klingen_verdict(G: FiniteGroup, tau: int) -> bool:
-    result = all(ch.degree + ch.value_at(tau).as_int() <= 2 for ch in character_table(G))
+    table = character_table(G)
+    at_tau = [ch.value_at(tau) for ch in table]  # coordinates in Z[zeta_e]
+    if any(any(v[1:]) for v in at_tau):
+        raise InternalCheckError("a character value at tau is irrational")
+    result = all(ch.degree + v[0] <= 2 for ch, v in zip(table, at_tau))
     quotient_abelian = G.quotient_is_abelian(G.subgroup_generated_by([tau]))
     if result != quotient_abelian:
         raise InternalCheckError(

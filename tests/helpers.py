@@ -7,12 +7,12 @@ irreducibility test."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from gkcert import (
-    CycNumber,
     ExtensionDescriptor,
     IntPoly,
     NumberField,
@@ -26,6 +26,7 @@ from gkcert import (
     quaternion_group,
 )
 from gkcert.characters import Character
+from gkcert.cyclotomic import conjugate, from_exponents
 from gkcert.intpoly import count_real_roots, poly_discriminant
 from gkcert.modpoly import X_P, barrett_mu, deg, gcd_p, mul, pow_mod, sub
 from gkcert.numutil import factorint
@@ -170,8 +171,8 @@ def order64_raw_groups():
 
 def closed_form_table(G):
     """The character table of a spec'd D_n or Q8 from the textbook formulas,
-    unsorted: the oracle that character_table's general route is compared
-    against.
+    unsorted, with values in Z[zeta_e], e = exponent(G): the oracle that
+    character_table's general route is compared against.
 
     D_n (rotations a^k at k < n, reflections at n..2n-1): the trivial
     character and the sign of the reflections; for even n also a^k -> (-1)^k,
@@ -180,12 +181,14 @@ def closed_form_table(G):
     Q8 (1, -1, +-i, +-j, +-k at 0, 1, 2..7): the four characters of
     Q8/{+-1} = C2 x C2, i and j going to the signs s and t and k to st, and
     the degree-2 row 2, -2, 0, 0, 0."""
+    e = G.exponent()
     if G.spec[0] == "dihedral":
         n = G.spec[1]
         signs = [(1, 1), (1, -1)] + ([(-1, 1), (-1, -1)] if n % 2 == 0 else [])
         rows = [(1, lambda g, s=s, t=t: s ** (g % n) * (t if g >= n else 1)) for s, t in signs]
+        step = e // n  # zeta_n = zeta_e^step
         rows += [
-            (2, lambda g, h=h: 0 if g >= n else CycNumber.zeta(n, h * g) + CycNumber.zeta(n, -h * g))
+            (2, lambda g, h=h: 0 if g >= n else from_exponents(e, Counter((h * g * step, -h * g * step))))
             for h in range(1, (n + 1) // 2)
         ]
     elif G.spec[0] == "quaternion8":
@@ -197,7 +200,7 @@ def closed_form_table(G):
 
     def value(at, g):
         v = at(g)
-        return v if isinstance(v, CycNumber) else CycNumber.from_rational(v)
+        return v if isinstance(v, tuple) else from_exponents(e, {0: v})
 
     return [
         Character(group=G, values=tuple(value(at, cls[0]) for cls in G.classes), degree=d)
@@ -207,26 +210,46 @@ def closed_form_table(G):
 
 def contragredient(chi):
     """The complex-conjugate character."""
-    return Character(group=chi.group, values=tuple(v.conjugate() for v in chi.values), degree=chi.degree)
+    e = chi.group.exponent()
+    return Character(group=chi.group, values=tuple(conjugate(e, v) for v in chi.values), degree=chi.degree)
+
+
+def cyclotomic_product(e, x, y):
+    """The coordinates of x * y in Z[zeta_e], by convolution of the
+    coordinates of x and y."""
+    products = Counter()
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            products[i + j] += a * b
+    return from_exponents(e, products)
 
 
 def inner_product(a, b):
-    """<a, b> = (1/|G|) sum |C| a(C) conj(b(C)), exact."""
+    """<a, b> = (1/|G|) sum |C| a(C) conj(b(C)), exact, as a Fraction;
+    ValueError when it is irrational."""
     G = a.group
-    acc = CycNumber.from_rational(0)
+    e = G.exponent()
+    total = Counter()
     for cls, va, vb in zip(G.classes, a.values, b.values):
-        acc = acc + len(cls) * (va * vb.conjugate())
-    return acc / G.order
+        for k, c in enumerate(cyclotomic_product(e, va, conjugate(e, vb))):
+            total[k] += len(cls) * c
+    if any(total[k] for k in total if k):
+        raise ValueError(f"<a, b> is irrational: {dict(total)}")
+    return Fraction(total[0], G.order)
 
 
 def permutation_character(G, subgroup):
     """Ind_H^G 1 for the subgroup H of G, by the definition of induction:
     its value at g is #{x in G : x^-1 g x in H} / |H|."""
+    e = G.exponent()
     values = []
     for cls in G.classes:
         hits = sum(G.op(G.op(G.inv(x), cls[0]), x) in subgroup for x in range(G.order))
-        values.append(CycNumber.from_rational(Fraction(hits, len(subgroup))))
-    return Character(group=G, values=tuple(values), degree=values[0].as_int())
+        value, rest = divmod(hits, len(subgroup))
+        if rest:
+            raise ValueError(f"Ind_H^G 1 is not integral at {cls[0]}")
+        values.append(from_exponents(e, {0: value}))
+    return Character(group=G, values=tuple(values), degree=values[0][0])
 
 
 def is_irreducible_mod_p(a, p):

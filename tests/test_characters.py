@@ -13,7 +13,6 @@ from gkcert.characters import (
     SCALE_BOUND,
     Parity,
     _digit_width,
-    _integral_coordinates,
     _pack,
     _packed_dot,
     character_table,
@@ -23,7 +22,7 @@ from gkcert.characters import (
     parity,
     verify_character_table,
 )
-from gkcert.cyclotomic import CycNumber
+from gkcert.cyclotomic import conjugate, cyclotomic_poly, from_exponents
 from gkcert.errors import (
     InternalCheckError,
     NotASubgroup,
@@ -34,6 +33,7 @@ from gkcert.groups import abelian_group, dihedral_group, group_from_table, quate
 from helpers import (
     closed_form_table,
     contragredient,
+    cyclotomic_product,
     dicyclic12_group,
     direct_product,
     inner_product,
@@ -47,8 +47,7 @@ from helpers import (
 
 def test_c2_table():
     table = character_table(abelian_group([2]))
-    values = sorted(tuple(v.as_int() for v in ch.values) for ch in table)
-    assert values == [(1, -1), (1, 1)]
+    assert sorted(ch.values for ch in table) == [((1,), (-1,)), ((1,), (1,))]
 
 
 def test_q8_table_and_parity():
@@ -56,7 +55,7 @@ def test_q8_table_and_parity():
     table = character_table(q8)
     assert [ch.degree for ch in table] == [1, 1, 1, 1, 2]
     two = table[-1]
-    assert two.value_at(1) == -2  # the central involution column
+    assert two.value_at(1) == (-2, 0)  # the central involution column, in Z[i]
     assert parity(two, 1) is Parity.ODD
     assert all(parity(ch, 1) is Parity.EVEN for ch in table[:4])
     verify_character_table(table)
@@ -71,7 +70,18 @@ def test_d6_table():
     # odd 2-dim character: chi(a) = zeta_6 + zeta_6^-1 = 1, chi(a^3) = -2
     odd2 = [ch for ch in odd_characters(table, 3) if ch.degree == 2]
     assert len(odd2) == 1
-    assert odd2[0].value_at(1) == 1 and odd2[0].value_at(3) == -2
+    assert odd2[0].value_at(1) == (1, 0) and odd2[0].value_at(3) == (-2, 0)
+
+
+def test_every_value_is_a_tuple_of_phi_e_ints():
+    # phi(e) = deg Phi_e, read off the polynomial, not off the library's rows
+    for G in supported_groups(64):
+        phi = cyclotomic_poly(G.exponent()).degree
+        for chi in character_table(G):
+            assert type(chi.values) is tuple and len(chi.values) == len(G.classes)
+            for v in chi.values:
+                assert type(v) is tuple and len(v) == phi, (G.spec, v)
+                assert all(type(c) is int for c in v), (G.spec, v)
 
 
 def test_parity_requires_central_involution():
@@ -85,16 +95,13 @@ def test_deterministic_row_order():
     g1 = group_from_table(dihedral_group(4).table)
     t1 = character_table(g1)
     t2 = character_table(group_from_table(dihedral_group(4).table))
-    assert [[(v.num, v.den) for v in ch.values] for ch in t1] == [
-        [(v.num, v.den) for v in ch.values] for ch in t2
-    ]
+    assert [ch.values for ch in t1] == [ch.values for ch in t2]
     assert [ch.degree for ch in t1] == [1, 1, 1, 1, 2]
 
 
 def sorted_rows(table):
-    """The rows as (degree, value keys), sorted as character_table sorts them."""
-    e = table[0].group.exponent()
-    return sorted((ch.degree, tuple(v.sort_key(e) for v in ch.values)) for ch in table)
+    """The rows as (degree, values), sorted as character_table sorts them."""
+    return sorted((ch.degree, ch.values) for ch in table)
 
 
 def test_dixon_matches_closed_forms():
@@ -205,7 +212,7 @@ def test_fixed_dim_examples():
     table = character_table(d6)
     for ch in table:
         assert fixed_dim(ch, {0}) == ch.degree
-        trivial = all(v == 1 for v in ch.values)
+        trivial = all(v == (1, 0) for v in ch.values)
         assert fixed_dim(ch, range(12)) == (1 if trivial else 0)
     odd2 = [ch for ch in odd_characters(table, 3) if ch.degree == 2][0]
     assert fixed_dim(odd2, {0, 6}) == fixed_dim(odd2, [6, 0]) == 1  # (2 + 0)/2
@@ -222,10 +229,10 @@ def test_fixed_dim_examples():
 def test_induction_examples():
     c2 = abelian_group([2])
     ind = permutation_character(c2, {0})
-    assert ind.value_at(0).as_int() == 2 and ind.value_at(1).as_int() == 0
+    assert ind.value_at(0) == (2,) and ind.value_at(1) == (0,)
     d6 = dihedral_group(6)
     ind_b = permutation_character(d6, {0, 6})
-    assert ind_b.value_at(0).as_int() == 6  # [D6 : <b>]
+    assert ind_b.value_at(0) == (6, 0)  # [D6 : <b>]
 
 
 def test_frobenius_reciprocity_oracle():
@@ -238,16 +245,14 @@ def test_frobenius_reciprocity_oracle():
         H_set = subs[rng.randrange(len(subs))]
         ind = permutation_character(G, H_set)
         for chi in character_table(G):
-            lhs = inner_product(ind, chi)
-            assert lhs.is_rational
-            assert lhs.as_fraction() == fixed_dim(chi, H_set)
+            assert inner_product(ind, chi) == fixed_dim(chi, H_set)  # rational, else ValueError
         checked += 1
 
 
 def test_contragredient():
     z = character_table(abelian_group([5]))
-    chi = next(ch for ch in z if ch.values[1] == CycNumber.zeta(5))
-    assert contragredient(chi).values[1] == CycNumber.zeta(5, 4)
+    chi = next(ch for ch in z if ch.values[1] == from_exponents(5, {1: 1}))
+    assert contragredient(chi).values[1] == from_exponents(5, {4: 1})
 
 
 def test_builtin_groups_built_once():
@@ -303,33 +308,43 @@ def test_tables_of_groups_whose_identity_is_not_element_0():
     # relabelled copy's table, read through the relabelling, is G's table
     rng = random.Random(22)
     for G in (dihedral_group(4), abelian_group([2, 2]), quaternion_group(), dihedral_group(5)):
-        e, want = G.exponent(), sorted_rows(character_table(G))
+        want = sorted_rows(character_table(G))
         for at in (1, G.order - 1):
             H, label = moved_identity(G, at, rng)
             assert H.identity == at and H.classes[0] == (at,)
             assert list(H.classes[1:]) == sorted(H.classes[1:])
             pulled = [
-                (ch.degree, tuple(ch.value_at(label[cls[0]]).sort_key(e) for cls in G.classes))
+                (ch.degree, tuple(ch.value_at(label[cls[0]]) for cls in G.classes))
                 for ch in character_table(H)
             ]
             assert sorted(pulled) == want, (G.spec, at)
 
 
+def coordinate_sum(values):
+    """The coordinates of the sum of the given elements of Z[zeta_e]."""
+    return tuple(map(sum, zip(*values)))
+
+
+def coordinates(table):
+    """Per row and class, the coordinates of the value and of its conjugate."""
+    e = table[0].group.exponent()
+    return [list(ch.values) for ch in table], [[conjugate(e, v) for v in ch.values] for ch in table]
+
+
 def test_column_relations_hold_on_every_table():
     # verify_character_table checks the rows alone; for a square table the
     # column relations sum_chi chi(C_i) conj(chi(C_j)) = |C_G(g_i)| delta_ij
-    # follow, and this oracle checks them in CycNumber arithmetic
+    # follow, and this oracle checks them by convolving coordinates
     for G in supported_groups(24) + order64_raw_groups():
         table = character_table(G)
+        e = G.exponent()
         columns = list(zip(*(ch.values for ch in table)))
-        conjugates = [[v.conjugate() for v in column] for column in columns]
+        conjugates = [[conjugate(e, v) for v in column] for column in columns]
         for i, column in enumerate(columns):
             centralizer = G.order // len(G.classes[i])
             for j in range(i + 1):
-                total = CycNumber.from_rational(0)
-                for x, y in zip(column, conjugates[j]):
-                    total = total + x * y
-                assert total == (centralizer if i == j else 0), (G.spec, i, j)
+                total = coordinate_sum(map(cyclotomic_product, [e] * len(column), column, conjugates[j]))
+                assert total == from_exponents(e, {0: centralizer if i == j else 0}), (G.spec, i, j)
 
 
 def sampled_pairs(r, rng, limit=40):
@@ -346,10 +361,11 @@ def max_norm(coordinates):
 
 
 def test_packed_dot_matches_cycnumber_oracle():
-    # random signed coordinates, packed at the width their products need
+    # random signed coordinates, packed at the width their products need,
+    # against the sum of the products by convolution
     rng = random.Random(12)
     for e in (1, 2, 3, 4, 5, 8, 12, 24):
-        phi = len(CycNumber.zeta(e).num)
+        phi = cyclotomic_poly(e).degree
         for _ in range(20):
             terms = rng.randint(1, 6)
             xs = [[rng.randint(-9, 9) for _ in range(phi)] for _ in range(terms)]
@@ -358,27 +374,24 @@ def test_packed_dot_matches_cycnumber_oracle():
             width = _digit_width(bound)
             packed_xs, packed_ys = ([_pack(v, width) for v in vs] for vs in (xs, ys))
             got = _packed_dot(e, width, packed_xs, packed_ys)
-            want = CycNumber.from_rational(0)
-            for x, y in zip(xs, ys):
-                want = want + CycNumber(e, x) * CycNumber(e, y)
-            assert CycNumber(e, got) == want
+            assert got == coordinate_sum(cyclotomic_product(e, x, y) for x, y in zip(xs, ys))
 
 
 def test_integer_orthogonality_sums_match_cycnumber_oracle():
-    # the CycNumber oracle costs about a millisecond per pair, so large
+    # against the inner product by convolution, which is slow, so large
     # tables check a seeded sample of their pairs
     rng = random.Random(64)
     for G in supported_groups(24) + order64_raw_groups():
         table = character_table(G)
         e, n, r = G.exponent(), G.order, len(G.classes)
         sizes = [len(c) for c in G.classes]
-        values, conjugates = _integral_coordinates(table, e)
+        values, conjugates = coordinates(table)
         width = _digit_width(n * max_norm(values + conjugates) ** 2)
         values, conjugates = (packed_coordinates(c, width) for c in (values, conjugates))
         for i, j in sampled_pairs(r, rng):
             weighted = [s * x for s, x in zip(sizes, values[i])]
             row_sum = _packed_dot(e, width, weighted, conjugates[j])
-            assert CycNumber(e, row_sum) == inner_product(table[i], table[j]) * n
+            assert row_sum == from_exponents(e, {0: inner_product(table[i], table[j]) * n})
 
 
 def test_integer_row_sums_match_on_products_of_characters():
@@ -388,19 +401,28 @@ def test_integer_row_sums_match_on_products_of_characters():
         e, n = G.exponent(), G.order
         sizes = [len(c) for c in G.classes]
         products = [
-            replace(a, values=tuple(x * y for x, y in zip(a.values, b.values)), degree=a.degree * b.degree)
+            replace(
+                a,
+                values=tuple(cyclotomic_product(e, x, y) for x, y in zip(a.values, b.values)),
+                degree=a.degree * b.degree,
+            )
             for a in table
             for b in table
         ]
-        values, _ = _integral_coordinates(products, e)
-        _, conjugates = _integral_coordinates(table, e)
+        values, _ = coordinates(products)
+        _, conjugates = coordinates(table)
         width = _digit_width(n * max_norm(values) * max_norm(conjugates))
         values, conjugates = (packed_coordinates(c, width) for c in (values, conjugates))
         for prod, vals in zip(products, values):
             weighted = [s * x for s, x in zip(sizes, vals)]
             for chi, conj in zip(table, conjugates):
                 row_sum = _packed_dot(e, width, weighted, conj)
-                assert CycNumber(e, row_sum) == inner_product(prod, chi) * n
+                assert row_sum == from_exponents(e, {0: inner_product(prod, chi) * n})
+
+
+def _plus(value, c):
+    """value + c for an integer c."""
+    return (value[0] + c,) + value[1:]
 
 
 def _with_value(rows, i, k, value):
@@ -413,8 +435,8 @@ def corrupted_tables(table):
     """(name, table) pairs, each breaking a genuine table in one way."""
     rows = list(table)
     last = len(rows) - 1
-    yield "value-changed", _with_value(rows, last, 1, rows[last].values[1] + 1)
-    yield "value-off-by-10^30", _with_value(rows, last, 1, rows[last].values[1] + 10**30)
+    yield "value-changed", _with_value(rows, last, 1, _plus(rows[last].values[1], 1))
+    yield "value-off-by-10^30", _with_value(rows, last, 1, _plus(rows[last].values[1], 10**30))
     i, a, b = next(
         (i, a, b)
         for i, ch in enumerate(rows)
@@ -428,9 +450,12 @@ def corrupted_tables(table):
         (i, k)
         for i, ch in enumerate(rows)
         for k in range(1, len(ch.values))
-        if (ch.values[k] / 2).den == 2
+        if any(c % 2 for c in ch.values[k])
     )
-    yield "value-halved", _with_value(rows, i, k, rows[i].values[k] / 2)
+    value = rows[i].values[k]
+    yield "value-halved", _with_value(rows, i, k, tuple(Fraction(c, 2) for c in value))
+    yield "value-lengthened", _with_value(rows, i, k, value + (0,))
+    yield "value-as-list", _with_value(rows, i, k, list(value))
     yield "row-dropped", rows[:last]
 
 
@@ -439,6 +464,8 @@ REJECTION = {
     "value-off-by-10^30": "row orthogonality",
     "values-swapped": "row orthogonality",
     "value-halved": "not an algebraic integer",
+    "value-lengthened": "coordinates",
+    "value-as-list": "coordinates",
     "row-dropped": "rows for",
 }
 
@@ -515,7 +542,7 @@ def _corrupted_route_tables(route):
         def corrupted(H, *args, G=G):
             rows = build(H, *args)
             if H is G:
-                rows = _with_value(rows, len(rows) - 1, 1, rows[-1].values[1] + 1)
+                rows = _with_value(rows, len(rows) - 1, 1, _plus(rows[-1].values[1], 1))
             return rows
 
         setattr(characters, route, corrupted)
@@ -567,8 +594,7 @@ def _parity_violators():
     two = next(ch for ch in character_table(D4) if ch.degree == 2)
     at_tau = D4.class_of[2]
     out = []
-    zero, half = CycNumber.from_rational(0), CycNumber.from_rational(Fraction(1, 2))
-    for bad in (zero, half, CycNumber(4, [0, 1]), CycNumber(4, [2, 1])):
+    for bad in ((0, 0), (Fraction(1, 2), 0), (0, 1), (2, 1)):  # coordinates in Z[i]
         values = tuple(bad if i == at_tau else v for i, v in enumerate(two.values))
         out.append((replace(two, values=values), 2))
     return out
@@ -611,7 +637,7 @@ def _corrupted_row_calls():
     rows = character_table(G)
     i = next(k for k, ch in enumerate(rows) if ch.degree == 2)
     at_tau = G.class_of[2]
-    values = tuple(CycNumber(4, [0, 1]) if k == at_tau else v for k, v in enumerate(rows[i].values))
+    values = tuple((0, 1) if k == at_tau else v for k, v in enumerate(rows[i].values))
     rows[i] = replace(rows[i], values=values)
     G._verdicts[("table",)] = tuple(rows)
     calls = [

@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from gkcert.cyclotomic import CycNumber, cyclotomic_poly
+from gkcert.cyclotomic import conjugate, cyclotomic_poly, from_exponents
 from gkcert.intpoly import IntPoly
 
 
@@ -32,70 +31,39 @@ def test_cyclotomic_polynomials_against_sympy():
 
 def test_root_of_unity_relations():
     for m in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 36, 40):
-        z = CycNumber.zeta(m)
-        acc = CycNumber.from_rational(1)
-        for _ in range(m):
-            acc = acc * z
-        assert acc == 1, m
-        total = CycNumber.from_rational(0)
-        for k in range(m):
-            total = total + CycNumber.zeta(m, k)
-        if m > 1:
-            assert total.is_zero
-        else:
-            assert total == 1
-
-
-def test_embedding_round_trip():
-    from gkcert.numutil import euler_phi
-
-    rng = random.Random(6)
-    for _ in range(50):
-        m = rng.choice([3, 4, 5, 6, 8, 12])
-        x = CycNumber(
-            m, [rng.randrange(-5, 6) for _ in range(euler_phi(m))], rng.randrange(1, 5)
-        )
-        big = m * rng.choice([2, 3, 5])
-        assert x.embed(big) == x
-        # equality is conductor-independent
-        assert x.embed(big).embed(big * 2) == x
-
-
-def test_cross_conductor_equality():
-    assert CycNumber.zeta(3) == CycNumber.zeta(6, 2)
-    assert CycNumber.zeta(4) == CycNumber.zeta(8, 2)
-    assert CycNumber.zeta(6) == 1 + CycNumber.zeta(3)  # zeta_6 = 1 + zeta_3
-
-
-def test_arithmetic_identities():
-    z5 = CycNumber.zeta(5)
-    assert (1 + z5) * (1 - z5) == 1 - z5 * z5
-    sqrt5 = 2 * z5 + 2 * CycNumber.zeta(5, 4) + 1
-    assert sqrt5 * sqrt5 == 5
-    # Gauss sum for conductor 3: (2 zeta_3 + 1)^2 = -3
-    g = 2 * CycNumber.zeta(3) + 1
-    assert g * g == -3
-
-
-def test_rational_detection_and_division():
-    x = CycNumber.from_rational(Fraction(3, 4)) + Fraction(1, 4)
-    assert x.is_integer and x.as_int() == 1
-    y = CycNumber.zeta(8) / 2
-    assert (y * 2) == CycNumber.zeta(8)
-    with pytest.raises(ValueError):
-        CycNumber.zeta(5).as_fraction()
+        phi = cyclotomic_poly(m).degree
+        unit = [tuple(int(i == k) for i in range(phi)) for k in range(phi)]
+        zero = (0,) * phi
+        # zeta^k for k < phi is the power basis; exponents are read mod m
+        assert [from_exponents(m, {k: 1}) for k in range(phi)] == unit, m
+        assert from_exponents(m, {m: 1}) == from_exponents(m, {-m: 1}) == unit[0], m
+        assert from_exponents(m, {0: 2, 2 * m: 1}) == (3,) + zero[1:], m
+        assert from_exponents(m, {-1: 1}) == from_exponents(m, {m - 1: 1}), m
+        # zeta is a root of Phi_m, and the m-th roots of unity sum to 0 (m > 1)
+        assert from_exponents(m, dict(enumerate(cyclotomic_poly(m).coeffs))) == zero, m
+        assert from_exponents(m, {k: 1 for k in range(m)}) == (unit[0] if m == 1 else zero), m
+        assert from_exponents(m, {}) == from_exponents(m, {1: 0}) == zero
 
 
 def test_galois_action_and_conjugation():
-    z = CycNumber.zeta(7, 3)
-    assert z.galois(2) == CycNumber.zeta(7, 6)
-    assert z.conjugate() == CycNumber.zeta(7, 4)
-    # |z|^2 = 1 for roots of unity
-    assert z * z.conjugate() == 1
-    with pytest.raises(ValueError):
-        z.galois(7)
+    # sigma_k: zeta -> zeta^k maps sum c_i zeta^i to sum c_i zeta^(i k), which
+    # from_exponents reduces; complex conjugation is sigma_-1
+    def sigma(m, k, x):
+        return from_exponents(m, {i * k: c for i, c in enumerate(x)})
 
-
-def test_not_hashable():
-    with pytest.raises(TypeError):
-        hash(CycNumber.zeta(3))
+    z = from_exponents(7, {3: 1})
+    assert sigma(7, 2, z) == from_exponents(7, {6: 1})
+    assert conjugate(7, z) == from_exponents(7, {4: 1})
+    # sqrt 5 = 2 zeta_5 + 2 zeta_5^4 + 1 is real; the Gauss sum
+    # 2 zeta_3 + 1 = sqrt -3 is not
+    sqrt5 = from_exponents(5, {1: 2, 4: 2, 0: 1})
+    assert conjugate(5, sqrt5) == sqrt5 and sigma(5, 2, sqrt5) == tuple(-c for c in sqrt5)
+    gauss = from_exponents(3, {1: 2, 0: 1})
+    assert conjugate(3, gauss) == tuple(-c for c in gauss)
+    rng = random.Random(6)
+    for _ in range(50):
+        m = rng.choice([1, 2, 3, 4, 5, 6, 8, 12, 15, 24])
+        x = tuple(rng.randrange(-5, 6) for _ in range(cyclotomic_poly(m).degree))
+        assert conjugate(m, x) == sigma(m, -1, x) == sigma(m, m - 1, x)
+        assert conjugate(m, conjugate(m, x)) == x
+        assert conjugate(m, x[:1] + (0,) * (len(x) - 1)) == x[:1] + (0,) * (len(x) - 1)

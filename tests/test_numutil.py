@@ -7,7 +7,6 @@ from gkcert.numutil import (
     MR_BOUND,
     _residue_symbol,
     discriminant_symbol,
-    euler_phi,
     factorint,
     is_prime,
     kronecker,
@@ -93,7 +92,6 @@ def test_factorint():
     assert factorint(360) == {2: 3, 3: 2, 5: 1}
     assert factorint(-17) == {17: 1}
     assert factorint(1) == {}
-    assert euler_phi(40) == 16 and euler_phi(1) == 1
 
 
 def test_kronecker_matches_legendre():

@@ -432,6 +432,23 @@ def test_klingen_rejects_a_non_central_tau_after_a_stored_verdict():
         klingen_criterion(D4, 4)  # a reflection
 
 
+def test_klingen_refuses_an_irrational_value_at_tau():
+    # D4's degree-2 row with the value i at tau = a^2, stored as its table:
+    # Klingen's bound reads chi(tau) as an integer and refuses, on every call
+    from gkcert.characters import character_table
+    from gkcert.errors import InternalCheckError
+
+    G = group_from_table(dihedral_group(4).table)
+    rows = character_table(G)
+    i = next(k for k, ch in enumerate(rows) if ch.degree == 2)
+    values = tuple((0, 1) if k == G.class_of[2] else v for k, v in enumerate(rows[i].values))
+    G._verdicts[("table",)] = (*rows[:i], replace(rows[i], values=values), *rows[i + 1:])
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="irrational"):
+            klingen_criterion(G, 2)
+    assert list(G._verdicts) == [("table",)]
+
+
 def test_equal_groups_never_share_stored_verdicts(monkeypatch):
     import gkcert.rules as rules
 
