@@ -29,7 +29,7 @@ from .errors import (
     SchemaViolation,
     UnsafePrime,
 )
-from .certificates import CertificateStore, content_digest
+from .certificates import CertificateStore, canonical_json, content_digest
 from .extensions import (
     BUILTIN_PIECES,
     MAX_DISCRIMINANT,
@@ -397,22 +397,17 @@ def _parse_rows(document) -> list:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(key for row in rows for key in row))  # first-seen order
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(row.get(k, "")) for k in columns})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row.get(k, "")) for k in columns] for row in rows)
     return buf.getvalue()
 
 
 def _csv_cell(value):
     if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return canonical_json(value)
     return value
 
 

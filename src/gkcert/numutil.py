@@ -91,7 +91,9 @@ def split_primes_upto(bound: int, discs) -> list[int]:
     gives a row of min(|d|, bound + 1) bytes, 1 at the residues r with
     (d|r) = 1, computed by ``kronecker`` and never cached, so a large |d|
     costs no more than the bound.  The row is tiled to the prime sieve's
-    length and ANDed into it as one integer mask.
+    length and ANDed into it as one integer mask.  The survivors, a few
+    among the bound's integers, are read off the mask's bytes by
+    ``bytes.find``, which skips the zero bytes at C speed.
     """
     sieve = _prime_sieve(bound)
     n = len(sieve)
@@ -100,7 +102,12 @@ def split_primes_upto(bound: int, discs) -> list[int]:
         m = abs(_require_discriminant(d))
         row = bytes(kronecker(d, r) == 1 for r in range(min(m, n)))
         mask &= int.from_bytes((row * (n // m + 1))[:n], "little")
-    return list(compress(range(n), mask.to_bytes(n, "little")))
+    flags = mask.to_bytes(n, "little")
+    found, p = [], flags.find(1)
+    while p >= 0:
+        found.append(p)
+        p = flags.find(1, p + 1)
+    return found
 
 
 def factorint(n: int) -> dict[int, int]:

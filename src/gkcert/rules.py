@@ -481,8 +481,9 @@ def _rem_4_9_detail(ext: ExtensionDescriptor) -> str:
         n //= 2
         two_part *= 2
     notes = []
-    involutions = [g for g in range(G.order) if g != G.identity and G.op(g, g) == G.identity]
-    cyclic_two_sylow = len(involutions) == 1
+    # a 2-Sylow is cyclic exactly when some element's order is its order
+    # (one involution is not enough: Q8 x C_m has one and a Q8 2-Sylow)
+    cyclic_two_sylow = two_part in G._orders
     for rec in ext.primes:
         if ext.tau not in rec.decomposition:
             continue

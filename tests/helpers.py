@@ -2,11 +2,14 @@
 modular route, verified totally real base polynomials, the random descriptor
 generator used by the property suites, and the oracles that production code
 is checked against, from the closed-form tables of D_n and Q8 to Rabin's
-irreducibility test."""
+irreducibility test, and the certificate store's loader as it was before
+lines were checked on their own bytes."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -25,8 +28,10 @@ from gkcert import (
     from_vector,
     quaternion_group,
 )
+from gkcert.certificates import Certificate, Conclusion, Hypothesis, Status
 from gkcert.characters import Character
 from gkcert.cyclotomic import conjugate, from_exponents
+from gkcert.errors import SchemaViolation
 from gkcert.intpoly import count_real_roots, poly_discriminant
 from gkcert.modpoly import X_P, barrett_mu, deg, gcd_p, mul, pow_mod, sub
 from gkcert.numutil import factorint
@@ -377,3 +382,72 @@ def random_descriptor(rng, bound: int = 24):
         primes=primes,
         label=f"random-{G.spec[0]}-{G.order}",
     )
+
+
+def certificate_json(cert) -> dict:
+    """A certificate as the JSON object that docs/formats.md describes: every
+    field, each hypothesis without an empty ``detail``, ``conditional``, and
+    ``digest``.  Its canonical JSON is the certificate's store line, and the
+    digest hashes the canonical JSON of it less those last two."""
+    hypotheses = []
+    for h in cert.hypotheses:
+        hypotheses.append({"statement": h.statement, "status": h.status.value})
+        if h.detail:
+            hypotheses[-1]["detail"] = h.detail
+    return {
+        "conclusion": cert.conclusion.value,
+        "subject": cert.subject,
+        "rule": cert.rule,
+        "hypotheses": hypotheses,
+        "payload": dict(cert.payload),
+        "inputs_digest": cert.inputs_digest,
+        "conditional": cert.conditional,
+        "digest": cert.digest(),
+    }
+
+
+def reference_store_load(path) -> list:
+    """(digest, certificate) of each entry of the store at ``path``, as the
+    loader that recomputed digests took them: each line is parsed, rebuilt
+    into objects and encoded again with ``json.dumps``, so any JSON spelling
+    of a certificate's fields passes.  Raises SchemaViolation (path and line
+    first) where that loader did.  A torn final line ends the load; no file
+    is repaired."""
+    by_digest = {}
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                if line.endswith(b"\n"):
+                    raise SchemaViolation(f"{where}: not JSON: {exc}") from exc
+                break
+            try:
+                cert = Certificate(
+                    conclusion=Conclusion(obj["conclusion"]),
+                    subject=obj["subject"],
+                    rule=obj["rule"],
+                    hypotheses=tuple(
+                        Hypothesis(h["statement"], Status(h["status"]), h.get("detail", ""))
+                        for h in obj["hypotheses"]
+                    ),
+                    payload=tuple(sorted(obj["payload"].items())),
+                    inputs_digest=obj["inputs_digest"],
+                )
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise SchemaViolation(f"{where}: not a certificate: {exc!r}") from exc
+            content = {k: v for k, v in certificate_json(cert).items() if k not in ("conditional", "digest")}
+            blob = json.dumps(content, sort_keys=True, separators=(",", ":")).encode()
+            d, stored = hashlib.sha256(blob).hexdigest()[:16], obj.get("digest")
+            if stored != d:
+                raise SchemaViolation(f"{where}: stored digest {stored!r} is not {d}; edited entry")
+            flag = obj.get("conditional")
+            if flag is not cert.conditional:
+                raise SchemaViolation(
+                    f"{where}: stored conditional {flag!r} is not {cert.conditional}; edited entry"
+                )
+            by_digest[d] = cert
+    return list(by_digest.items())

@@ -251,6 +251,35 @@ def test_certify_undecomposed_subfield():
     assert any(h.status is Status.ASSERTED and "GKC-(k)" in h.statement for h in cert.hypotheses)
 
 
+def _remark_4_9_details(G, g_w):
+    """The hypothesis details that certify gives a descriptor over Q with
+    p = 5, the central involution of G as tau and one record with G_w."""
+    tau = next(g for g in range(G.order) if G.is_central_involution(g))
+    ext = ExtensionDescriptor(
+        base=make_field(IntPoly([0, 1])),
+        group=G,
+        tau=tau,
+        p=5,
+        primes=(PrimeRecord("v1", 1, 1, G.subgroup_generated_by([tau, *g_w])),),
+        label="remark-4.9",
+    )
+    out = certify(ext)
+    assert out.by_rule("undecomposed-subfield-reduction"), out.diagnostics
+    return [h.detail for c in out.certificates for h in c.hypotheses]
+
+
+def test_cyclic_two_sylow_note_is_true():
+    # Q8 x C3 has one involution, but its 2-Sylow is Q8: no note may call it
+    # cyclic; C12's 2-Sylow C4 is cyclic, and its note stays
+    q8_c3 = direct_product(quaternion_group(), abelian_group([3]))
+    details = _remark_4_9_details(q8_c3, [1])  # element 1 = (identity, generator of C3)
+    assert not any("2-Sylow cyclic" in d for d in details), details
+    details = _remark_4_9_details(abelian_group([12]), [4])  # G_w = <2> of order 6
+    assert any(
+        "(v1: prime count not divisible by 4, 2-Sylow cyclic)" in d for d in details
+    ), details
+
+
 def test_certify_with_tower():
     ext = build_compositum_over_Q([QuadraticComponent(-4)], 13)
     tower = TowerData(
