@@ -205,15 +205,14 @@ class CertificateStore:
         known: dict = {}  # hypotheses met so far, for _from_json
         with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
-                if line.strip():
-                    try:
-                        obj = json.loads(line)
-                    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                        if line.endswith(b"\n"):
-                            raise SchemaViolation(f"{self.path}:{lineno}: not JSON: {exc}") from exc
-                        torn = True  # the final line of a write cut short
-                        break
-                    self._load_entry(line, obj, known, f"{self.path}:{lineno}")
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                    if line.endswith(b"\n"):
+                        raise SchemaViolation(f"{self.path}:{lineno}: not JSON: {exc}") from exc
+                    torn = True  # the final line of a write cut short
+                    break
+                self._load_entry(line, obj, known, f"{self.path}:{lineno}")
                 kept += len(line)
         if torn:
             with open(self.path + ".torn", "ab") as fh:

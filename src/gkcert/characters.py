@@ -33,12 +33,10 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import itemgetter, mul
 
-from .cyclotomic import conjugate, from_exponents
-from .errors import InternalCheckError, NonIntegralDimension, ScaleExceeded
+from .cyclotomic import conjugate, cyclotomic_poly, from_exponents, power_height
+from .errors import InternalCheckError, NonIntegralDimension
 from .groups import FiniteGroup, subgroup_embedding
 from .numutil import is_prime, primitive_root
-
-SCALE_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -62,33 +60,26 @@ class Parity(enum.Enum):
 # -- the row check ------------------------------------------------------------
 
 
-def _digit_width(bound: int) -> int:
-    """Bits per packed digit for signed digits of absolute value <= bound."""
-    return bound.bit_length() + 1
-
-
 def _pack(coords, width: int) -> int:
     """Kronecker packing: the polynomial with coefficients ``coords`` at X = 2^width."""
     return sum(c << (width * k) for k, c in enumerate(coords))
 
 
-def _packed_dot(e: int, width: int, xs, ys) -> tuple[int, ...]:
-    """Power-basis coordinates of sum x * y over packed pairs (x, y) from
-    ``xs`` and ``ys``: one integer dot product, whose signed digits are the
-    coefficients of the summed products before reduction mod Phi_e.  Each
-    such coefficient must have absolute value below 2^(width - 1)."""
-    packed = sum(map(mul, xs, ys))
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    coeffs: dict[int, int] = {}
-    k = 0
-    while packed:
-        digit = packed & mask
-        if digit >= half:
-            digit -= 1 << width
-        coeffs[k] = digit
-        packed = (packed - digit) >> width
-        k += 1
-    return from_exponents(e, coeffs)
+def _evaluation(e: int, bound: int) -> tuple[int, int]:
+    """(width, N) with N = Phi_e(2^width), such that x -> _pack(x, width) mod N
+    is a ring map Z[zeta_e] -> Z/N under which no nonzero element whose
+    coordinates are at most ``bound`` in absolute value goes to 0.
+
+    Packing evaluates at X = 2^width, a root of Phi_e mod N, so the map is a
+    ring map.  Let h be the largest |coefficient| of Phi_e and take
+    bound + h < 2^width.  For x != 0 of degree k < phi(e), the top term
+    |x_k| 2^(width k) exceeds the rest, at most bound (2^(width k) - 1) /
+    (2^width - 1), so _pack(x) != 0; and |_pack(x)| <= bound (2^(width phi)
+    - 1) / (2^width - 1) is less than N >= 2^(width phi) - h (2^(width phi)
+    - 1) / (2^width - 1).  So N does not divide _pack(x)."""
+    poly = cyclotomic_poly(e).coeffs
+    width = (bound + max(map(abs, poly))).bit_length()
+    return width, _pack(poly, width)
 
 
 def verify_character_table(table: list[Character]) -> None:
@@ -130,20 +121,21 @@ def verify_character_table(table: list[Character]) -> None:
     conjugate_of = {v: conjugate(e, v) for v in {v for chi in table for v in chi.values}}
     distinct = conjugate_of.keys() | conjugate_of.values()
     sizes = [len(c) for c in G.classes]
-    # every coefficient of a product x * y has absolute value <= |x|_1 |y|_1,
-    # and a row sum weighs r such products by class sizes that add up to n
+    # every coordinate of a product x * y has absolute value at most
+    # power_height(e) |x|_1 |y|_1, a row sum weighs r such products by class
+    # sizes that add up to n, and the target n delta_ij adds n
     norm = max(sum(map(abs, x)) for x in distinct)
-    width = _digit_width(n * norm * norm)
+    width, modulus = _evaluation(e, n * norm * norm * power_height(e) + n)
     packed = {x: _pack(x, width) for x in distinct}
     values = [[packed[x] for x in chi.values] for chi in table]
     conjugates = [[packed[conjugate_of[x]] for x in chi.values] for chi in table]
-    # |G| <chi_i, chi_j> = sum_C |C| chi_i(C) conj(chi_j(C)) = |G| delta_ij
+    # |G| <chi_i, chi_j> = sum_C |C| chi_i(C) conj(chi_j(C)) = |G| delta_ij,
+    # each side mapped into Z/N by _evaluation's map, which is exact here
     for i in range(r):
         weighted = list(map(mul, sizes, values[i]))
         for j in range(i + 1):
-            total = _packed_dot(e, width, weighted, conjugates[j])
-            if total != ((n,) + zero[1:] if i == j else zero):
-                raise InternalCheckError(f"row orthogonality fails at ({i},{j}): {total!r}")
+            if (sum(map(mul, weighted, conjugates[j])) - (n if i == j else 0)) % modulus:
+                raise InternalCheckError(f"row orthogonality fails at ({i},{j})")
 
 
 # -- table construction -------------------------------------------------------
@@ -157,9 +149,6 @@ def character_table(G: FiniteGroup) -> list[Character]:
     object and every row's ``group`` is G.  Every table is checked by
     ``verify_character_table``; a build or check that raises stores nothing.
     """
-    if G.order > SCALE_BOUND:
-        raise ScaleExceeded(f"|G| = {G.order} exceeds the supported bound {SCALE_BOUND}")
-
     def build() -> tuple[Character, ...]:
         table = _raw_table(G)
         verify_character_table(table)

@@ -51,6 +51,12 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def power_height(m: int) -> int:
+    """The largest |coordinate| of a power of zeta_m, so each coordinate of
+    x * y is at most power_height(m) |x|_1 |y|_1 in absolute value."""
+    return max(abs(c) for row in _reduction_rows(m) for c in row)
+
+
 def from_exponents(m: int, coeffs: dict[int, int]) -> tuple[int, ...]:
     """The coordinates of sum c_k * zeta_m^k, for {k: c_k}; any integer k."""
     rows = _reduction_rows(m)

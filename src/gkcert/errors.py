@@ -52,10 +52,6 @@ class InvalidTable(GkcertError):
     pass
 
 
-class ScaleExceeded(GkcertError):
-    pass
-
-
 class TauNotCentralInvolution(GkcertError):
     pass
 

@@ -37,10 +37,11 @@ from .errors import (
 )
 from .schema import Node
 
-# Largest order of a group that ``build_group`` builds from a descriptor.  A
-# table's checks take |G|^2 steps per generator tried (up to |G|^3 for a table
-# that is no group), so the order is read from the spec and checked before
-# anything is built.
+# Largest order of a group that ``build_group`` builds from a descriptor, and
+# the one bound on group order: it guards the table's validation, the
+# character table and the subgroup lattice walk.  A table's checks take |G|^2
+# steps per generator tried (up to |G|^3 for a table that is no group), so the
+# order is read from the spec and checked before anything is built.
 MAX_INGESTED_ORDER = 128
 
 
@@ -169,8 +170,9 @@ class FiniteGroup:
         sorted elements); ``inside`` must be a subgroup (NotASubgroup).
 
         Each new subgroup is closed from the generator tuple of the subgroup
-        it grew from plus one element of ``inside``; intended for the small
-        (|G| <= 64) groups in scope."""
+        it grew from plus one element of ``inside``.  Groups are of order at
+        most MAX_INGESTED_ORDER; the lattice of (Z/2)^7, at that bound, has
+        about 29 000 subgroups and takes seconds to walk."""
         pool = range(self.order) if inside is None else sorted(self.require_subgroup(inside))
         trivial = frozenset([self.identity])
         gens = {trivial: ()}

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import SCALE_BOUND, character_table, odd_characters
+from .characters import character_table, odd_characters
 from .certificates import (
     Certificate,
     Conclusion,
@@ -134,7 +134,6 @@ class _Context:
     summary: PrimeSummary
     digest: str
     subject: str
-    tabulated: bool  # |G| within SCALE_BOUND; else no rule reads the table
     certificates: list[Certificate]
 
     def emitted(self, conclusion: Conclusion) -> list[Certificate]:
@@ -180,8 +179,6 @@ def _klingen(ctx: _Context):
         ]
         payload = {"group_order": ext.group.order, "cm_piece": con.label}
         failure = "the CM piece fails the character bound"
-    if not ctx.tabulated:
-        return f"{rule}: |G| exceeds the character-table bound"
     if not klingen_criterion(ext.group, ext.tau):
         return f"{rule}: {failure}"
     return [ctx.certificate(Conclusion.LEOPOLDT, rule, hyps, payload)]
@@ -356,7 +353,7 @@ def _dihedral_odd_character_counting(ctx: _Context):
     others_inert = all(
         ext.tau_in(rec) for rec in ext.primes if rec.label not in summary.split_qp_labels
     )
-    if not (split_ok and others_inert and ctx.tabulated):
+    if not (split_ok and others_inert):
         return "dihedral-odd-character-counting: hypotheses (a)/(b) not satisfied"
     degree_sum = sum(ch.degree for ch in odd_characters(character_table(G), ext.tau))
     if degree_sum != n // 2 + 1:
@@ -400,8 +397,6 @@ def _gkc_gvc_equivalence(ctx: _Context):
         return "gkc-gvc-equivalence: no GKC-(K) certificate to propagate"
     if disjoint_hyp is None:
         return "gkc-gvc-equivalence: tower disjointness neither guaranteed (p | |G|) nor asserted"
-    if not ctx.tabulated:
-        return "gkc-gvc-equivalence: |G| exceeds the character-table bound"
     if sources:
         # prefer an unconditional source, else the first emitted
         gkc_hyp = _cite("GKC-(K) holds", min(sources, key=lambda c: c.conditional))
@@ -456,9 +451,8 @@ def certify(
         raise PIsTwo("no certification at p = 2 (no main conjecture)")
     out = CertifyOutcome()
     digest = ext.digest()
-    tabulated = ext.group.order <= SCALE_BOUND
     ctx = _Context(ext, frozenset(assumptions), tower, classify_primes(ext), digest,
-                   ext.label or digest, tabulated, out.certificates)
+                   ext.label or digest, out.certificates)
     for rule in RULES:
         emitted = rule(ctx)
         if isinstance(emitted, str):

@@ -13,7 +13,7 @@ from gkcert import modpoly, numberfield
 from gkcert.characters import character_table, odd_characters, verify_character_table
 from gkcert.cli import main as cli_main
 from gkcert.errors import IrreducibilityUndecided, NonPPower, Reducible, UnsafePrime
-from gkcert.extensions import BUILTIN_PIECES, to_document
+from gkcert.extensions import BUILTIN_PIECES, ingest_extension, to_document
 from gkcert.groups import abelian_group, dihedral_group, group_from_table, quaternion_group
 from gkcert.harness import EXAMPLE_ROWS, check_example_table, scan_split_primes, search_theoremB
 from gkcert.intpoly import IntPoly, from_vector
@@ -74,6 +74,56 @@ def test_criterion_1b_raw_tables_by_structure():
     elapsed = time.monotonic() - started
     assert elapsed < 0.1, f"raw tables took {elapsed:.3f}s (budget 0.1s)"
     _report("1b", "five order-48/64 raw tables", started)
+
+
+def _order_128_descriptor(group, tau):
+    """Base Q, p = 3, one totally split prime."""
+    return {
+        "base_poly": [0],
+        "p": 3,
+        "group": group,
+        "tau": tau,
+        "primes": [{"e_base": 1, "f_base": 1, "decomposition_subgroup": [0]}],
+    }
+
+
+def test_criterion_1c_order_128_on_every_table_route():
+    # MAX_INGESTED_ORDER is the one bound on group order: an ingested group
+    # of order 128 (or 124) on each table route gets its character table,
+    # and with it the rules that read the table
+    D4 = dihedral_group(4)
+    raw = {
+        "e7": abelian_group([2] * 7),
+        "q8xe4": direct_product(quaternion_group(), abelian_group([2] * 4)),
+        "d4xd4xc2": direct_product(direct_product(D4, D4), abelian_group([2])),
+    }
+    docs = {
+        # the dual group
+        "c128": _order_128_descriptor({"kind": "abelian", "data": [128]}, 64),
+        "e7": _order_128_descriptor({"kind": "table", "data": raw["e7"].table}, 1),
+        # a tensor product with a central cyclic factor, down to Q8 or D31
+        "q8xe4": _order_128_descriptor({"kind": "table", "data": raw["q8xe4"].table}, 16),
+        "d62": _order_128_descriptor({"kind": "dihedral", "data": 62}, 31),
+        # Burnside-Dixon, on D64 and on D4 x D4 inside D4 x D4 x C2
+        "d64": _order_128_descriptor({"kind": "dihedral", "data": 64}, 32),
+        "d4xd4xc2": _order_128_descriptor({"kind": "table", "data": raw["d4xd4xc2"].table}, 32),
+    }
+    started = time.monotonic()
+    outcomes = {label: certify(ingest_extension(doc)) for label, doc in docs.items()}
+    elapsed = time.monotonic() - started
+    rules = {label: set(out.rules_cited()) for label, out in outcomes.items()}
+    for label in ("c128", "e7", "q8xe4"):
+        assert {"klingen-character-bound", "leopoldt-total-split", "gkc-gvc-equivalence"} <= rules[label]
+    assert "dihedral-odd-character-counting" in rules["d62"]
+    # Klingen's bound is decided from the table, never skipped for size
+    for label in ("d62", "d64", "d4xd4xc2"):
+        failed = "klingen-character-bound: some irreducible chi has chi(1)+chi(tau) > 2"
+        assert failed in outcomes[label].diagnostics
+    for out in outcomes.values():
+        assert not any("bound" in d.partition(": ")[2] for d in out.diagnostics), out.diagnostics
+    assert len(outcomes["c128"].by_rule("gkc-gvc-equivalence")) == 64
+    assert elapsed < 2.5, f"order-128 descriptors took {elapsed:.2f}s (budget 2.5s)"
+    _report("1c", "six descriptors of order 124/128, one or two per table route", started)
 
 
 def test_criterion_2_splitting_reciprocity_suite():

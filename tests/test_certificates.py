@@ -134,7 +134,12 @@ def _mutations(line):
     yield "reordered keys", json.dumps(dict(reversed(obj.items())), separators=(",", ":")), "\n"
     yield "added whitespace", json.dumps(obj, sort_keys=True), "\n"
     yield "CRLF line ending", line, "\r\n"
+    yield "blank line", "\n" + line, "\n"  # inserted before the line
+    yield "whitespace-only line", " \t\n" + line, "\n"
     yield "missing final newline", line, ""
+
+
+BLANK_EDITS = {"blank line", "whitespace-only line"}
 
 
 def _outcome(load, path):
@@ -145,9 +150,10 @@ def _outcome(load, path):
 
 
 def test_store_loader_refuses_every_line_the_reference_refuses(tmp_path):
-    # the reference recomputes each digest from the parsed fields; the store
-    # checks it on the line's bytes, so it also refuses the lines that are
-    # not the canonical JSON gkcert writes, and those alone
+    # the reference recomputes each digest from the parsed fields and skips
+    # blank lines; the store checks each digest on the line's bytes, so it
+    # also refuses the lines that are not the canonical JSON gkcert writes,
+    # and blank lines as not JSON, and those alone
     lines = _search_shaped_lines(tmp_path)
     path = tmp_path / "certificates.jsonl"
     only_new, kinds = set(), set()
@@ -165,14 +171,16 @@ def test_store_loader_refuses_every_line_the_reference_refuses(tmp_path):
                 assert new[0] == "refused", (name, i)
             if new[0] == "refused":
                 assert new[1].startswith(f"{path}:{i + 1}: "), (name, i, new[1])
-                # refused by the store alone exactly when not canonical
-                not_canonical = new[1].startswith(f"{path}:{i + 1}: {NOT_CANONICAL}")
-                assert (ref[0] == "accepted") == not_canonical, (name, i, new[1])
+                # refused by the store alone exactly when not canonical, or
+                # not JSON for a blank line
+                alone = "not JSON" if name in BLANK_EDITS else NOT_CANONICAL
+                refused_alone = new[1].startswith(f"{path}:{i + 1}: {alone}")
+                assert (ref[0] == "accepted") == refused_alone, (name, i, new[1])
                 if ref[0] == "accepted":
                     only_new.add(name)
             else:
                 assert new[1] == ref[1], (name, i)
-    assert only_new == {"extra key", "reordered keys", "added whitespace", "CRLF line ending"}
+    assert only_new == {"extra key", "reordered keys", "added whitespace", "CRLF line ending"} | BLANK_EDITS
     # every edit was tried, and the flag edits and edited content refused by both
     assert {name for name, ref, new in kinds if ref == new == "refused"} == {
         "payload digit", "status flip", "flag false", "flag null", "flag 1", "digest character",
@@ -225,23 +233,30 @@ def test_store_line_is_the_canonical_json_of_the_certificate(tmp_path):
 
 def store_rejections(directory):
     """(case, what the store said) for an edited entry, an edited flag, a
-    line not in canonical form and a torn final line, each in a new store;
-    the store's path reads <store>."""
-    edits = {
+    line not in canonical form, a blank line, a torn final line and a
+    whitespace-only final line with no newline, each in a new store; the
+    store's path reads <store>."""
+    line_edits = {
         "edited entry": lambda line: line.replace('"r_S":32', '"r_S":33'),
         "edited flag": lambda line: line.replace('"conditional":true', '"conditional":false'),
         "not canonical": lambda line: json.dumps(json.loads(line), sort_keys=True),
-        "torn line": None,
+        "blank line": lambda line: "\n" + line,
+    }
+    file_edits = {
+        "torn line": lambda whole: whole[:-40],
+        "whitespace-only final line": lambda whole: whole + b" \t",
     }
     out = []
-    for case, edit in edits.items():
+    for case in [*line_edits, *file_edits]:
         path = os.path.join(directory, case.replace(" ", "-") + ".jsonl")
         CertificateStore(path).add_all([_cert(0), _cert(1)])
         with open(path, "rb") as fh:
             whole = fh.read()
         first, second = whole.decode().splitlines()
+        if case in line_edits:
+            whole = f"{first}\n{line_edits[case](second)}\n".encode()
         with open(path, "wb") as fh:
-            fh.write(whole[:-40] if edit is None else f"{first}\n{edit(second)}\n".encode())
+            fh.write(file_edits[case](whole) if case in file_edits else whole)
         try:
             store = CertificateStore(path)
         except SchemaViolation as exc:
@@ -256,7 +271,9 @@ STORE_REJECTIONS = {
     "edited entry": "<store>:2: stored digest ",
     "edited flag": "<store>:2: stored conditional False is not True; edited entry",
     "not canonical": f"<store>:2: {NOT_CANONICAL}",
+    "blank line": "<store>:2: not JSON: ",
     "torn line": "1 kept; <store>: moved a torn final line",
+    "whitespace-only final line": "2 kept; <store>: moved a torn final line (2 bytes)",
 }
 
 

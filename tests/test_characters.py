@@ -4,17 +4,16 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from operator import is_
 
 import pytest
 
 import gkcert.characters as characters
 from gkcert.characters import (
-    SCALE_BOUND,
     Parity,
-    _digit_width,
+    _evaluation,
     _pack,
-    _packed_dot,
     character_table,
     fixed_dim,
     is_odd,
@@ -22,14 +21,19 @@ from gkcert.characters import (
     parity,
     verify_character_table,
 )
-from gkcert.cyclotomic import conjugate, cyclotomic_poly, from_exponents
+from gkcert.cyclotomic import conjugate, cyclotomic_poly, from_exponents, power_height
 from gkcert.errors import (
     InternalCheckError,
     NotASubgroup,
-    ScaleExceeded,
     TauNotCentralInvolution,
 )
-from gkcert.groups import abelian_group, dihedral_group, group_from_table, quaternion_group
+from gkcert.groups import (
+    MAX_INGESTED_ORDER,
+    abelian_group,
+    dihedral_group,
+    group_from_table,
+    quaternion_group,
+)
 from helpers import (
     closed_form_table,
     contragredient,
@@ -105,10 +109,10 @@ def sorted_rows(table):
 
 
 def test_dixon_matches_closed_forms():
-    # character_table builds every D_n up to the scale bound and Q8 by the
-    # general route (D_n with n = 2 (mod 4) as D_(n/2) x C_2, the rest by
-    # Dixon), and each table must match the textbook formulas
-    closed = [dihedral_group(n) for n in range(2, SCALE_BOUND // 2 + 1)] + [quaternion_group()]
+    # character_table builds every D_n of order <= 64 and Q8 by the general
+    # route (D_n with n = 2 (mod 4) as D_(n/2) x C_2, the rest by Dixon), and
+    # each table must match the textbook formulas
+    closed = [dihedral_group(n) for n in range(2, 33)] + [quaternion_group()]
     for G in closed:
         assert sorted_rows(character_table(G)) == sorted_rows(closed_form_table(G)), G.spec
     # so must Dixon on a raw copy of each of them and of every abelian group
@@ -202,9 +206,12 @@ def test_dixon_bigger_groups():
         verify_character_table(table)
 
 
-def test_scale_bound():
-    with pytest.raises(ScaleExceeded):
-        character_table(abelian_group([65]))
+def test_order_128_dihedral_tables_match_closed_forms():
+    # D62 by the tensor route (D31 x C2) and D64 by Dixon, at the ingestion bound
+    for n in (62, 64):
+        G = dihedral_group(n)
+        assert G.order == 2 * n <= MAX_INGESTED_ORDER
+        assert sorted_rows(character_table(G)) == sorted_rows(closed_form_table(G)), G.spec
 
 
 def test_fixed_dim_examples():
@@ -352,29 +359,62 @@ def sampled_pairs(r, rng, limit=40):
     return pairs if len(pairs) <= limit else rng.sample(pairs, limit)
 
 
-def packed_coordinates(coordinates, width):
-    return [[_pack(x, width) for x in row] for row in coordinates]
-
-
 def max_norm(coordinates):
     return max(sum(map(abs, x)) for row in coordinates for x in row)
 
 
+def packed_row_sum_is(e, sizes, xs, ys, target):
+    """Whether sum_C |C| x_C y_C is ``target`` in Z[zeta_e], by the packed
+    test of verify_character_table: the integer dot product of the packed
+    coordinates minus the packed target is divisible by N, at the width and
+    N that _evaluation gives for the bound the library uses."""
+    norm = max_norm([xs, ys])
+    bound = sum(sizes) * norm * norm * power_height(e) + max(map(abs, target))
+    width, modulus = _evaluation(e, bound)
+    dot = sum(s * _pack(x, width) * _pack(y, width) for s, x, y in zip(sizes, xs, ys))
+    return (dot - _pack(target, width)) % modulus == 0
+
+
+def nudged(rng, value):
+    """``value`` plus a random nonzero element with coordinates in {-1, 0, 1}."""
+    while True:
+        step = [rng.randint(-1, 1) for _ in value]
+        if any(step):
+            return tuple(map(sum, zip(value, step)))
+
+
+def test_evaluation_is_one_to_one_within_its_bound():
+    # every element with coordinates at most the bound, zero alone going to
+    # 0 mod N; the width is the least _evaluation's argument allows
+    for e, bound in ((1, 40), (2, 40), (3, 6), (4, 6), (5, 2), (7, 1), (8, 1), (12, 3), (15, 1)):
+        phi = cyclotomic_poly(e).degree
+        width, modulus = _evaluation(e, bound)
+        assert modulus == _pack(cyclotomic_poly(e).coeffs, width)
+        assert 2 ** (width - 1) <= bound + max(map(abs, cyclotomic_poly(e).coeffs)) < 2**width
+        for x in product(range(-bound, bound + 1), repeat=phi):
+            assert (_pack(x, width) % modulus == 0) == (not any(x)), (e, x)
+        # the map is a ring map: zeta^e = 1
+        zeta = _pack(from_exponents(e, {1: 1}), width)
+        assert (pow(zeta, e, modulus) - 1) % modulus == 0
+
+
 def test_packed_dot_matches_cycnumber_oracle():
-    # random signed coordinates, packed at the width their products need,
-    # against the sum of the products by convolution
+    # random signed coordinates: the sum of their products by convolution
+    # stays within the bound the library uses, and the packed test accepts
+    # it and refuses it nudged by a small nonzero element
     rng = random.Random(12)
-    for e in (1, 2, 3, 4, 5, 8, 12, 24):
+    for e in (1, 2, 3, 4, 5, 8, 12, 15, 24, 60, 105):
         phi = cyclotomic_poly(e).degree
         for _ in range(20):
             terms = rng.randint(1, 6)
             xs = [[rng.randint(-9, 9) for _ in range(phi)] for _ in range(terms)]
             ys = [[rng.randint(-9, 9) for _ in range(phi)] for _ in range(terms)]
-            bound = sum(sum(map(abs, x)) * sum(map(abs, y)) for x, y in zip(xs, ys))
-            width = _digit_width(bound)
-            packed_xs, packed_ys = ([_pack(v, width) for v in vs] for vs in (xs, ys))
-            got = _packed_dot(e, width, packed_xs, packed_ys)
-            assert got == coordinate_sum(cyclotomic_product(e, x, y) for x, y in zip(xs, ys))
+            exact = coordinate_sum(cyclotomic_product(e, x, y) for x, y in zip(xs, ys))
+            norms = sum(sum(map(abs, x)) * sum(map(abs, y)) for x, y in zip(xs, ys))
+            assert max(map(abs, exact)) <= norms * power_height(e)
+            sizes = [1] * terms
+            assert packed_row_sum_is(e, sizes, xs, ys, exact)
+            assert not packed_row_sum_is(e, sizes, xs, ys, nudged(rng, exact))
 
 
 def test_integer_orthogonality_sums_match_cycnumber_oracle():
@@ -386,16 +426,15 @@ def test_integer_orthogonality_sums_match_cycnumber_oracle():
         e, n, r = G.exponent(), G.order, len(G.classes)
         sizes = [len(c) for c in G.classes]
         values, conjugates = coordinates(table)
-        width = _digit_width(n * max_norm(values + conjugates) ** 2)
-        values, conjugates = (packed_coordinates(c, width) for c in (values, conjugates))
         for i, j in sampled_pairs(r, rng):
-            weighted = [s * x for s, x in zip(sizes, values[i])]
-            row_sum = _packed_dot(e, width, weighted, conjugates[j])
-            assert row_sum == from_exponents(e, {0: inner_product(table[i], table[j]) * n})
+            want = from_exponents(e, {0: int(inner_product(table[i], table[j]) * n)})
+            assert packed_row_sum_is(e, sizes, values[i], conjugates[j], want)
+            assert not packed_row_sum_is(e, sizes, values[i], conjugates[j], nudged(rng, want))
 
 
 def test_integer_row_sums_match_on_products_of_characters():
     # products of irreducibles have nontrivial multiplicities <chi psi, phi>
+    rng = random.Random(32)
     for G in (sl23_group(), dicyclic12_group()):
         table = character_table(G)
         e, n = G.exponent(), G.order
@@ -411,13 +450,11 @@ def test_integer_row_sums_match_on_products_of_characters():
         ]
         values, _ = coordinates(products)
         _, conjugates = coordinates(table)
-        width = _digit_width(n * max_norm(values) * max_norm(conjugates))
-        values, conjugates = (packed_coordinates(c, width) for c in (values, conjugates))
         for prod, vals in zip(products, values):
-            weighted = [s * x for s, x in zip(sizes, vals)]
             for chi, conj in zip(table, conjugates):
-                row_sum = _packed_dot(e, width, weighted, conj)
-                assert row_sum == from_exponents(e, {0: inner_product(prod, chi) * n})
+                want = from_exponents(e, {0: int(inner_product(prod, chi) * n)})
+                assert packed_row_sum_is(e, sizes, vals, conj, want)
+                assert not packed_row_sum_is(e, sizes, vals, conj, nudged(rng, want))
 
 
 def _plus(value, c):

@@ -624,9 +624,9 @@ def test_polynomial_db_loading(tmp_path):
     assert [row["prime"] for row in result.rows] == [29, 41]
 
 
-def test_run_certify_skips_klingen_above_scale_bound(tmp_path):
-    # |G| = 66 > 64: the rules that need a character table are skipped with a
-    # diagnostic, and the remaining rules still certify the descriptor
+def test_run_certify_tabulates_above_order_64(tmp_path):
+    # |G| = 66: every admitted group gets its character table, so the rules
+    # that read it apply, and none is skipped for the size of the group
     gaussian = os.path.join(os.path.dirname(__file__), "..", "src", "gkcert", "data",
                             "descriptors", "gaussian_p13.json")
     c66 = tmp_path / "c66.json"
@@ -649,12 +649,12 @@ def test_run_certify_skips_klingen_above_scale_bound(tmp_path):
     with open(tmp_path / "out" / "report.json") as fh:
         rows = json.load(fh)["rows"]
     assert [row["group_order"] for row in rows] == [2, 66]
-    assert {"split-rank-bound", "abelian-split-rank-zero"} <= set(rows[1]["rules"])
-    assert "klingen-character-bound" not in rows[1]["rules"]
-    assert any(
-        d.startswith(f"{c66}: klingen-character-bound:") and "bound" in d
-        for d in result.diagnostics
-    )
+    assert {
+        "split-rank-bound", "abelian-split-rank-zero", "klingen-character-bound", "gkc-gvc-equivalence",
+    } <= set(rows[1]["rules"])
+    prefix = f"{c66}: "
+    said = [d.removeprefix(prefix).partition(": ")[2] for d in result.diagnostics if d.startswith(prefix)]
+    assert said and not any("bound" in message for message in said), said
 
 
 def test_run_scan_unreadable_polynomial_db_is_a_violation(tmp_path):

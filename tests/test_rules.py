@@ -556,7 +556,10 @@ def _pinned_descriptors():
     tau = 6 (the dual group, whose odd rows take irrational values), the
     shipped D6 demo (D3 x C2, the tensor route), and D4 and SL(2, 3) as raw
     tables (Dixon).  In C12 and SL(2, 3) the G_w give odd rows of one degree
-    different r_S, so moving one past another changes the digests."""
+    different r_S, so moving one past another changes the digests.  Then
+    one raw table of order 128 per route: (Z/2)^7 (the dual group),
+    Q8 x (Z/2)^4 (tensor, down to Q8) and D4 x D4 x C2 (tensor, down to
+    Dixon on D4 x D4), each with a second G_w that leaves out tau."""
     with open(os.path.join(DESCRIPTOR_DIR, "d6_counting_demo.json")) as fh:
         d6 = json.load(fh)
 
@@ -575,11 +578,19 @@ def _pinned_descriptors():
     sl23 = sl23_group()
     tau = next(g for g in range(1, sl23.order) if sl23.is_central_involution(g))
     order3 = next(h for h in sl23.all_subgroups() if len(h) == 3)
+    e7 = abelian_group([2] * 7)
+    q8xe4 = direct_product(quaternion_group(), abelian_group([2] * 4))
+    d4xd4xc2 = direct_product(direct_product(dihedral_group(4), dihedral_group(4)), abelian_group([2]))
     return {
         "c12": doc("c12", {"kind": "abelian", "data": [12]}, 6, {0}, {0, 4, 8}),
         "d6": d6,
         "d4-table": doc("d4-table", {"kind": "table", "data": dihedral_group(4).table}, 2, {0}, {0, 4}),
         "sl23-table": doc("sl23-table", {"kind": "table", "data": sl23.table}, tau, {0}, order3),
+        "e7-table": doc("e7-table", {"kind": "table", "data": e7.table}, 1, {0}, {0, 2, 4, 6}),
+        "q8xe4-table": doc("q8xe4-table", {"kind": "table", "data": q8xe4.table}, 16, {0}, {0, 1}),
+        "d4xd4xc2-table": doc(
+            "d4xd4xc2-table", {"kind": "table", "data": d4xd4xc2.table}, 32, {0}, {0, 2, 4, 6}
+        ),
     }
 
 
@@ -606,5 +617,43 @@ def test_gvc_certificate_digests_pinned():
             (3, 3, "d284791d0d41990b"),
             (4, 3, "b9aff3416e398253"),
             (5, 2, "6d980e5b12279bbe"),
+        ],
+        "e7-table": [
+            (0, 1, "90cc1add7e7ebaf1"), (1, 1, "e9592f2e24d4309f"), (2, 1, "a578673cd0b46fca"),
+            (3, 1, "fdfd6b608c254d36"), (4, 1, "dfec2816a0df12c2"), (5, 1, "9c1d54fecee51461"),
+            (6, 1, "247b5ab6b2d20810"), (7, 1, "51a131c7fd95d202"), (8, 1, "a7f4cd76fafa80d4"),
+            (9, 1, "2a9cd98828ce493f"), (10, 1, "5ed914deeda38105"), (11, 1, "0903cadaa05c2653"),
+            (12, 1, "cf7affe399e2c947"), (13, 1, "7401608f83dec08f"), (14, 1, "0417544ae5ed31de"),
+            (15, 1, "8fc638e84b8e4fe8"), (16, 1, "7a3e32608b48bda2"), (17, 1, "cd6e656d584bd5a8"),
+            (18, 1, "57ddee0636d027a8"), (19, 1, "2160327ad9bf955b"), (20, 1, "7b0621cba0f37fed"),
+            (21, 1, "b637623f31a0055c"), (22, 1, "e6e88cea0e6ee24e"), (23, 1, "215e49c7a5a19e77"),
+            (24, 1, "b2bffb32260d2e4a"), (25, 1, "90fe06b5f3ad6daf"), (26, 1, "3cbe68ae292c820c"),
+            (27, 1, "56482804c1278ebb"), (28, 1, "cdd284637add36c0"), (29, 1, "23d06ac17d3ba04b"),
+            (30, 1, "a6d488edf79edb38"), (31, 1, "5498413a9e5dc4ea"), (32, 1, "76756717e38af921"),
+            (33, 1, "96a44a9ee356c20a"), (34, 1, "edefefbe3005068e"), (35, 1, "04e3595450d53821"),
+            (36, 1, "54850288161045cb"), (37, 1, "d366f0a52f23568a"), (38, 1, "49fba2e035d577aa"),
+            (39, 1, "5c81d3bf79e76bb9"), (40, 1, "f0a2ea9001ee64b6"), (41, 1, "c338757bab387d31"),
+            (42, 1, "72e6f5d66ba76582"), (43, 1, "0f11469dfd6d237e"), (44, 1, "709b82538a8b8d87"),
+            (45, 1, "51c888778a18e2b2"), (46, 1, "2040f394deee2af3"), (47, 1, "cf9cff1a89bce912"),
+            (48, 2, "1f55e27651567fe0"), (49, 2, "3cde37b73bb9404a"), (50, 2, "3b7652c49d93d713"),
+            (51, 2, "6c5a5bb88d6dd32f"), (52, 2, "bc295824ba21b38a"), (53, 2, "10b457a23e40b18b"),
+            (54, 2, "67bb612aa2c13291"), (55, 2, "0f443bf47266d32c"), (56, 2, "83c8f309acccf7b1"),
+            (57, 2, "0273856beb93728f"), (58, 2, "67dd43da89c209cb"), (59, 2, "bdc4292c079c9aad"),
+            (60, 2, "565a51e096538c36"), (61, 2, "718b18fd49d1ef24"), (62, 2, "8fb561effd70244c"),
+            (63, 2, "ffd21d8b32724b2e"),
+        ],
+        "q8xe4-table": [
+            (64, 2, "bc51b5099b066aaf"), (65, 2, "eb3c799aa32d3113"), (66, 2, "8a7063b97674fadf"),
+            (67, 2, "b703af5bc8728b6e"), (68, 2, "e95c83237f185138"), (69, 2, "92cfadab8391c3f6"),
+            (70, 2, "906c32b187be42c3"), (71, 2, "b3dd6a4aae6439bf"), (72, 4, "a37fc84924d381e3"),
+            (73, 4, "d2b2669b588eac9b"), (74, 4, "e936a4e1e2df0f39"), (75, 4, "8eb12556d6d556ef"),
+            (76, 4, "8fbb37541503f8bf"), (77, 4, "98da95a8b2ada23c"), (78, 4, "4a9f395d5248bc13"),
+            (79, 4, "d6adc147361c5a41"),
+        ],
+        "d4xd4xc2-table": [
+            (32, 2, "33d5b1c4981736ed"), (33, 2, "e289eff0477951dd"), (38, 4, "a5d305e96bb0228d"),
+            (39, 4, "f777e942c4cf1556"), (40, 2, "35ff8d405b367029"), (41, 2, "524720c140964cf6"),
+            (46, 4, "694be7222fdc331b"), (47, 4, "f77e3b227cc47d43"), (48, 4, "65bf4956ed9697a5"),
+            (49, 4, "c9b33480d5261ae9"),
         ],
     }
