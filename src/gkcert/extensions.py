@@ -137,8 +137,8 @@ class PrimeSummary:
     t: int  # primes of R above p
     s: int  # |G|/2
     r: int  # primes of K+ above p that split in K
-    split_qp_labels: tuple[str, ...]  # totally split records with R_v = Q_p
-    tau_inert_labels: tuple[str, ...]  # records with tau in G_w
+    split_qp: tuple[PrimeRecord, ...]  # totally split records with R_v = Q_p
+    tau_inert: tuple[PrimeRecord, ...]  # records with tau in G_w
 
 
 def classify_primes(ext: ExtensionDescriptor) -> PrimeSummary:
@@ -148,18 +148,18 @@ def classify_primes(ext: ExtensionDescriptor) -> PrimeSummary:
     tau_inert = []
     for rec in ext.primes:
         if ext.tau_in(rec):
-            tau_inert.append(rec.label)
+            tau_inert.append(rec)
         else:
             # each of the [G:G_w]/2 primes of K+ below a split pair splits in K
             r += rec.count * (n // len(rec.decomposition) // 2)
         if ext.totally_split(rec) and rec.base_is_qp:
-            split_qp.append(rec.label)
+            split_qp.append(rec)
     return PrimeSummary(
         t=sum(rec.count for rec in ext.primes),
         s=n // 2,
         r=r,
-        split_qp_labels=tuple(split_qp),
-        tau_inert_labels=tuple(tau_inert),
+        split_qp=tuple(split_qp),
+        tau_inert=tuple(tau_inert),
     )
 
 
@@ -399,48 +399,35 @@ class Compositum:
     CM piece, checks their pairwise linear disjointness and builds R, G and
     tau, once; ``at(p)`` then gives the descriptor of K/R at each prime p.
 
-    Raises NotLinearlyDisjoint on overlapping discriminant support not
-    covered by a caller assertion ("disjoint:<label-a>:<label-b>"), and
-    Reducible when the real discriminants do not give [R:Q] = 2^k, which
-    no assertion covers.
+    Raises NotLinearlyDisjoint when two components share discriminant
+    support, as a component listed twice does, and Reducible when the real
+    discriminants do not give [R:Q] = 2^k.  No caller can vouch for
+    disjointness instead.
     """
 
-    def __init__(self, components, assertions=()):
-        assertions = tuple(assertions)
+    def __init__(self, components):
         real_quads = [comp for comp in components if comp.is_real]
         cm_pieces = [comp for comp in components if not comp.is_real]
         if len(cm_pieces) != 1:
             raise SchemaViolation(f"exactly one CM piece required, got {len(cm_pieces)}")
         cm = cm_pieces[0]
 
-        # pairwise linear disjointness via coprime discriminant support
-        labelled = [(q.label, q.support) for q in real_quads]
-        labelled.append((cm.label, cm.support))
-        notes = []
-        for i in range(len(labelled)):
-            for j in range(i):
-                la, sa = labelled[i]
-                lb, sb = labelled[j]
-                if la == lb:
-                    raise NotLinearlyDisjoint(f"duplicate component {la}")
+        # pairwise linear disjointness via coprime discriminant support; equal
+        # labels mean equal, non-empty supports, so this refuses duplicates too
+        labelled = [(q.label, q.support) for q in real_quads] + [(cm.label, cm.support)]
+        for i, (la, sa) in enumerate(labelled):
+            for lb, sb in labelled[:i]:
                 if sa & sb:
-                    key1 = f"disjoint:{la}:{lb}"
-                    key2 = f"disjoint:{lb}:{la}"
-                    if key1 in assertions or key2 in assertions:
-                        notes.append(key1)
-                    else:
-                        raise NotLinearlyDisjoint(
-                            f"{la} and {lb} share discriminant support {sorted(sa & sb)}"
-                        )
+                    raise NotLinearlyDisjoint(
+                        f"{la} and {lb} share discriminant support {sorted(sa & sb)}"
+                    )
 
         self.base = multiquadratic_field(sorted(real_quads, key=lambda q: q.disc))
 
         self.group, self.tau = cm.group(), cm.tau()
-        if cm.assertion:
-            notes.append(f"asserted:{cm.assertion}")
         self.cm = cm
         self.real_quads = tuple(real_quads)
-        self.notes = tuple(notes)
+        self.notes = (f"asserted:{cm.assertion}",) if cm.assertion else ()
         self.label = "K=" + "*".join([cm.label] + [q.label for q in real_quads])
 
     def at(self, p: int, frob: int | None = None) -> ExtensionDescriptor:
@@ -480,17 +467,16 @@ class Compositum:
         )
 
 
-def build_compositum_over_Q(components, p: int, assertions=()) -> ExtensionDescriptor:
+def build_compositum_over_Q(components, p: int) -> ExtensionDescriptor:
     """Descriptor for K/R with K the compositum of the components, R the
     compositum of the totally real ones, and exactly one CM piece among the
-    components supplying tau: ``Compositum(components, assertions).at(p)``.
+    components supplying tau: ``Compositum(components).at(p)``.
 
-    Raises NotLinearlyDisjoint on overlapping discriminant support not
-    covered by a caller assertion ("disjoint:<label-a>:<label-b>"),
-    Reducible when the real discriminants do not give [R:Q] = 2^k, and
-    RamifiedPrime if p ramifies in any component.
+    Raises NotLinearlyDisjoint when two components share discriminant
+    support, Reducible when the real discriminants do not give
+    [R:Q] = 2^k, and RamifiedPrime if p ramifies in any component.
     """
-    return Compositum(components, assertions).at(p)
+    return Compositum(components).at(p)
 
 
 # -- ingestion ---------------------------------------------------------------------

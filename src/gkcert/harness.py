@@ -22,7 +22,6 @@ from .errors import (
     InvariantViolation,
     IrreducibilityUndecided,
     MalformedRow,
-    NotLinearlyDisjoint,
     PoolExhausted,
     RamifiedPrime,
     Reducible,
@@ -117,7 +116,6 @@ def search_theoremB(
     prime_bound: int,
     cm_piece="q8",
     max_hits: int | None = None,
-    assumptions=(),
     skipped: list | None = None,
 ) -> list[SearchHit]:
     """Search for certified examples with r_{S,chi} = 2|S_p(R)| >= 2*target_r.
@@ -125,18 +123,23 @@ def search_theoremB(
     Builds R as a compositum of pool discriminants with [R:Q] >= target_r,
     scans odd primes totally split in the full compositum, and certifies each
     hit (Klingen bound -> compositum Leopoldt -> totally-split rule ->
-    equivalence).  Hits come back in ascending prime order.
+    equivalence).  Hits come back in ascending prime order.  A hit is
+    certified with no caller assumption: it has its Klingen certificate, p
+    is totally split in K/Q and p does not divide |G| = 8, so no assumption
+    key could change its certificates.
 
-    The ``Compositum`` is built once per search, before the prime loop; each
-    prime adds only its Frobenius and one prime record.  The candidates come
-    from one residue sieve (``split_primes_upto``) over the pool
-    discriminants and the discriminants of the CM piece's real biquadratic
-    base L, so only primes split in R and L reach the CM Frobenius, which
-    still checks them; the filter hands that Frobenius to ``Compositum.at``,
-    so a hit computes it once.  R is described by its discriminants, with
-    no polynomial: ``multiquadratic_field`` checks [R:Q] = 2^k by Kummer
-    theory, and its signature (2^k, 0) needs no computation.  The pool
-    entries and hits passed over are noted in ``skipped`` when it is given.
+    The pool subset is chosen pairwise disjoint and disjoint from the CM
+    piece, so ``Compositum`` accepts it.  It is built once per search,
+    before the prime loop; each prime adds only its Frobenius and one prime
+    record.  The candidates come from one residue sieve
+    (``split_primes_upto``) over the pool discriminants and the
+    discriminants of the CM piece's real biquadratic base L, so only primes
+    split in R and L reach the CM Frobenius, which still checks them; the
+    filter hands that Frobenius to ``Compositum.at``, so a hit computes it
+    once.  R is described by its discriminants, with no polynomial:
+    ``multiquadratic_field`` checks [R:Q] = 2^k by Kummer theory, and its
+    signature (2^k, 0) needs no computation.  The pool entries and hits
+    passed over are noted in ``skipped`` when it is given.
     A ``target_r`` or ``max_hits`` below 1 raises ValueError.
     """
     if target_r < 1:
@@ -147,10 +150,7 @@ def search_theoremB(
     piece = BUILTIN_PIECES[cm_piece] if isinstance(cm_piece, str) else cm_piece
     chosen = _choose_pool_subset(pool, piece, target_r, skipped)
     discs = tuple(c.disc for c in chosen)
-    try:
-        compositum = Compositum([piece, *chosen], assumptions)
-    except NotLinearlyDisjoint as exc:
-        raise PoolExhausted(f"chosen pool subset is not usable: {exc}") from exc
+    compositum = Compositum([piece, *chosen])
     hits: list[SearchHit] = []
     for p in split_primes_upto(prime_bound, discs + piece.base_discriminants):
         try:  # frobenius refuses p = 2 and the primes ramified in the piece
@@ -160,7 +160,7 @@ def search_theoremB(
         if frob != piece.group().identity:
             continue
         ext = compositum.at(p, frob)
-        outcome = certify(ext, assumptions=assumptions)
+        outcome = certify(ext)
         hit = SearchHit(p=p, discs=discs, descriptor=ext, outcome=outcome)
         if hit.achieved_r < 2 * target_r:
             skipped.append(f"p = {p} certified only r_S = {hit.achieved_r}; skipped")
@@ -337,13 +337,9 @@ class RunConfig:
                     f"search_b.pool[{i}]: {d} exceeds the discriminant bound {MAX_DISCRIMINANT}"
                 )
         for i, key in enumerate(self.assumptions):
-            parts = key.split(":")
-            if key not in ASSUMPTION_KEYS and not (
-                len(parts) == 3 and parts[0] == "disjoint" and all(parts[1:])
-            ):
+            if key not in ASSUMPTION_KEYS:
                 raise SchemaViolation(
-                    f"certify.assumptions[{i}]: expected one of {list(ASSUMPTION_KEYS)} "
-                    f"or 'disjoint:<label-a>:<label-b>', got {key!r}"
+                    f"certify.assumptions[{i}]: expected one of {list(ASSUMPTION_KEYS)}, got {key!r}"
                 )
 
     def digest(self) -> str:
@@ -450,6 +446,9 @@ def _scan(config: RunConfig, store: CertificateStore, result: RunResult) -> None
             made.append(make_field(f))
         except GkcertError as exc:
             result.diagnostics.append(f"scan: skipping {f}: {exc}")
+    if not made:
+        result.diagnostics.append("scan: no usable field; no primes reported")
+        return
     skipped: list[str] = []
     primes = scan_split_primes(made, config.prime_bound, skipped)
     result.diagnostics.extend(f"scan: {note}" for note in skipped)
@@ -475,7 +474,6 @@ def _search_b(config: RunConfig, store: CertificateStore, result: RunResult) -> 
             prime_bound=bound,
             cm_piece=config.cm_piece,
             max_hits=config.max_hits,
-            assumptions=config.assumptions,
             skipped=skipped,
         )
     except PoolExhausted as exc:

@@ -221,9 +221,13 @@ def scan_split_primes(fields, bound: int, skipped: list | None = None) -> list[i
     """Ascending odd primes p <= bound, unramified and totally split in every
     listed field.  A prime at which any field is Dedekind-unsafe is skipped,
     never treated as split, and noted in ``skipped`` when it is given.  The
-    primes come from a sieve, so none is tested for primality again."""
+    primes come from a sieve, so none is tested for primality again.  An
+    empty field list raises ValueError, as a bound below 3 does, since every
+    odd prime would pass it vacuously."""
     if bound < 3:
         raise ValueError("prime bound must be >= 3")
+    if not fields:
+        raise ValueError("no field to scan")
     out = []
     for p in primes_upto(bound)[1:]:
         for F in fields:

@@ -47,7 +47,6 @@ from .errors import (
     EvenCharacter,
     InternalCheckError,
     PIsTwo,
-    TauNotCentralInvolution,
 )
 from .extensions import (
     ExtensionDescriptor,
@@ -59,11 +58,11 @@ from .groups import FiniteGroup
 from .towers import Stability, TowerData, gkc_minus_stabilization
 from .vanishing import tate_order
 
-# caller-suppliable assumption keys
+# caller-suppliable assumption keys: the keys a config may list, each read by
+# a rule that records it as an asserted "caller assumption" hypothesis
 ASSUME_LEOPOLDT = "leopoldt"
 ASSUME_TOWER_DISJOINT = "tower-disjoint"
 ASSUME_GKC_MINUS = "gkc-minus"
-# with "disjoint:<label-a>:<label-b>", the keys a config may list
 ASSUMPTION_KEYS = (ASSUME_LEOPOLDT, ASSUME_TOWER_DISJOINT, ASSUME_GKC_MINUS)
 
 
@@ -76,8 +75,7 @@ def klingen_criterion(G: FiniteGroup, tau: int) -> bool:
     included, is computed on the first call for each group object and tau
     and then kept on G under the key ("klingen", tau).
     """
-    if not G.is_central_involution(tau):
-        raise TauNotCentralInvolution(f"element {tau} is not a central involution")
+    G.require_central_involution(tau)
     return G.verdict(("klingen", tau), lambda: _klingen_verdict(G, tau))
 
 
@@ -93,6 +91,10 @@ def _klingen_verdict(G: FiniteGroup, tau: int) -> bool:
             "character-sum criterion disagrees with abelianness of G/<tau>"
         )
     return result
+
+
+def _labels(records) -> str:
+    return ", ".join(rec.label for rec in records)
 
 
 def _cite(statement: str, cert: Certificate) -> Hypothesis:
@@ -189,7 +191,7 @@ def _split_rank_bound(ctx: _Context):
     totally split prime v with R_v = Q_p.  The r = s case is flagged in the
     payload (GKC- upgrade)."""
     summary = ctx.summary
-    if not summary.split_qp_labels:
+    if not summary.split_qp:
         return "split-rank-bound: hypothesis (a) failed: no totally split prime with R_v = Q_p"
     if not ctx.ext.group.is_abelian:
         return "split-rank-bound: hypothesis (b) failed: Gal(K/R) is not abelian"
@@ -201,7 +203,7 @@ def _split_rank_bound(ctx: _Context):
             [
                 verified(
                     "some prime of R above p is totally split in K with R_v = Q_p",
-                    f"records {', '.join(summary.split_qp_labels)}",
+                    f"records {_labels(summary.split_qp)}",
                 ),
                 verified("Gal(K/R) is abelian"),
             ],
@@ -226,7 +228,7 @@ def _no_split_primes(ctx: _Context):
             [
                 verified(
                     "no prime of K+ above p splits in K",
-                    f"tau lies in every decomposition group ({', '.join(summary.tau_inert_labels)})",
+                    f"tau lies in every decomposition group ({_labels(summary.tau_inert)})",
                 )
             ],
             {"r": 0, "s": summary.s},
@@ -349,10 +351,8 @@ def _dihedral_odd_character_counting(ctx: _Context):
         return "dihedral-odd-character-counting: G is not dihedral of order 2n with n = 2 (mod 4)"
     # the count r = n needs exactly one totally split prime of R: with t
     # of them r = t * n, and "every other prime" would be vacuous at t > 1
-    split_ok = sum(rec.count for rec in ext.primes if rec.label in summary.split_qp_labels) == 1
-    others_inert = all(
-        ext.tau_in(rec) for rec in ext.primes if rec.label not in summary.split_qp_labels
-    )
+    split_ok = sum(rec.count for rec in summary.split_qp) == 1
+    others_inert = all(ext.tau_in(rec) for rec in ext.primes if rec not in summary.split_qp)
     if not (split_ok and others_inert):
         return "dihedral-odd-character-counting: hypotheses (a)/(b) not satisfied"
     degree_sum = sum(ch.degree for ch in odd_characters(character_table(G), ext.tau))
@@ -366,7 +366,7 @@ def _dihedral_odd_character_counting(ctx: _Context):
                 verified("Gal(K/R) is dihedral of order 2n with n = 2 mod 4", f"n = {n}"),
                 verified(
                     "some prime of R above p is totally split in K with R_v = Q_p",
-                    f"records {', '.join(summary.split_qp_labels)}",
+                    f"records {_labels(summary.split_qp)}",
                 ),
                 verified("primes of K+ above the other primes of R are unsplit in K"),
             ],

@@ -53,6 +53,34 @@ def test_certify_subcommand(tmp_path):
     assert (tmp_path / "out" / "certificates.jsonl").exists()
 
 
+@pytest.mark.parametrize("piece", ["q8", "d4"])
+def test_search_b_reads_no_assumption(tmp_path, piece):
+    """Each search-b hit has its Klingen certificate, p totally split and
+    p coprime to |G| = 8, so no caller assumption could change a
+    certificate: listing all three keys changes no report byte but the
+    config digest, and no stored certificate."""
+    outputs, digests = [], []
+    for assumptions in ([], ["leopoldt", "tower-disjoint", "gkc-minus"]):
+        out = tmp_path / f"out{len(assumptions)}"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "certify": {"assumptions": assumptions},
+            "search_b": {"pool": [5, 13], "target_r": 4, "cm_piece": piece,
+                         "prime_bound": 6000, "max_hits": None},
+        }))
+        assert run_cli(["search-b", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = json.loads((out / "report.json").read_text())["config_digest"]
+        digests.append(digest)
+        outputs.append([
+            (out / "report.json").read_bytes().replace(digest.encode(), b""),
+            (out / "report.csv").read_bytes(),
+            (out / "certificates.jsonl").read_bytes(),
+        ])
+    assert outputs[0] == outputs[1]
+    assert digests[0] != digests[1]
+    assert len(json.loads(outputs[0][0])["rows"]) > 1
+
+
 def test_bad_descriptor_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -77,7 +77,7 @@ def test_builder_inert_prime():
     ext = build_compositum_over_Q([QuadraticComponent(-4)], 7)
     assert ext.primes[0].decomposition == frozenset({0, 1})
     summary = classify_primes(ext)
-    assert summary.r == 0 and summary.tau_inert_labels == ("v1",)
+    assert summary.r == 0 and summary.tau_inert == ext.primes
 
 
 def test_radical_pieces():
@@ -105,25 +105,23 @@ def test_theorem_b_shape():
     assert ext.group.spec == ("quaternion8",) and ext.tau == 1
     summary = classify_primes(ext)
     assert summary.t == 2 and summary.s == 4 and summary.r == 8
-    assert summary.split_qp_labels == ("v1-v2",)
+    assert summary.split_qp == ext.primes and ext.primes[0].label == "v1-v2"
     assert check_tower_disjointness(ext)
 
 
 def test_disjointness_checks():
     p0 = next(p for p in q8_split_primes(600) if kronecker(21, p) == 1)
-    with pytest.raises(NotLinearlyDisjoint):
+    with pytest.raises(NotLinearlyDisjoint, match=r"q8-witt-cm and quadratic\(21\) share discriminant support \[3\]"):
         build_compositum_over_Q([Q8_PIECE, QuadraticComponent(21)], p0)
-    ext = build_compositum_over_Q(
-        [Q8_PIECE, QuadraticComponent(21)],
-        p0,
-        assertions=("disjoint:quadratic(21):q8-witt-cm",),
-    )
-    assert any(a.startswith("disjoint:") for a in ext.assertions)
-    with pytest.raises(NotLinearlyDisjoint):
+    with pytest.raises(NotLinearlyDisjoint, match=r"quadratic\(5\) and quadratic\(5\)"):
         # duplicate real component
         build_compositum_over_Q(
             [QuadraticComponent(-4), QuadraticComponent(5), QuadraticComponent(5)], 29
         )
+    # a disjoint set carries only the CM piece's assertion
+    ext = build_compositum_over_Q([Q8_PIECE, QuadraticComponent(5)], p0)
+    assert ext.assertions == (f"asserted:{Q8_PIECE.assertion}",)
+    assert build_compositum_over_Q([QuadraticComponent(-4), QuadraticComponent(5)], 29).assertions == ()
 
 
 def test_classify_primes_tau_invariance():
@@ -158,7 +156,7 @@ def test_split_implies_r_at_least_s():
     for _ in range(300):
         ext = random_descriptor(rng)
         summary = classify_primes(ext)
-        if summary.split_qp_labels:
+        if summary.split_qp:
             assert summary.r >= summary.s
             seen += 1
     assert seen > 10
@@ -236,7 +234,7 @@ def test_ingested_d4_descriptor():
     }
     ext = ingest_extension(doc)
     assert ext.group.order == 8
-    assert classify_primes(ext).split_qp_labels == ("v1",)
+    assert classify_primes(ext).split_qp == ext.primes[:1]
 
 
 def _quadratics(discs):
@@ -319,17 +317,23 @@ def test_multiquadratic_closed_form_matches_make_field(pool):
             assert F.degree == f.degree == 2**k and F.is_totally_real and f.is_totally_real, discs
 
 
-def test_dependent_real_discriminants_are_refused_under_disjointness_assertions():
-    # 65 = 5 * 13 shares support with 5 and with 13; the caller asserts both
-    # pairs disjoint, but sqrt 65 lies in Q(sqrt 5, sqrt 13), so [R:Q] = 4, not 8
-    components = [Q8_PIECE] + [QuadraticComponent(d) for d in (5, 13, 65)]
-    assertions = ["disjoint:quadratic(65):quadratic(5)", "disjoint:quadratic(65):quadratic(13)"]
+def test_dependent_real_discriminants_are_refused():
+    # 65 = 5 * 13 shares support with 5 and with 13, and sqrt 65 lies in
+    # Q(sqrt 5, sqrt 13), so [R:Q] = 4, not 8: a compositum refuses the set
+    # as not disjoint, and the Kummer check, which a document's
+    # base.multiquadratic list reaches, as reducible
+    quads = [QuadraticComponent(d) for d in (5, 13, 65)]
+    with pytest.raises(NotLinearlyDisjoint, match="share discriminant support"):
+        Compositum([Q8_PIECE] + quads)
     with pytest.raises(NotLinearlyDisjoint):
-        Compositum(components)
+        build_compositum_over_Q([Q8_PIECE] + quads, 311)
     with pytest.raises(Reducible):
-        Compositum(components, assertions)
-    with pytest.raises(Reducible):
-        build_compositum_over_Q(components, 311, assertions)
+        multiquadratic_field(quads)
+    doc = to_document(build_compositum_over_Q([Q8_PIECE] + quads[:2], 311))
+    doc["base"]["multiquadratic"] = [5, 13, 65]
+    with pytest.raises(InvariantViolation) as err:
+        ingest_extension(doc)
+    assert err.value.invariant == "base field"
 
 
 def test_ingest_multiquadratic_base():

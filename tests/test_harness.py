@@ -70,6 +70,27 @@ def test_scan_skips_unsafe_primes(tmp_path):
     assert [d for d in result.diagnostics if "Dedekind-unsafe" in d] == [f"scan: {skipped[0]}"]
 
 
+@pytest.mark.parametrize("vectors", [[[-4, 0]], []], ids=["refused-field", "no-field"])
+def test_scan_reports_no_prime_without_a_usable_field(tmp_path, vectors):
+    # X^2 - 4 is reducible, so no field is left; every prime would pass an
+    # empty field list vacuously, so none is reported
+    with pytest.raises(ValueError, match="no field to scan"):
+        scan_split_primes([], 20)
+    cfg = config_from_dict(
+        {
+            "pipelines": ["scan"],
+            "prime_bound": 20,
+            "out_dir": str(tmp_path),
+            "scan": {"field_vectors": vectors},
+        }
+    )
+    result = run(cfg)
+    assert result.rows == [] and result.ok
+    assert result.diagnostics[-1] == "scan: no usable field; no primes reported"
+    assert len(result.diagnostics) == 1 + len(vectors)
+    assert json.loads((tmp_path / "report.json").read_text())["rows"] == []
+
+
 def test_search_theorem_b_minimal():
     hits = search_theoremB(pool=[5], target_r=1, prime_bound=600, cm_piece="q8", max_hits=1)
     assert hits and hits[0].achieved_r >= 2
@@ -254,7 +275,7 @@ def test_search_hits_with_too_small_r_reach_diagnostics(tmp_path, monkeypatch):
     from gkcert import harness
     from gkcert.rules import CertifyOutcome
 
-    monkeypatch.setattr(harness, "certify", lambda ext, assumptions=(): CertifyOutcome())
+    monkeypatch.setattr(harness, "certify", lambda ext: CertifyOutcome())
     result = run(_search_config(tmp_path, [5, 13, 17, 29]))
     assert result.violations == ["search-b: no prime <= 2100 qualifies"]
     assert result.diagnostics == ["search-b: p = 2089 certified only r_S = 0; skipped"]
@@ -529,9 +550,10 @@ def test_config_refuses_a_pool_discriminant_above_the_bound():
 
 
 def test_config_refuses_an_unknown_assumption():
-    known = ["leopoldt", "tower-disjoint", "gkc-minus", "disjoint:quadratic(65):quadratic(5)"]
+    known = ["leopoldt", "tower-disjoint", "gkc-minus"]
     assert config_from_dict({"certify": {"assumptions": known}}).assumptions == tuple(known)
-    for bad in ("gkc_minus", "Leopoldt", "disjoint:quadratic(5)", "disjoint::q8-witt-cm", "disjoint:a:b:c"):
+    # a compositum disjointness pair is no assumption key, well-formed or not
+    for bad in ("gkc_minus", "Leopoldt", "disjoint:quadratic(65):quadratic(5)", "disjoint:quadratic(5)"):
         with pytest.raises(SchemaViolation, match=rf"certify\.assumptions\[1\]: expected one of .* got '{re.escape(bad)}'"):
             config_from_dict({"certify": {"assumptions": ["leopoldt", bad]}})
 

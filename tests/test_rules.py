@@ -173,6 +173,24 @@ def test_dihedral_counting_needs_exactly_one_split_prime():
     assert [c.payload_dict()["r"] for c in demo.by_rule("dihedral-odd-character-counting")] == [6]
 
 
+def test_rules_read_prime_records_by_content_not_by_label():
+    """A label names a record in hypothesis details and nothing more: with
+    every record of a descriptor relabelled "v", the same rules fire with
+    the same payloads and the same diagnostics."""
+    rng = random.Random(3131)
+    outcomes = {}
+    for ext in _shipped_descriptors() + [random_descriptor(rng) for _ in range(80)]:
+        want = certify(ext)
+        got = outcomes[ext.label] = certify(
+            replace(ext, primes=tuple(replace(rec, label="v") for rec in ext.primes))
+        )
+        assert got.rules_cited() == want.rules_cited(), ext.label
+        assert [c.payload for c in got] == [c.payload for c in want], ext.label
+        assert got.diagnostics == want.diagnostics, ext.label
+    (cert,) = outcomes["d6-counting-demo"].by_rule("dihedral-odd-character-counting")
+    assert any(h.detail == "records v" for h in cert.hypotheses)
+
+
 def test_dihedral_counting_reads_the_group_not_its_spec():
     # the shipped demo gets the certificate however its group is written: as
     # D6, as D6's own table, or as that table with its elements renamed and
@@ -390,13 +408,19 @@ def undecomposed_by_full_lattice(ext):
     return max(candidates, key=lambda h: (len(h), sorted(h))) if candidates else None
 
 
-def test_undecomposed_subfield_matches_full_lattice_filter():
+def _shipped_descriptors():
+    """The ingested descriptors of DESCRIPTOR_DIR, its tower file left out."""
     exts = []
     for path in sorted(glob.glob(os.path.join(DESCRIPTOR_DIR, "*.json"))):
         with open(path) as fh:
             document = json.load(fh)
         if document.get("schema") != TOWER_SCHEMA_ID:
             exts.append(ingest_extension(document))
+    return exts
+
+
+def test_undecomposed_subfield_matches_full_lattice_filter():
+    exts = _shipped_descriptors()
     assert len(exts) == 3
     rng = random.Random(4242)
     exts += [random_descriptor(rng) for _ in range(300)]

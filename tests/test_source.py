@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+import re
 import subprocess
 import sys
 from functools import cache
@@ -146,12 +147,15 @@ RULE_KEYS = (
 )
 
 
+def _strings(node):
+    """The string constants under ``node``."""
+    return [n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
 def _keys_named(node):
     """The rule keys that ``node`` names as a string, alone or as the head
     of a diagnostic line "<key>: ..."."""
-    strings = [
-        n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)
-    ]
+    strings = _strings(node)
     return [key for key in RULE_KEYS if any(s == key or s.startswith(key + ":") for s in strings)]
 
 
@@ -174,6 +178,42 @@ def test_certify_runs_the_rule_table():
     keys = [_keys_named(defs[entry.id]) for entry in table.elts]
     assert [key for named in keys for key in named] == list(RULE_KEYS), keys
     assert [len(named) for named in keys] == [2] + [1] * (len(keys) - 1), keys
+
+
+def test_every_assumption_key_is_read_by_a_rule():
+    # a caller assumption counts only where a certificate records it: each
+    # key a config may list is tested against the assumptions in a function
+    # of RULES that records it as an asserted "caller assumption", and the
+    # assumption paragraph of docs/formats.md lists exactly these keys
+    from gkcert.rules import ASSUMPTION_KEYS, RULES
+
+    tree = _library_trees()["rules.py"]
+    constants = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+    }
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read = set()
+    for rule in RULES:
+        keys = {
+            constants.get(node.left.id) if isinstance(node.left, ast.Name) else node.left.value
+            for node in ast.walk(defs[rule.__name__])
+            if isinstance(node, ast.Compare)
+            and isinstance(node.ops[0], (ast.In, ast.NotIn))
+            and ast.unparse(node.comparators[0]) == "ctx.assumptions"
+        }
+        if keys:
+            assert "caller assumption" in _strings(defs[rule.__name__]), rule.__name__
+        read |= keys
+    assert read == set(ASSUMPTION_KEYS)
+
+    with open(os.path.join(ROOT, "docs", "formats.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    head = "Assumption keys accepted in `certify.assumptions`:"
+    sentence = text[text.index(head) + len(head):].split(". ")[0]
+    assert re.findall(r"`([^`]+)`", sentence) == list(ASSUMPTION_KEYS)
 
 
 def test_bench_tracing_installs():
