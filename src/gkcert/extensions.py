@@ -400,9 +400,9 @@ class Compositum:
     tau, once; ``at(p)`` then gives the descriptor of K/R at each prime p.
 
     Raises NotLinearlyDisjoint when two components share discriminant
-    support, as a component listed twice does, and Reducible when the real
-    discriminants do not give [R:Q] = 2^k.  No caller can vouch for
-    disjointness instead.
+    support, as a component listed twice does.  Real quadratics of pairwise
+    coprime support give [R:Q] = 2^k, which ``multiquadratic_field`` still
+    checks.
     """
 
     def __init__(self, components):
@@ -473,8 +473,7 @@ def build_compositum_over_Q(components, p: int) -> ExtensionDescriptor:
     components supplying tau: ``Compositum(components).at(p)``.
 
     Raises NotLinearlyDisjoint when two components share discriminant
-    support, Reducible when the real discriminants do not give
-    [R:Q] = 2^k, and RamifiedPrime if p ramifies in any component.
+    support and RamifiedPrime if p ramifies in any component.
     """
     return Compositum(components).at(p)
 
