@@ -8,14 +8,7 @@ Dedekind-certified prime splitting.  No floating point anywhere.
 """
 
 from .certificates import Certificate, CertificateStore, Conclusion, Hypothesis, Status
-from .characters import (
-    Character,
-    Parity,
-    character_table,
-    fixed_dim,
-    odd_characters,
-    parity,
-)
+from .characters import Character, character_table, fixed_dim, odd_rows
 from .cyclotomic import cyclotomic_poly
 from .extensions import (
     BUILTIN_PIECES,

@@ -1,4 +1,4 @@
-"""Exact character tables, and the parity and fixed-space dimension of a row.
+"""Exact character tables, their odd rows, and the fixed-space dimension of a row.
 
 A character value is an algebraic integer of Q(zeta_e), e = exponent(G),
 stored as its tuple of phi(e) integer coordinates in the power basis of
@@ -28,7 +28,6 @@ deterministic.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import itemgetter, mul
@@ -50,11 +49,6 @@ class Character:
 
     def sort_key(self):
         return (self.degree, self.values)
-
-
-class Parity(enum.Enum):
-    ODD = "odd"
-    EVEN = "even"
 
 
 # -- the row check ------------------------------------------------------------
@@ -555,29 +549,30 @@ def _dixon_table(G: FiniteGroup) -> list[Character]:
 # -- operations on characters ---------------------------------------------------
 
 
-def parity(chi: Character, tau: int) -> Parity:
-    """Odd iff chi(tau) = -chi(1), even iff chi(tau) = chi(1); tau must be a
-    central involution (Schur: exactly one case holds for irreducible chi)."""
-    G = chi.group
+def odd_rows(G: FiniteGroup, tau: int) -> tuple[int, ...]:
+    """The indices, ascending, of the rows chi of character_table(G) with
+    chi(tau) = -chi(1): the totally odd characters.
+
+    tau must be a central involution, which is checked on every call; then
+    by Schur chi(tau) = +-chi(1) for every irreducible chi.  The values at
+    tau are read on the first call for each group object and tau and the
+    verdict kept on G under the key ("odd", tau); a value that is not
+    +-chi(1) raises InternalCheckError and stores nothing."""
     G.require_central_involution(tau)
-    v = chi.value_at(tau)
-    if not any(v[1:]):
-        if v[0] == chi.degree:
-            return Parity.EVEN
-        if v[0] == -chi.degree:
-            return Parity.ODD
-    raise InternalCheckError(f"chi(tau) = {v!r} is neither +-chi(1); chi not irreducible?")
+    return G.verdict(("odd", tau), lambda: _odd_rows(G, tau))
 
 
-def odd_characters(table: list[Character], tau: int) -> list[Character]:
-    """The rows chi of ``table`` with parity(chi, tau) ODD, in table order;
-    each row's parity is checked on every call."""
-    return [ch for ch in table if parity(ch, tau) is Parity.ODD]
-
-
-def is_odd(chi: Character, tau: int) -> bool:
-    """parity(chi, tau) is ODD, checked on every call."""
-    return parity(chi, tau) is Parity.ODD
+def _odd_rows(G: FiniteGroup, tau: int) -> tuple[int, ...]:
+    odd = []
+    for i, chi in enumerate(character_table(G)):
+        v = chi.value_at(tau)
+        if any(v[1:]):
+            raise InternalCheckError(f"chi(tau) = {v!r} is irrational; chi not irreducible?")
+        if v[0] not in (chi.degree, -chi.degree):
+            raise InternalCheckError(f"chi(tau) = {v!r} is neither +-chi(1); chi not irreducible?")
+        if v[0] < 0:
+            odd.append(i)
+    return tuple(odd)
 
 
 def fixed_dim(chi: Character, subgroup) -> int:

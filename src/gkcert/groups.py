@@ -13,11 +13,12 @@ built-in families; ``table[a][b]`` is the product a*b.  Builders:
 
 Conjugacy classes are computed eagerly and ordered by smallest member, but
 with the identity's class first, wherever the identity sits, so the
-identity class is always class 0.  ``dihedral_group(n)`` and
-``quaternion_group()`` build each group once per process and return that
-shared instance.  A group object has one memo, filled through
-``FiniteGroup.verdict``: its character table and each verdict the rules read
-from G and tau alone are computed once and kept there.
+identity class is always class 0.  ``abelian_group`` (per normalized
+invariants), ``dihedral_group(n)`` and ``quaternion_group()`` build each
+group once per process and return that shared instance.  A group object has
+one memo, filled through ``FiniteGroup.verdict``: its character table and
+each verdict the rules read from G and tau alone are computed once and kept
+there.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class FiniteGroup:
         ``compute()`` on the first request.  A ``compute`` that raises stores
         nothing, so its checks run again on the next request.  Entries live
         exactly as long as the object: two equal groups share none.  The keys
-        in use are ("table",) in characters.character_table, ("klingen", tau)
-        in rules.klingen_criterion, and ("undecomposed", tau, set of G_w) in
-        rules._undecomposed_subfield."""
+        in use are ("table",) in characters.character_table, ("odd", tau) in
+        characters.odd_rows, ("klingen", tau) in rules.klingen_criterion, and
+        ("undecomposed", tau, set of G_w) in rules._undecomposed_subfield."""
         verdicts = self._verdicts
         if key not in verdicts:
             verdicts[key] = compute()
@@ -305,13 +306,17 @@ def _validate_and_build(table, spec) -> FiniteGroup:
 
 
 def abelian_group(invariants) -> FiniteGroup:
+    """Z/d1 x ... x Z/dk, the invariants with every 1 dropped; one shared
+    instance per such tuple."""
     invs = [int(d) for d in invariants]
     if any(d < 1 for d in invs):
         raise InvalidTable("cyclic orders must be >= 1")
-    invs = [d for d in invs if d > 1] or [1]
-    n = 1
-    for d in invs:
-        n *= d
+    return _abelian_group(tuple(d for d in invs if d > 1) or (1,))
+
+
+@cache
+def _abelian_group(invs: tuple[int, ...]) -> FiniteGroup:
+    n = prod(invs)
 
     def decode(i):
         out = []
@@ -331,7 +336,7 @@ def abelian_group(invariants) -> FiniteGroup:
         [encode([x + y for x, y in zip(decode(a), decode(b))]) for b in range(n)]
         for a in range(n)
     ]
-    return _validate_and_build(table, ("abelian", tuple(invs)))
+    return _validate_and_build(table, ("abelian", invs))
 
 
 @cache

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import character_table, odd_characters
+from .characters import character_table, odd_rows
 from .certificates import (
     Certificate,
     Conclusion,
@@ -43,11 +43,7 @@ from .certificates import (
     make_certificate,
     verified,
 )
-from .errors import (
-    EvenCharacter,
-    InternalCheckError,
-    PIsTwo,
-)
+from .errors import InternalCheckError, PIsTwo
 from .extensions import (
     ExtensionDescriptor,
     PrimeSummary,
@@ -80,11 +76,10 @@ def klingen_criterion(G: FiniteGroup, tau: int) -> bool:
 
 
 def _klingen_verdict(G: FiniteGroup, tau: int) -> bool:
-    table = character_table(G)
-    at_tau = [ch.value_at(tau) for ch in table]  # coordinates in Z[zeta_e]
-    if any(any(v[1:]) for v in at_tau):
-        raise InternalCheckError("a character value at tau is irrational")
-    result = all(ch.degree + v[0] <= 2 for ch, v in zip(table, at_tau))
+    # chi(tau) = -chi(1) on an odd row and chi(1) on an even one, so the
+    # bound holds exactly when every even row is linear
+    odd = odd_rows(G, tau)
+    result = all(ch.degree == 1 for i, ch in enumerate(character_table(G)) if i not in odd)
     quotient_abelian = G.quotient_is_abelian(G.subgroup_generated_by([tau]))
     if result != quotient_abelian:
         raise InternalCheckError(
@@ -355,7 +350,8 @@ def _dihedral_odd_character_counting(ctx: _Context):
     others_inert = all(ext.tau_in(rec) for rec in ext.primes if rec not in summary.split_qp)
     if not (split_ok and others_inert):
         return "dihedral-odd-character-counting: hypotheses (a)/(b) not satisfied"
-    degree_sum = sum(ch.degree for ch in odd_characters(character_table(G), ext.tau))
+    table = character_table(G)
+    degree_sum = sum(table[i].degree for i in odd_rows(G, ext.tau))
     if degree_sum != n // 2 + 1:
         raise InternalCheckError("dihedral odd-degree sum is off")
     return [
@@ -403,11 +399,10 @@ def _gkc_gvc_equivalence(ctx: _Context):
     else:
         gkc_hyp = asserted("GKC-(K) holds", "caller assumption")
     out = []
-    for idx, chi in enumerate(character_table(G)):
-        try:
-            r_s = tate_order(ext, chi)
-        except EvenCharacter:
-            continue
+    table = character_table(G)
+    for idx in odd_rows(G, ext.tau):
+        chi = table[idx]
+        r_s = tate_order(ext, chi)
         # under GKC-(K) the predicted order of vanishing is r_S (see vanishing)
         out.append(
             ctx.certificate(

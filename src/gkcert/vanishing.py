@@ -22,16 +22,18 @@ L-functions themselves are never computed.
 
 from __future__ import annotations
 
-from .characters import Character, fixed_dim, is_odd
+from .characters import Character, character_table, fixed_dim, odd_rows
 from .errors import EvenCharacter
 from .extensions import ExtensionDescriptor
 
 
 def tate_order(ext: ExtensionDescriptor, chi: Character) -> int:
-    """r_{S,chi} for S = S_infty(R) u S_p(R); raises EvenCharacter for an
-    even chi, whose parity is asked once per call."""
-    if chi.group is not ext.group:
+    """r_{S,chi} for S = S_infty(R) u S_p(R); raises EvenCharacter unless
+    chi is one of the odd rows of its group's table (characters.odd_rows)."""
+    G = ext.group
+    if chi.group is not G:
         raise ValueError("character belongs to a different group than the descriptor")
-    if not is_odd(chi, ext.tau):
-        raise EvenCharacter("vanishing-order formulas apply to totally odd characters only")
+    table = character_table(G)
+    if chi not in [table[i] for i in odd_rows(G, ext.tau)]:
+        raise EvenCharacter("vanishing-order formulas apply to totally odd irreducible characters only")
     return sum(rec.count * fixed_dim(chi, rec.decomposition) for rec in ext.primes)

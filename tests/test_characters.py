@@ -11,14 +11,11 @@ import pytest
 
 import gkcert.characters as characters
 from gkcert.characters import (
-    Parity,
     _evaluation,
     _pack,
     character_table,
     fixed_dim,
-    is_odd,
-    odd_characters,
-    parity,
+    odd_rows,
     verify_character_table,
 )
 from gkcert.cyclotomic import conjugate, cyclotomic_poly, from_exponents, power_height
@@ -60,8 +57,7 @@ def test_q8_table_and_parity():
     assert [ch.degree for ch in table] == [1, 1, 1, 1, 2]
     two = table[-1]
     assert two.value_at(1) == (-2, 0)  # the central involution column, in Z[i]
-    assert parity(two, 1) is Parity.ODD
-    assert all(parity(ch, 1) is Parity.EVEN for ch in table[:4])
+    assert odd_rows(q8, 1) == (4,)  # the four linear rows are even
     verify_character_table(table)
 
 
@@ -72,7 +68,7 @@ def test_d6_table():
     assert sum(ch.degree**2 for ch in table) == 12
     verify_character_table(table)
     # odd 2-dim character: chi(a) = zeta_6 + zeta_6^-1 = 1, chi(a^3) = -2
-    odd2 = [ch for ch in odd_characters(table, 3) if ch.degree == 2]
+    odd2 = [table[i] for i in odd_rows(d6, 3) if table[i].degree == 2]
     assert len(odd2) == 1
     assert odd2[0].value_at(1) == (1, 0) and odd2[0].value_at(3) == (-2, 0)
 
@@ -89,10 +85,13 @@ def test_every_value_is_a_tuple_of_phi_e_ints():
 
 
 def test_parity_requires_central_involution():
+    # checked on every call, also once the verdict for the central a^3 is stored
     d6 = dihedral_group(6)
-    chi = character_table(d6)[0]
-    with pytest.raises(TauNotCentralInvolution):
-        parity(chi, 6)
+    odd_rows(d6, 3)
+    for tau in (6, 6, 1, 12, -1):  # a reflection, a rotation, two non-elements
+        with pytest.raises(TauNotCentralInvolution):
+            odd_rows(d6, tau)
+    assert ("odd", 6) not in d6._verdicts
 
 
 def test_deterministic_row_order():
@@ -221,16 +220,15 @@ def test_fixed_dim_examples():
         assert fixed_dim(ch, {0}) == ch.degree
         trivial = all(v == (1, 0) for v in ch.values)
         assert fixed_dim(ch, range(12)) == (1 if trivial else 0)
-    odd2 = [ch for ch in odd_characters(table, 3) if ch.degree == 2][0]
+    odd2 = [table[i] for i in odd_rows(d6, 3) if table[i].degree == 2][0]
     assert fixed_dim(odd2, {0, 6}) == fixed_dim(odd2, [6, 0]) == 1  # (2 + 0)/2
     for _ in range(2):  # H is checked on every call
         with pytest.raises(NotASubgroup):
             fixed_dim(odd2, {0, 1})
     # a copy that is not a row of the stored table gives the same results
     copy = replace(odd2)
-    assert copy is not odd2 and is_odd(copy, 3)
+    assert copy is not odd2 and copy == odd2
     assert fixed_dim(copy, {0, 6}) == fixed_dim(copy, {0, 6}) == 1
-    assert odd_characters(table[:3], 3) == [ch for ch in table[:3] if is_odd(ch, 3)]
 
 
 def test_induction_examples():
@@ -563,7 +561,7 @@ CORRUPTED_ROUTES = {
         direct_product(dihedral_group(4), abelian_group([2, 2, 2])),
         group_from_table(dihedral_group(6).table),
     ),
-    "_dual_group_table": lambda: (abelian_group([2, 2]), abelian_group([6]), abelian_group([2, 4, 3])),
+    "_dual_group_table": lambda: tuple(replace(abelian_group(d)) for d in ([2, 2], [6], [2, 4, 3])),
 }
 
 
@@ -624,36 +622,41 @@ def test_corrupted_dual_group_table_of_a_specd_abelian_group_is_rejected_also_un
 
 
 def _parity_violators():
-    """(class function, tau) pairs whose value at tau is not +-chi(1): D4's
-    degree-2 row with its value at tau = a^2 replaced by 0, by 1/2, and by
-    the irrational i and 2 + i."""
-    D4 = dihedral_group(4)
-    two = next(ch for ch in character_table(D4) if ch.degree == 2)
-    at_tau = D4.class_of[2]
+    """(group, row index, message word) for fresh copies of D4, built from
+    its raw table, whose stored degree-2 row has the value 0, 1/2, the
+    irrational i or 2 + i at tau = a^2 (coordinates in Z[i]): none is
+    +-chi(1), and the word is what the refusal must say."""
     out = []
-    for bad in ((0, 0), (Fraction(1, 2), 0), (0, 1), (2, 1)):  # coordinates in Z[i]
-        values = tuple(bad if i == at_tau else v for i, v in enumerate(two.values))
-        out.append((replace(two, values=values), 2))
+    for bad in ((0, 0), (Fraction(1, 2), 0), (0, 1), (2, 1)):
+        G = group_from_table(dihedral_group(4).table)
+        rows = character_table(G)
+        i = next(k for k, ch in enumerate(rows) if ch.degree == 2)
+        values = tuple(bad if k == G.class_of[2] else v for k, v in enumerate(rows[i].values))
+        rows[i] = replace(rows[i], values=values)
+        G._verdicts[("table",)] = tuple(rows)
+        out.append((G, i, "irrational" if bad[1] else "neither"))
     return out
 
 
 def test_parity_rejects_values_that_are_not_plus_or_minus_the_degree():
-    for chi, tau in _parity_violators():
-        with pytest.raises(InternalCheckError):
-            parity(chi, tau)
+    for G, _, word in _parity_violators():
+        for _ in range(2):  # read again on every call: a refusal stores nothing
+            with pytest.raises(InternalCheckError, match=word):
+                odd_rows(G, 2)
+        assert list(G._verdicts) == [("table",)]
 
 
 def test_parity_rejects_bad_values_under_optimize():
     here = os.path.dirname(os.path.abspath(__file__))
     script = (
-        "from gkcert.characters import parity\n"
+        "from gkcert.characters import odd_rows\n"
         "from gkcert.errors import InternalCheckError\n"
         "from test_characters import _parity_violators\n"
-        "for chi, tau in _parity_violators():\n"
+        "for G, _, word in _parity_violators():\n"
         "    try:\n"
-        "        parity(chi, tau)\n"
-        "    except InternalCheckError:\n"
-        "        print('rejected')\n"
+        "        odd_rows(G, 2)\n"
+        "    except InternalCheckError as exc:\n"
+        "        print('rejected', word in str(exc))\n"
         "    else:\n"
         "        print('accepted')\n"
     )
@@ -662,7 +665,7 @@ def test_parity_rejects_bad_values_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["rejected"] * 4, proc.stdout
+    assert proc.stdout.splitlines() == ["rejected True"] * 4, proc.stdout
 
 
 def _corrupted_row_calls():
@@ -670,17 +673,11 @@ def _corrupted_row_calls():
     the irrational value i at tau = a^2, made while the table is all that is
     stored on the group: (name, error class name or 'accepted') for each
     call, twice."""
-    G = group_from_table(dihedral_group(4).table)
-    rows = character_table(G)
-    i = next(k for k, ch in enumerate(rows) if ch.degree == 2)
-    at_tau = G.class_of[2]
-    values = tuple((0, 1) if k == at_tau else v for k, v in enumerate(rows[i].values))
-    rows[i] = replace(rows[i], values=values)
-    G._verdicts[("table",)] = tuple(rows)
+    G, i, _ = _parity_violators()[2]
+    row = character_table(G)[i]
     calls = [
-        ("odd_characters", lambda: odd_characters(character_table(G), 2)),
-        ("is_odd", lambda: is_odd(rows[i], 2)),
-        ("fixed_dim", lambda: fixed_dim(rows[i], {0, 2})),
+        ("odd_rows", lambda: odd_rows(G, 2)),
+        ("fixed_dim", lambda: fixed_dim(row, {0, 2})),
     ]
     out = []
     for name, call in calls * 2:
@@ -695,11 +692,7 @@ def _corrupted_row_calls():
 
 
 def test_corrupted_row_raises_on_every_call_also_under_optimize():
-    want = [
-        ("odd_characters", "InternalCheckError"),
-        ("is_odd", "InternalCheckError"),
-        ("fixed_dim", "NonIntegralDimension"),
-    ] * 2
+    want = [("odd_rows", "InternalCheckError"), ("fixed_dim", "NonIntegralDimension")] * 2
     assert _corrupted_row_calls() == want
     here = os.path.dirname(os.path.abspath(__file__))
     script = "from test_characters import _corrupted_row_calls\nprint(_corrupted_row_calls())\n"

@@ -237,6 +237,28 @@ def test_ingested_d4_descriptor():
     assert classify_primes(ext).split_qp == ext.primes[:1]
 
 
+def test_ingested_abelian_specs_share_one_group_and_one_table(monkeypatch):
+    # the gaussian demo and a relabelled copy both name abelian [2]: one
+    # group object, whose table is built once, with the spec as written
+    from gkcert.groups import abelian_group
+    from gkcert.rules import certify
+    from test_characters import counting
+    from test_rules import DESCRIPTOR_DIR
+
+    with open(f"{DESCRIPTOR_DIR}/gaussian_p13.json") as fh:
+        document = json.load(fh)
+    C2 = abelian_group([2])
+    monkeypatch.delitem(C2._verdicts, ("table",), raising=False)
+    built = counting(monkeypatch, "_dual_group_table")
+    exts = [ingest_extension(doc) for doc in (document, {**document, "label": "copy"})]
+    outcomes = [certify(ext) for ext in exts]
+    assert exts[0].group is exts[1].group is C2 is abelian_group([1, 2, 1])
+    assert len(built) == 1 and built[0] is C2
+    assert C2.spec == ("abelian", (2,)) and to_document(exts[0]) == document
+    assert [c.rule for c in outcomes[0]] == [c.rule for c in outcomes[1]]
+    assert outcomes[0].by_rule("gkc-gvc-equivalence")
+
+
 def _quadratics(discs):
     return tuple(map(QuadraticComponent, discs))
 

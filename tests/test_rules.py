@@ -458,17 +458,43 @@ def test_certify_with_stored_verdicts_matches_a_fresh_group(piece):
 
 
 def test_certify_asks_each_row_parity_once(monkeypatch):
-    # the GVC rule asks tate_order for every row, which refuses the even ones
-    # after one parity check, so no odd row's parity is asked twice
-    from gkcert.characters import character_table
+    # the Klingen, counting and GVC rules share one pass over the values at
+    # tau per group object and tau, and tate_order runs on the odd rows alone
+    import gkcert.rules as rules
     from gkcert.harness import search_theoremB
 
     hit = search_theoremB(pool=[5, 13], target_r=4, prime_bound=3000, cm_piece="q8", max_hits=1)[0]
     ext = _over_fresh_group(hit.descriptor)
-    asked = counting(monkeypatch, "parity")
-    outcome = certify(ext)
-    assert len(outcome.by_rule("gkc-gvc-equivalence")) == 1
-    assert len(asked) == len(character_table(ext.group)) == 5
+    passes = counting(monkeypatch, "_odd_rows")
+    asked = []
+    tate_order = rules.tate_order
+    monkeypatch.setattr(rules, "tate_order", lambda e, chi: asked.append(chi) or tate_order(e, chi))
+    for _ in range(2):
+        outcome = certify(ext)
+        assert outcome.by_rule("klingen-abelian-compositum")
+        assert len(outcome.by_rule("gkc-gvc-equivalence")) == 1
+    assert len(passes) == 1 and passes[0] is ext.group
+    assert [chi.degree for chi in asked] == [2, 2]
+
+
+def test_values_at_tau_are_read_once_per_group_and_tau(monkeypatch):
+    # a multi-hit search, whose hits all share the piece's group, and two
+    # certify calls on the d6 demo, whose two ingests share D6: one pass
+    # over the values at tau for each group
+    from gkcert.harness import search_theoremB
+
+    Q8, D6 = quaternion_group(), dihedral_group(6)
+    for G, tau in ((Q8, 1), (D6, 3)):
+        monkeypatch.delitem(G._verdicts, ("odd", tau), raising=False)
+    passes = counting(monkeypatch, "_odd_rows")
+    hits = search_theoremB(pool=[5, 13], target_r=4, prime_bound=3000, cm_piece="q8", max_hits=None)
+    assert len(hits) > 3 and all(hit.descriptor.group is Q8 for hit in hits)
+    with open(os.path.join(DESCRIPTOR_DIR, "d6_counting_demo.json")) as fh:
+        document = json.load(fh)
+    for _ in range(2):
+        outcome = certify(ingest_extension(document))
+        assert outcome.by_rule("dihedral-odd-character-counting")
+    assert len(passes) == 2 and passes[0] is Q8 and passes[1] is D6
 
 
 def test_klingen_rejects_a_non_central_tau_after_a_stored_verdict():
@@ -526,7 +552,7 @@ def test_equal_groups_never_share_stored_verdicts(monkeypatch):
     outcomes = [certify(twin) for twin in twins]
     assert [c.digest() for c in outcomes[0]] == [c.digest() for c in outcomes[1]]
     keys = [set(twin.group._verdicts) for twin in twins]
-    assert keys[0] == keys[1] and {key[0] for key in keys[0]} == {"table", "undecomposed"}
+    assert keys[0] == keys[1] and {key[0] for key in keys[0]} == {"table", "odd", "undecomposed"}
     for key in keys[0]:
         stored = [twin.group._verdicts[key] for twin in twins]
         if key == ("table",):  # each group holds its own rows

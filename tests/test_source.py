@@ -123,6 +123,22 @@ def test_one_memo_per_group():
     ), found
 
 
+def test_memo_keys_are_the_ones_the_verdict_docstring_lists():
+    # each key name passed to FiniteGroup.verdict is listed, once, in its
+    # docstring with the function that fills it, so the list cannot drift
+    from gkcert.groups import FiniteGroup
+
+    named = []
+    for tree in _library_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "verdict":
+                key = node.args[0]
+                head = key.elts[0] if isinstance(key, ast.Tuple) and key.elts else key
+                named.append(head.value if isinstance(head, ast.Constant) else ast.unparse(key))
+    listed = re.findall(r'\("(\w+)"', FiniteGroup.verdict.__doc__)
+    assert sorted(named) == sorted(listed) == ["klingen", "odd", "table", "undecomposed"], (named, listed)
+
+
 def test_character_tables_ignore_the_group_spec():
     # character tables and rules read the multiplication table alone, so
     # how a group is written changes its document and digest, never a table
